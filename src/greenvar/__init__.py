@@ -14,6 +14,8 @@ from .conformal import (
     dilation_family,
     enclosed_area,
     normal_speed,
+    pullback_metric,
+    pullback_vector_field,
     quadratic_bump_family,
     rotation_family,
     to_complex,
@@ -40,7 +42,6 @@ from .quadrature import (
 )
 from .tensors import (
     MetricField,
-    TensorAtPoint,
     VectorField,
     christoffel,
     conformal_metric,
@@ -61,6 +62,7 @@ from .variation import (
     flux_variation,
     triple_variation,
     variation_report,
+    volume_integrand,
     volume_variation,
 )
 

@@ -14,8 +14,13 @@ triple    evaluate the fully symmetric three-pole variation over all six
 Configs are strict JSON: unknown fields are rejected, poles must sit
 inside the domain with margin, tolerances must be positive.  All floats
 are printed with 17 significant digits and outputs carry no timestamps,
-so identical configs produce byte-identical artifacts.  Exit status: 0
-all checks pass, 1 some check failed, 2 invalid configuration.
+so identical configs produce byte-identical artifacts.
+
+Exit status: 0 all checks pass; 1 some check failed; 2 invalid
+configuration ("config error: <msg>" on stderr: anything
+``load_experiment`` rejects, or a ``ConfigError`` from a subcommand); 3 a
+subcommand failed at run time ("run error: <subcommand>: <ErrorClass>:
+<msg>" on stderr, e.g. an FD step that moves a pole out of the domain).
 """
 
 from __future__ import annotations
@@ -324,6 +329,17 @@ def load_experiment(args) -> Experiment:
 
 # ----------------------------------------------------------------- runners
 
+def _report(exp: Experiment, checks: dict, estimates: dict):
+    """The JSON report of a check suite, and its exit code."""
+    all_pass = all(entry["passed"] for entry in checks.values())
+    return {
+        "config_echo": exp.config_echo(),
+        "checks": dict(sorted(checks.items())),
+        "estimates": estimates,
+        "status": "pass" if all_pass else "fail",
+    }, (0 if all_pass else 1)
+
+
 def _run_check(checks: dict, name: str, thunk):
     """Run one named check; module errors are recorded, not fatal."""
     try:
@@ -334,28 +350,9 @@ def _run_check(checks: dict, name: str, thunk):
                         "error": f"{type(exc).__name__}: {exc}"}
 
 
-def _agreement_check(exp: Experiment):
-    """Shared by verify and vary: the four-estimator reconciliation."""
-    report = variation_report(
-        exp.family, exp.a, exp.b,
-        m=exp.quad["m_boundary"], n_r=exp.quad["n_r"],
-        n_theta=exp.quad["n_theta"], n_patch=exp.quad["n_patch"],
-        dt=exp.fd_dt, metric=exp.metric,
-        tol_mutual=exp.tol_mutual, tol_volume=exp.tol_volume,
-        strict=False,
-    )
-    payload = report.to_json()
-    detail = {
-        "max_rel": payload["discrepancies"]["max_rel"],
-        "discrepancies": payload["discrepancies"],
-        "tolerances": {"mutual": exp.tol_mutual, "volume": exp.tol_volume},
-        "params": payload["params"],
-    }
-    return report, detail
-
-
-def run_verify(exp: Experiment):
-    """Full invariant suite; returns (report dict, exit code)."""
+def run_verify(exp: Experiment, only: Optional[Tuple[str, ...]] = None):
+    """Invariant suite, or the checks named in ``only``; returns (report
+    dict, exit code)."""
     checks: dict = {}
     estimates: dict = {}
     fmap = exp.base_map
@@ -363,9 +360,23 @@ def run_verify(exp: Experiment):
     za, zb = to_complex(np.asarray(exp.a)), to_complex(np.asarray(exp.b))
 
     def agreement():
-        report, detail = _agreement_check(exp)
+        """The four-estimator reconciliation."""
+        report = variation_report(
+            exp.family, exp.a, exp.b,
+            m=exp.quad["m_boundary"], n_r=exp.quad["n_r"],
+            n_theta=exp.quad["n_theta"], n_patch=exp.quad["n_patch"],
+            dt=exp.fd_dt, metric=exp.metric,
+            tol_mutual=exp.tol_mutual, tol_volume=exp.tol_volume,
+            strict=False,
+        )
         estimates.update(report.estimates)
-        return report.passes, detail
+        payload = report.to_json()
+        return report.passes, {
+            "max_rel": payload["discrepancies"]["max_rel"],
+            "discrepancies": payload["discrepancies"],
+            "tolerances": {"mutual": exp.tol_mutual, "volume": exp.tol_volume},
+            "params": payload["params"],
+        }
 
     def boundary_values():
         th = 2.0 * np.pi * np.arange(16) / 16.0
@@ -431,43 +442,24 @@ def run_verify(exp: Experiment):
         gap = abs(float(val) - exact) / exact
         return gap < AREA_TOL, {"observed": gap, "threshold": AREA_TOL}
 
-    _run_check(checks, "boundary_values_vanish", boundary_values)
-    _run_check(checks, "divergence_residual", divergence_residual)
-    _run_check(checks, "estimator_agreement", agreement)
-    _run_check(checks, "flux_normalization", flux_normalization)
-    _run_check(checks, "green_symmetry", green_symmetry)
-    _run_check(checks, "quadrature_area", quadrature_area)
-    _run_check(checks, "trace_identity", trace_identity)
-
-    all_pass = all(entry["passed"] for entry in checks.values())
-    report = {
-        "config_echo": exp.config_echo(),
-        "checks": dict(sorted(checks.items())),
-        "estimates": estimates,
-        "status": "pass" if all_pass else "fail",
+    suite = {
+        "boundary_values_vanish": boundary_values,
+        "divergence_residual": divergence_residual,
+        "estimator_agreement": agreement,
+        "flux_normalization": flux_normalization,
+        "green_symmetry": green_symmetry,
+        "quadrature_area": quadrature_area,
+        "trace_identity": trace_identity,
     }
-    return report, (0 if all_pass else 1)
+    for name, thunk in suite.items():
+        if only is None or name in only:
+            _run_check(checks, name, thunk)
+    return _report(exp, checks, estimates)
 
 
 def run_vary(exp: Experiment):
     """Single four-estimator report; exit 0 iff they agree."""
-    checks: dict = {}
-    estimates: dict = {}
-
-    def agreement():
-        report, detail = _agreement_check(exp)
-        estimates.update(report.estimates)
-        return report.passes, detail
-
-    _run_check(checks, "estimator_agreement", agreement)
-    all_pass = all(entry["passed"] for entry in checks.values())
-    report = {
-        "config_echo": exp.config_echo(),
-        "checks": checks,
-        "estimates": estimates,
-        "status": "pass" if all_pass else "fail",
-    }
-    return report, (0 if all_pass else 1)
+    return run_verify(exp, only=("estimator_agreement",))
 
 
 def run_convergence(exp: Experiment):
@@ -524,15 +516,7 @@ def run_triple(exp: Experiment):
 
     _run_check(checks, "matches_gradient_velocity", matches_gradient_velocity)
     _run_check(checks, "permutation_spread", permutation_spread)
-
-    all_pass = all(entry["passed"] for entry in checks.values())
-    report = {
-        "config_echo": exp.config_echo(),
-        "checks": dict(sorted(checks.items())),
-        "estimates": {"triple": values["abc"], "permutations": values},
-        "status": "pass" if all_pass else "fail",
-    }
-    return report, (0 if all_pass else 1)
+    return _report(exp, checks, {"triple": values["abc"], "permutations": values})
 
 
 # -------------------------------------------------------------- entrypoint
@@ -580,10 +564,17 @@ def main(argv=None) -> int:
                "converge": run_convergence, "triple": run_triple}
     try:
         exp = load_experiment(args)
-        payload, code = runners[args.command](exp)
     except GreenvarError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    try:
+        payload, code = runners[args.command](exp)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except GreenvarError as exc:
+        print(f"run error: {args.command}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     text = payload if isinstance(payload, str) else render_json(payload) + "\n"
     _emit(text, exp.out)
     return code

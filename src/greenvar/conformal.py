@@ -7,6 +7,11 @@ domain; its velocity field at ``t = 0`` is ``v(x) = h(f^{-1}(x))``.
 
 Points are real pairs ``(x^1, x^2)``; internally everything is complex
 arithmetic with ``x = x^1 + i x^2``.
+
+Densities on ``Omega`` are integrated on the disk, by pullback through
+``f``: :func:`pullback_metric`, :func:`pullback_vector_field` and
+:meth:`DomainFamily.disk_velocity_field` evaluate at disk points directly,
+with no inversion of ``f``.
 """
 
 from __future__ import annotations
@@ -19,11 +24,12 @@ import numpy as np
 
 from .errors import (
     ConfigError,
+    DimensionMismatchError,
     DomainError,
     InjectivityError,
     MapInversionError,
 )
-from .tensors import VectorField
+from .tensors import MetricField, VectorField
 
 __all__ = [
     "ConformalMap",
@@ -32,6 +38,8 @@ __all__ = [
     "boundary_grid",
     "normal_speed",
     "enclosed_area",
+    "pullback_metric",
+    "pullback_vector_field",
     "to_complex",
     "to_points",
     "dilation_family",
@@ -69,6 +77,33 @@ def to_points(z):
     """Unpack complex numbers into real points ``(..., 2)``."""
     z = np.asarray(z, dtype=complex)
     return np.stack([z.real, z.imag], axis=-1)
+
+
+def _multiplication_matrix(w):
+    """Real ``(..., 2, 2)`` matrices of ``u -> w u`` on complex-packed vectors."""
+    M = np.empty(np.shape(w) + (2, 2))
+    M[..., 0, 0] = w.real
+    M[..., 0, 1] = -w.imag
+    M[..., 1, 0] = w.imag
+    M[..., 1, 1] = w.real
+    return M
+
+
+def _holomorphic_field(preimage, value, slope, name: str) -> VectorField:
+    """The field ``value(z)``, ``z = preimage(points)``, whose Jacobian is
+    multiplication by the complex derivative ``slope(z)``."""
+    return VectorField(2, lambda p: to_points(value(preimage(p))),
+                       lambda p: _multiplication_matrix(slope(preimage(p))), name=name)
+
+
+def _horner(coeffs, z):
+    """Ascending-coefficient polynomial at complex ``z``; 0 when empty."""
+    if coeffs.size == 0:
+        return np.zeros_like(z)
+    acc = np.full_like(z, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        acc = acc * z + c
+    return acc
 
 
 def _as_coeffs(coeffs) -> np.ndarray:
@@ -115,27 +150,13 @@ class ConformalMap:
 
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
-        # Horner on f(z)/z, then restore the factor of z.
-        acc = np.full_like(z, self.coeffs[-1])
-        for c in self.coeffs[-2::-1]:
-            acc = acc * z + c
-        return acc * z
+        return _horner(self.coeffs, z) * z  # Horner on f(z)/z, times z
 
     def derivative(self, z):
-        z = np.asarray(z, dtype=complex)
-        acc = np.full_like(z, self._dcoeffs[-1])
-        for c in self._dcoeffs[-2::-1]:
-            acc = acc * z + c
-        return acc
+        return _horner(self._dcoeffs, np.asarray(z, dtype=complex))
 
     def second_derivative(self, z):
-        z = np.asarray(z, dtype=complex)
-        if self._ddcoeffs.size == 0:
-            return np.zeros_like(z)
-        acc = np.full_like(z, self._ddcoeffs[-1])
-        for c in self._ddcoeffs[-2::-1]:
-            acc = acc * z + c
-        return acc
+        return _horner(self._ddcoeffs, np.asarray(z, dtype=complex))
 
     def gate_min_derivative(self) -> float:
         """Min of ``|f'|`` over the boundary and interior check grids."""
@@ -252,8 +273,8 @@ class DomainFamily:
         self._check_range()
 
     def _gate_ok(self, t: float) -> bool:
-        m = ConformalMap(_pad_sum(self.base.coeffs, self.perturbation, t), check=False)
-        return m.coeffs[0] != 0 and m.gate_min_derivative() > GATE_FLOOR
+        return ConformalMap(_pad_sum(self.base.coeffs, self.perturbation, t),
+                            check=False).passes_gate()
 
     def _scan_t_max(self) -> float:
         for k in range(1, T_SCAN_STEPS + 1):
@@ -282,24 +303,25 @@ class DomainFamily:
         comes from the complex derivative ``h'(z) / f'(z)`` (Cauchy-Riemann
         structure), so no finite differencing is involved.
         """
-        base = self.base
-        pert = ConformalMap(self.perturbation, check=False)
+        base, pert = self.base, ConformalMap(self.perturbation, check=False)
+        return _holomorphic_field(lambda x: base.inverse(to_complex(x)), pert,
+                                  lambda z: pert.derivative(z) / base.derivative(z),
+                                  "family velocity")
 
-        def func(x):
-            z = base.inverse(to_complex(x))
-            return to_points(pert(z))
+    def disk_velocity_field(self) -> VectorField:
+        """The velocity pulled back to the disk by ``f``: ``h(z) / f'(z)``.
 
-        def jac(x):
-            z = base.inverse(to_complex(x))
-            w = pert.derivative(z) / base.derivative(z)
-            J = np.empty(np.shape(z) + (2, 2))
-            J[..., 0, 0] = w.real
-            J[..., 0, 1] = -w.imag
-            J[..., 1, 0] = w.imag
-            J[..., 1, 1] = w.real
-            return J
+        Holomorphic, so its Jacobian is multiplication by the complex
+        derivative ``(h' f' - h f'') / f'^2``; nothing is inverted.
+        """
+        base, pert = self.base, ConformalMap(self.perturbation, check=False)
 
-        return VectorField(2, func, jac, name="family velocity")
+        def slope(z):
+            fp = base.derivative(z)
+            return (pert.derivative(z) * fp - pert(z) * base.second_derivative(z)) / fp**2
+
+        return _holomorphic_field(to_complex, lambda z: pert(z) / base.derivative(z),
+                                  slope, "family velocity on the disk")
 
     def to_json(self) -> dict:
         pack = lambda c: [[float(v.real), float(v.imag)] for v in c]
@@ -397,6 +419,75 @@ def enclosed_area(grid: BoundaryGrid) -> float:
     """Area of the domain from the boundary rule, via div(x) = 2."""
     return 0.5 * float(np.dot(np.einsum("mi,mi->m", grid.nodes, grid.normals),
                               grid.weights))
+
+
+def pullback_metric(fmap: ConformalMap, metric: MetricField) -> MetricField:
+    """The metric ``f^* g`` on the disk: ``F^T g(f(z)) F``, ``F`` the Jacobian of ``f``.
+
+    A conformal ``g = exp(2 phi) delta`` pulls back to the conformal metric
+    with ``phi~(z) = phi(f(z)) + log|f'(z)|``, whose complex-packed gradient
+    is ``conj(f') grad phi(f(z)) + conj(f'' / f')``.
+    """
+    if metric.dim != 2:
+        raise DimensionMismatchError("only a planar metric pulls back to the disk")
+    if fmap.is_identity:
+        return metric
+    name = f"{metric.name}, pulled back"
+    if metric.is_conformal:
+        def phi(p):
+            z = to_complex(p)
+            return (metric.conformal_factor(to_points(fmap(z)))
+                    + np.log(np.abs(fmap.derivative(z))))
+
+        def grad_phi(p):
+            z = to_complex(p)
+            fp = fmap.derivative(z)
+            grad = to_complex(metric.conformal_gradient(to_points(fmap(z))))
+            return to_points(np.conj(fp) * grad + np.conj(fmap.second_derivative(z) / fp))
+
+        return MetricField(2, phi=phi, grad_phi=grad_phi, name=name)
+
+    def matrix(p):
+        z = to_complex(p)
+        F = _multiplication_matrix(fmap.derivative(z))
+        return np.swapaxes(F, -2, -1) @ metric(to_points(fmap(z))) @ F
+
+    def derivative(p):
+        # d_k (F^T g F) = S_k + S_k^T + F^T (d_c g F_ck) F with S_k = dF_k^T g F,
+        # dF_k the multiplication by f'' times the k-th unit (1, then i)
+        z = to_complex(p)
+        x, F = to_points(fmap(z)), _multiplication_matrix(fmap.derivative(z))
+        Ft = np.swapaxes(F, -2, -1)[..., None, :, :]
+        chain = np.einsum("...ck,...cij->...kij", F, metric.derivative(x))
+        dF = np.stack([_multiplication_matrix(u * fmap.second_derivative(z))
+                       for u in (1.0, 1j)], axis=-3)
+        S = np.swapaxes(dF, -2, -1) @ (metric(x) @ F)[..., None, :, :]
+        return S + np.swapaxes(S, -2, -1) + Ft @ chain @ F[..., None, :, :]
+
+    return MetricField(2, matrix, derivative, name=name)
+
+
+def pullback_vector_field(fmap: ConformalMap, v: VectorField) -> VectorField:
+    """The vector field ``F^{-1} v(f(z))`` on the disk.
+
+    Its Jacobian is ``F^{-1} J_v(f(z)) F + d(F^{-1}) v``, where the second
+    term is multiplication by ``-v f'' / f'^2`` in complex packing.
+    """
+    if fmap.is_identity:
+        return v
+
+    def func(p):
+        z = to_complex(p)
+        return to_points(to_complex(v(to_points(fmap(z)))) / fmap.derivative(z))
+
+    def jac(p):
+        z = to_complex(p)
+        x = to_points(fmap(z))
+        fp = fmap.derivative(z)
+        J = _multiplication_matrix(1.0 / fp) @ v.jacobian(x) @ _multiplication_matrix(fp)
+        return J + _multiplication_matrix(-to_complex(v(x)) * fmap.second_derivative(z) / fp**2)
+
+    return VectorField(2, func, jac, name=f"{v.name}, pulled back")
 
 
 def dilation_family() -> DomainFamily:

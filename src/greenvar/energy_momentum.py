@@ -99,7 +99,7 @@ class PolarizedEMT:
         g = self.metric(x)
         ginv = self.metric.inverse(x)
         phi = np.einsum("...kl,...k,...l->...", ginv, al, be)
-        outer = al[..., :, None] * be[..., None, :]
+        outer = al[..., :, None] @ be[..., None, :]
         return outer + np.swapaxes(outer, -2, -1) - phi[..., None, None] * g
 
     def emt_contra(self, x):
@@ -110,7 +110,7 @@ class PolarizedEMT:
         alu = np.einsum("...ij,...j->...i", ginv, al)
         beu = np.einsum("...ij,...j->...i", ginv, be)
         phi = np.einsum("...k,...k->...", alu, be)
-        outer = alu[..., :, None] * beu[..., None, :]
+        outer = alu[..., :, None] @ beu[..., None, :]
         return outer + np.swapaxes(outer, -2, -1) - phi[..., None, None] * ginv
 
     def trace(self, x):

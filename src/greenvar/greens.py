@@ -17,7 +17,8 @@ from typing import Optional
 
 import numpy as np
 
-from .conformal import BoundaryGrid, ConformalMap, DomainFamily, to_complex, to_points
+from .conformal import (BoundaryGrid, ConformalMap, _multiplication_matrix,
+                        pullback_metric, to_complex, to_points)
 from .errors import CoincidentPoleError, DomainError
 from .quadrature import QuadratureRule, disk_rule, integrate
 from .tensors import MetricField, VectorField, volume_density
@@ -199,12 +200,9 @@ def green_gradient_field(fmap: ConformalMap, c) -> VectorField:
         else:
             fpp = fmap.second_derivative(z)
             dW = -(s2 / fp - s1 * fpp / fp**2) / TWO_PI
-        A = dW / fp
-        J = np.empty(np.shape(z) + (2, 2))
-        J[..., 0, 0] = A.real
-        J[..., 0, 1] = -A.imag
-        J[..., 1, 0] = -A.imag
-        J[..., 1, 1] = -A.real
+        # u -> conj(A) conj(u): multiplication by conj(A) after conjugation
+        J = _multiplication_matrix(np.conj(dW / fp))
+        J[..., :, 1] *= -1.0
         return J
 
     return VectorField(2, func, jac, name="green gradient field")
@@ -216,7 +214,8 @@ def interior_rule(fmap: Optional[ConformalMap], poles=(), n_r: int = 64,
     """Disk rule with patches at the preimages of ambient pole points.
 
     The rule always lives on the unit disk; integrands over ``f(D)`` must be
-    pulled back (evaluate at ``f(z)`` and multiply by ``|f'(z)|^2``).
+    pulled back (evaluate at ``f(z)`` and multiply by ``|f'(z)|^2``, or
+    evaluate a density against the pulled-back metric ``f^* g``).
     """
     fmap = fmap if fmap is not None else ConformalMap.identity()
     zs = [complex(fmap.inverse(_cx(p))) for p in poles]
@@ -231,10 +230,12 @@ def mutual_energy(fmap: Optional[ConformalMap], a, b,
                   metric: Optional[MetricField] = None) -> float:
     """Mutual Dirichlet energy ``int grad G_a . grad G_b`` over the domain.
 
-    Equals ``G_Omega(a, b)`` for the Dirichlet Green function.  With a
-    ``metric``, the integrand is ``alpha_i beta_j g^{ij} sqrt(det g)``, whose
-    value is metric-independent in two dimensions (conformal invariance of
-    the Dirichlet pairing); this is exercised by tests rather than assumed.
+    Equals ``G_Omega(a, b)`` for the Dirichlet Green function.  The
+    integrand is a density, evaluated on the disk: with the disk gradients
+    and, given a ``metric``, ``alpha_i beta_j g^{ij} sqrt(det g)`` for the
+    pulled-back ``g = f^* metric``.  Its value is metric-independent in two
+    dimensions (conformal invariance of the Dirichlet pairing); this is
+    exercised by tests rather than assumed.
     """
     fmap = fmap if fmap is not None else ConformalMap.identity()
     green = GreenFunction(fmap)
@@ -243,21 +244,17 @@ def mutual_energy(fmap: Optional[ConformalMap], a, b,
         raise CoincidentPoleError("mutual energy needs distinct source points")
     if rule is None:
         rule = interior_rule(fmap, poles=[a, b])
+    disk = GreenFunction()
+    met = pullback_metric(fmap, metric) if metric is not None else None
 
     def integrand(points):
         z = to_complex(points)
-        alpha = green.gradient_z(z, wa)
-        beta = green.gradient_z(z, wb)
-        if metric is None:
-            phi = np.real(alpha * np.conj(beta))
-        else:
-            x = to_points(fmap(z)) if not fmap.is_identity else points
-            ginv = metric.inverse(x)
-            av, bv = to_points(alpha), to_points(beta)
-            phi = np.einsum("...i,...ij,...j->...", av, ginv, bv)
-            phi = phi * volume_density(metric, x)
-        if fmap.is_identity:
-            return phi
-        return phi * np.abs(fmap.derivative(z)) ** 2
+        alpha = disk.gradient_z(z, wa)
+        beta = disk.gradient_z(z, wb)
+        if met is None:
+            return np.real(alpha * np.conj(beta))
+        phi = np.einsum("...i,...ij,...j->...", to_points(alpha), met.inverse(points),
+                        to_points(beta))
+        return phi * volume_density(met, points)
 
     return integrate(rule, integrand).value

@@ -14,9 +14,7 @@ of how well the background grid resolves the window.
 Boundary integrals use the periodic trapezoid rule (spectrally accurate for
 analytic boundary data), assembled by :func:`greenvar.conformal.boundary_grid`.
 
-Summation is exactly rounded (``math.fsum``) and therefore deterministic;
-the opt-in ``parallel`` path of :func:`integrate` chunks the sum and may
-change low-order bits.
+Summation is exactly rounded (``math.fsum``) and therefore deterministic.
 """
 
 from __future__ import annotations
@@ -275,7 +273,7 @@ class IntegrationResult:
         return self.value
 
 
-def _apply(rule: QuadratureRule, f, parallel: bool) -> float:
+def _apply(rule: QuadratureRule, f) -> float:
     vals = np.asarray(f(rule.nodes), dtype=float)
     if vals.shape != (rule.node_count,):
         raise EvaluationError(
@@ -285,25 +283,20 @@ def _apply(rule: QuadratureRule, f, parallel: bool) -> float:
         i = int(bad[0])
         raise EvaluationError(
             f"non-finite integrand value at node {i} = {tuple(rule.nodes[i])}")
-    prod = rule.weights * vals
-    if parallel:
-        # chunked reduction; may differ from the serial path in the last bits
-        return float(np.sum([np.sum(c) for c in np.array_split(prod, 8)]))
-    return math.fsum(prod)
+    return math.fsum(rule.weights * vals)
 
 
-def integrate(rule: QuadratureRule, f: Callable, check: bool = True,
-              parallel: bool = False) -> IntegrationResult:
+def integrate(rule: QuadratureRule, f: Callable, check: bool = True) -> IntegrationResult:
     """Apply the rule to a vectorized integrand ``f((N, 2) nodes) -> (N,)``.
 
     The convergence flag compares against the same rule at half resolution;
     it is True when the relative change is below the rule's declared ``tol``.
     With ``check=False`` the flag is reported True without the comparison.
     """
-    value = _apply(rule, f, parallel)
+    value = _apply(rule, f)
     if not check:
         return IntegrationResult(value, True, value, 0.0)
-    coarse = _apply(rule.coarse(), f, parallel)
+    coarse = _apply(rule.coarse(), f)
     scale = max(abs(value), abs(coarse), 1e-9)
     rel = abs(value - coarse) / scale
     return IntegrationResult(value, rel < rule.tol, coarse, rel)

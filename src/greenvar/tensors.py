@@ -6,6 +6,13 @@ shape ``(n,)`` and any operation also accepts a batch of points of shape
 Metric matrices are symmetric positive definite; violations raise
 :class:`~greenvar.errors.DegenerateMetricError`.
 
+Metrics built by :func:`conformal_metric` and :func:`euclidean_metric`
+(``phi = 0``) keep their conformal factor, so ``g^{-1} = exp(-2 phi)
+delta``, ``sqrt(det g) = exp(n phi)`` and the Christoffel symbols are closed
+forms, with no batched factorization.  A :class:`MetricField` built from a
+matrix callback (and finite differences, when it has no derivative) is the
+general reference path.
+
 Index conventions
 -----------------
 * metric derivative arrays follow ``dg[..., k, i, j] = d g_ij / d x^k``
@@ -15,7 +22,7 @@ Index conventions
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -24,7 +31,6 @@ from .errors import DegenerateMetricError, DimensionMismatchError
 __all__ = [
     "MetricField",
     "VectorField",
-    "TensorAtPoint",
     "euclidean_metric",
     "conformal_metric",
     "christoffel",
@@ -55,9 +61,25 @@ def _as_points(x, dim):
     return x
 
 
-def _fd_scale(x, step):
-    # h = step * (1 + |x|), one scalar per point, kept broadcastable.
-    return step * (1.0 + np.linalg.norm(x, axis=-1))
+def _checked(value, shape, what: str):
+    out = np.asarray(value, dtype=float)
+    if out.shape != shape:
+        raise DimensionMismatchError(
+            f"{what} callback returned shape {out.shape}, expected {shape}")
+    return out
+
+
+def _central_differences(func, x, step):
+    """``out[..., k] = d func / d x^k`` by centered differences with step
+    ``h = step * (1 + |x|)``, one scalar per point."""
+    h = step * (1.0 + np.linalg.norm(x, axis=-1))
+    cols = []
+    for k in range(x.shape[-1]):
+        dx = np.zeros_like(x)
+        dx[..., k] = h
+        d = func(x + dx) - func(x - dx)
+        cols.append(d / (2.0 * h).reshape(h.shape + (1,) * (d.ndim - h.ndim)))
+    return np.stack(cols, axis=-1)
 
 
 class MetricField:
@@ -73,25 +95,60 @@ class MetricField:
         Maps points to ``(..., n, n, n)`` arrays ``dg[k, i, j] = d_k g_ij``.
         When omitted, centered finite differences with step
         ``FD_STEP * (1 + |x|)`` are used.
+    phi, grad_phi : callable, optional
+        Declare the metric conformally flat, ``g = exp(2 phi) delta``, in
+        place of ``matrix``: ``phi`` maps points to ``(...)`` and
+        ``grad_phi`` to ``(..., n)`` (omitted: centered differences of
+        ``phi``).  The matrix, inverse, derivative, volume density and
+        Christoffel symbols of such a metric are evaluated in closed form.
     """
 
-    def __init__(self, dim: int, matrix: Callable, derivative: Optional[Callable] = None,
-                 fd_step: float = FD_STEP, name: str = "metric"):
+    def __init__(self, dim: int, matrix: Optional[Callable] = None,
+                 derivative: Optional[Callable] = None, fd_step: float = FD_STEP,
+                 name: str = "metric", phi: Optional[Callable] = None,
+                 grad_phi: Optional[Callable] = None):
         if dim < 2:
             raise DimensionMismatchError("metric dimension must be >= 2")
+        if matrix is None and phi is None:
+            raise DimensionMismatchError("a metric needs a matrix or a conformal factor")
         self.dim = int(dim)
         self._matrix = matrix
         self._derivative = derivative
+        self._phi = phi
+        self._grad_phi = grad_phi
         self.fd_step = float(fd_step)
         self.name = name
 
-    def __call__(self, x):
+    @property
+    def is_conformal(self) -> bool:
+        return self._phi is not None
+
+    def conformal_factor(self, x):
+        """``phi(x)`` of a conformally flat metric ``exp(2 phi) delta``."""
         x = _as_points(x, self.dim)
-        g = np.asarray(self._matrix(x), dtype=float)
-        if g.shape != x.shape[:-1] + (self.dim, self.dim):
-            raise DimensionMismatchError(
-                f"metric callback returned shape {g.shape} for points {x.shape}"
-            )
+        return _checked(self._phi(x), x.shape[:-1], "conformal factor")
+
+    def conformal_gradient(self, x):
+        """``d_k phi(x)`` as ``(..., n)``, analytic or by centered differences."""
+        x = _as_points(x, self.dim)
+        if self._grad_phi is None:
+            return _central_differences(self.conformal_factor, x, self.fd_step)
+        return _checked(self._grad_phi(x), x.shape, "conformal gradient")
+
+    def _scale(self, x):
+        # exp(2 phi): the positive-definiteness gate of a conformal metric
+        with np.errstate(over="ignore", under="ignore"):
+            s = np.exp(2.0 * self.conformal_factor(x))
+        if not np.all(np.isfinite(s) & (s > 0.0)):
+            raise DegenerateMetricError(
+                "conformal factor exp(2 phi) is not finite and positive")
+        return s
+
+    def __call__(self, x):
+        if self.is_conformal:
+            return self._scale(x)[..., None, None] * np.eye(self.dim)
+        x = _as_points(x, self.dim)
+        g = _checked(self._matrix(x), x.shape[:-1] + (self.dim, self.dim), "metric")
         asym = np.max(np.abs(g - np.swapaxes(g, -2, -1)), initial=0.0)
         if asym > SYMMETRY_TOL:
             raise DegenerateMetricError(f"metric matrix asymmetric by {asym:.3e}")
@@ -99,28 +156,20 @@ class MetricField:
 
     def derivative(self, x):
         """Return ``dg[..., k, i, j] = d_k g_ij`` at ``x``."""
+        if self.is_conformal:
+            # d_k g_ij = 2 phi_k exp(2 phi) delta_ij
+            s = self._scale(x)
+            dphi = self.conformal_gradient(x)
+            return 2.0 * (dphi * s[..., None])[..., :, None, None] * np.eye(self.dim)
         x = _as_points(x, self.dim)
         if self._derivative is not None:
-            dg = np.asarray(self._derivative(x), dtype=float)
-            want = x.shape[:-1] + (self.dim,) * 3
-            if dg.shape != want:
-                raise DimensionMismatchError(
-                    f"metric derivative callback returned {dg.shape}, expected {want}"
-                )
-            return dg
-        return self._fd_derivative(x)
-
-    def _fd_derivative(self, x):
-        n = self.dim
-        h = _fd_scale(x, self.fd_step)
-        out = np.empty(x.shape[:-1] + (n, n, n))
-        for k in range(n):
-            dx = np.zeros_like(x)
-            dx[..., k] = h
-            out[..., k, :, :] = (self(x + dx) - self(x - dx)) / (2.0 * h)[..., None, None]
-        return out
+            return _checked(self._derivative(x), x.shape[:-1] + (self.dim,) * 3,
+                            "metric derivative")
+        return np.moveaxis(_central_differences(self, x, self.fd_step), -1, -3)
 
     def inverse(self, x):
+        if self.is_conformal:
+            return (1.0 / self._scale(x))[..., None, None] * np.eye(self.dim)
         g = self(x)
         _cholesky(g)  # SPD gate; raises on degeneracy
         return np.linalg.inv(g)
@@ -146,85 +195,23 @@ class VectorField:
 
     def __call__(self, x):
         x = _as_points(x, self.dim)
-        v = np.asarray(self._func(x), dtype=float)
-        if v.shape != x.shape:
-            raise DimensionMismatchError(
-                f"vector callback returned shape {v.shape} for points {x.shape}"
-            )
-        return v
+        return _checked(self._func(x), x.shape, "vector")
 
     def jacobian(self, x):
         x = _as_points(x, self.dim)
         if self._jacobian is not None:
-            J = np.asarray(self._jacobian(x), dtype=float)
-            want = x.shape[:-1] + (self.dim, self.dim)
-            if J.shape != want:
-                raise DimensionMismatchError(
-                    f"jacobian callback returned {J.shape}, expected {want}"
-                )
-            return J
-        n = self.dim
-        h = _fd_scale(x, self.fd_step)
-        J = np.empty(x.shape[:-1] + (n, n))
-        for k in range(n):
-            dx = np.zeros_like(x)
-            dx[..., k] = h
-            J[..., :, k] = (self(x + dx) - self(x - dx)) / (2.0 * h)[..., None]
-        return J
+            return _checked(self._jacobian(x), x.shape[:-1] + (self.dim, self.dim),
+                            "jacobian")
+        return _central_differences(self, x, self.fd_step)
 
     def __repr__(self):
         return f"VectorField(dim={self.dim}, name={self.name!r})"
 
 
-class TensorAtPoint:
-    """Components of a tensor of rank <= 2 at a single point.
-
-    ``variance`` is a tuple of ``"up"`` / ``"down"`` flags, one per index.
-    """
-
-    __slots__ = ("components", "variance")
-
-    def __init__(self, components, variance: Sequence[str]):
-        components = np.asarray(components, dtype=float)
-        variance = tuple(variance)
-        if components.ndim != len(variance):
-            raise DimensionMismatchError(
-                f"rank {components.ndim} components with {len(variance)} variance flags"
-            )
-        if components.ndim > 2:
-            raise DimensionMismatchError("tensors of rank > 2 are not supported")
-        if any(f not in ("up", "down") for f in variance):
-            raise ValueError("variance flags must be 'up' or 'down'")
-        if components.ndim == 2 and components.shape[0] != components.shape[1]:
-            raise DimensionMismatchError("rank-2 components must be square")
-        self.components = components
-        self.variance = variance
-
-    @property
-    def rank(self):
-        return self.components.ndim
-
-    def is_symmetric(self, tol: float = 1e-12) -> bool:
-        if self.rank != 2:
-            return False
-        c = self.components
-        return bool(np.max(np.abs(c - c.T), initial=0.0) <= tol * max(1.0, np.max(np.abs(c))))
-
-    def __repr__(self):
-        return f"TensorAtPoint(variance={self.variance}, components=\n{self.components})"
-
-
 def euclidean_metric(dim: int = 2) -> MetricField:
-    """The flat metric ``delta_ij`` in Cartesian coordinates."""
-    eye = np.eye(dim)
-
-    def matrix(x):
-        return np.broadcast_to(eye, x.shape[:-1] + (dim, dim)).copy()
-
-    def deriv(x):
-        return np.zeros(x.shape[:-1] + (dim,) * 3)
-
-    return MetricField(dim, matrix, deriv, name="euclidean")
+    """The flat metric ``delta_ij``: the conformal metric with ``phi = 0``."""
+    return MetricField(dim, phi=lambda x: np.zeros(x.shape[:-1]),
+                       grad_phi=np.zeros_like, name="euclidean")
 
 
 def conformal_metric(phi: Callable, grad_phi: Optional[Callable] = None,
@@ -236,24 +223,10 @@ def conformal_metric(phi: Callable, grad_phi: Optional[Callable] = None,
     phi : callable
         Scalar conformal factor, vectorized over points ``(..., n) -> (...)``.
     grad_phi : callable, optional
-        Gradient ``(..., n) -> (..., n)``.  Omitted: finite differences on
-        the assembled matrix.
+        Gradient ``(..., n) -> (..., n)``.  Omitted: centered differences
+        of ``phi``.
     """
-    eye = np.eye(dim)
-
-    def matrix(x):
-        f = np.exp(2.0 * np.asarray(phi(x), dtype=float))
-        return f[..., None, None] * eye
-
-    deriv = None
-    if grad_phi is not None:
-        def deriv(x):
-            f = np.exp(2.0 * np.asarray(phi(x), dtype=float))
-            gp = np.asarray(grad_phi(x), dtype=float)
-            # d_k g_ij = 2 phi_k exp(2 phi) delta_ij
-            return 2.0 * gp[..., :, None, None] * f[..., None, None, None] * eye
-
-    return MetricField(dim, matrix, deriv, name="conformal")
+    return MetricField(dim, phi=phi, grad_phi=grad_phi, name="conformal")
 
 
 def _cholesky(g):
@@ -275,9 +248,21 @@ def _cholesky(g):
 def christoffel(metric: MetricField, x):
     """Christoffel symbols ``Gamma^k_ij`` of the Levi-Civita connection.
 
-    Uses ``Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)`` and
-    returns the result explicitly symmetrized in the lower index pair.
+    A conformal metric ``exp(2 phi) delta`` has the closed form
+    ``Gamma^k_ij = delta^k_i phi_j + delta^k_j phi_i - delta_ij phi_k``.
+    Otherwise ``Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)``.
+    Either way the result is exactly symmetric in the lower index pair.
     """
+    if metric.is_conformal:
+        # Gamma^k_ij = sum_l phi_l E[l, k, i, j]; every sum has at most one
+        # nonzero term, so the result is exact and exactly symmetric
+        dphi = metric.conformal_gradient(x)
+        n = metric.dim
+        e = np.eye(n)
+        E = (e[None, :, :, None] * e[:, None, None, :]
+             + e[None, :, None, :] * e[:, None, :, None]
+             - e[None, None, :, :] * e[:, :, None, None])
+        return (dphi @ E.reshape(n, n**3)).reshape(dphi.shape[:-1] + (n, n, n))
     ginv = metric.inverse(x)
     dg = metric.derivative(x)
     # S[..., i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
@@ -286,40 +271,25 @@ def christoffel(metric: MetricField, x):
     return 0.5 * (gamma + np.swapaxes(gamma, -2, -1))
 
 
-def raise_index(metric: MetricField, x, alpha):
-    """Raise the index of a covector: ``alpha^i = g^{ij} alpha_j``."""
-    wrapped = isinstance(alpha, TensorAtPoint)
-    if wrapped:
-        if alpha.variance != ("down",):
-            raise DimensionMismatchError("raise_index expects a rank-1 'down' tensor")
-        comps = alpha.components
-    else:
-        comps = np.asarray(alpha, dtype=float)
+def _check_rank1(metric: MetricField, comps, what: str):
+    comps = np.asarray(comps, dtype=float)
     if comps.shape[-1] != metric.dim:
         raise DimensionMismatchError(
-            f"covector of dimension {comps.shape[-1]} against metric of dim {metric.dim}"
+            f"{what} of dimension {comps.shape[-1]} against metric of dim {metric.dim}"
         )
-    g = metric(x)
-    _cholesky(g)
-    out = np.linalg.solve(g, comps[..., None])[..., 0]
-    return TensorAtPoint(out, ("up",)) if wrapped else out
+    return comps
+
+
+def raise_index(metric: MetricField, x, alpha):
+    """Raise the index of a covector: ``alpha^i = g^{ij} alpha_j``."""
+    comps = _check_rank1(metric, alpha, "covector")
+    return np.einsum("...ij,...j->...i", metric.inverse(x), comps)
 
 
 def lower_index(metric: MetricField, x, v):
     """Lower the index of a vector: ``v_i = g_ij v^j``."""
-    wrapped = isinstance(v, TensorAtPoint)
-    if wrapped:
-        if v.variance != ("up",):
-            raise DimensionMismatchError("lower_index expects a rank-1 'up' tensor")
-        comps = v.components
-    else:
-        comps = np.asarray(v, dtype=float)
-    if comps.shape[-1] != metric.dim:
-        raise DimensionMismatchError(
-            f"vector of dimension {comps.shape[-1]} against metric of dim {metric.dim}"
-        )
-    out = np.einsum("...ij,...j->...i", metric(x), comps)
-    return TensorAtPoint(out, ("down",)) if wrapped else out
+    comps = _check_rank1(metric, v, "vector")
+    return np.einsum("...ij,...j->...i", metric(x), comps)
 
 
 def covariant_derivative_vector(metric: MetricField, v: VectorField, x):
@@ -336,7 +306,7 @@ def strain_tensor(metric: MetricField, v: VectorField, x):
     identically when ``v`` is a Killing field.  Output is exactly symmetric.
     """
     M = covariant_derivative_vector(metric, v, x)
-    low = np.einsum("...ik,...kj->...ij", metric(x), M)  # v_{i;j}
+    low = metric(x) @ M  # v_{i;j}
     return 0.5 * (low + np.swapaxes(low, -2, -1))
 
 
@@ -347,7 +317,9 @@ def divergence(metric: MetricField, v: VectorField, x):
 
 
 def volume_density(metric: MetricField, x):
-    """Riemannian volume density ``sqrt(det g)``."""
+    """Riemannian volume density ``sqrt(det g)``; ``exp(n phi)`` when conformal."""
+    if metric.is_conformal:
+        return metric._scale(x) ** (0.5 * metric.dim)
     L = _cholesky(metric(x))
     diag = np.diagonal(L, axis1=-2, axis2=-1)
     return np.prod(diag, axis=-1)
@@ -355,12 +327,7 @@ def volume_density(metric: MetricField, x):
 
 def trace_tensor(metric: MetricField, x, T):
     """Metric trace ``g^{ij} T_ij`` of a covariant rank-2 tensor."""
-    if isinstance(T, TensorAtPoint):
-        if T.variance != ("down", "down"):
-            raise DimensionMismatchError("trace_tensor expects a ('down','down') tensor")
-        comps = T.components
-    else:
-        comps = np.asarray(T, dtype=float)
+    comps = np.asarray(T, dtype=float)
     if comps.shape[-2:] != (metric.dim, metric.dim):
         raise DimensionMismatchError(
             f"tensor block {comps.shape[-2:]} against metric of dim {metric.dim}"

@@ -8,12 +8,14 @@ Four independent routes to the same number:
   metric on the same domain.
 * ``volume_variation``: the interior integral of ``T^{ij} D_ij`` against
   the Riemannian volume, minus the source pairing ``v(b).alpha(b) +
-  v(a).beta(a)``.  In two dimensions the integrand vanishes pointwise
-  whenever the deformation velocity is holomorphic and the metric is
-  conformally flat (``T`` is trace-free and ``D`` is then a multiple of
-  ``g``), so the pairing term carries the value; the quadrature still
-  certifies the strain/Christoffel pipeline, since any error there breaks
-  the cancellation.
+  v(a).beta(a)``.  The integrand is a density, so it is evaluated on the
+  disk against the pulled-back metric ``f^* g`` (conformal metrics pull
+  back to conformal metrics, with closed forms).  In two dimensions the
+  integrand vanishes pointwise whenever the deformation velocity is
+  holomorphic and the metric is conformally flat (``T`` is trace-free and
+  ``D`` is then a multiple of ``g``), so the pairing term carries the
+  value; the quadrature still certifies the strain/Christoffel pipeline,
+  since any error there breaks the cancellation.
 * ``flux_variation``: the boundary flux ``T^{ij} v_i nu_j`` against the
   induced boundary measure; equals the Hadamard integrand pointwise on
   the boundary, where both gradients are normal.
@@ -38,19 +40,22 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from .conformal import (BoundaryGrid, ConformalMap, DomainFamily,
-                        boundary_grid, normal_speed, to_complex, to_points)
-from .energy_momentum import PolarizedEMT
+from .conformal import (ConformalMap, DomainFamily, boundary_grid, normal_speed,
+                        pullback_metric, pullback_vector_field, to_complex,
+                        to_points)
+from .energy_momentum import PolarizedEMT, source_pairing
 from .errors import CoincidentPoleError, ConfigError, GreenvarError
 from .greens import GreenFunction, interior_rule, mapped_green
 from .quadrature import IntegrationResult, boundary_integrate, integrate
-from .tensors import MetricField, VectorField, strain_tensor, volume_density
+from .tensors import (MetricField, VectorField, euclidean_metric, strain_tensor,
+                      volume_density)
 
 __all__ = [
     "VolumeEstimate",
     "VariationReport",
     "boundary_variation",
     "volume_variation",
+    "volume_integrand",
     "flux_variation",
     "fd_oracle",
     "triple_variation",
@@ -96,12 +101,13 @@ def _check_distinct(*points):
     return pts
 
 
-def _velocity(family, velocity) -> VectorField:
+def _velocity(family, velocity, disk: bool = False) -> VectorField:
+    """The deformation velocity on ``f(D)``, or pulled back to the disk."""
     if velocity is not None:
-        return velocity
+        return pullback_vector_field(_base_map(family), velocity) if disk else velocity
     if not isinstance(family, DomainFamily):
         raise ConfigError("a bare ConformalMap carries no velocity; pass velocity=")
-    return family.velocity_field()
+    return family.disk_velocity_field() if disk else family.velocity_field()
 
 
 def boundary_variation(family, a, b, m: int = DEFAULT_BOUNDARY_NODES,
@@ -142,43 +148,53 @@ class VolumeEstimate:
         return self.value
 
 
+def volume_integrand(family, a, b, metric: Optional[MetricField] = None,
+                     velocity: Optional[VectorField] = None):
+    """The interior integrand ``T^{ij} D_ij sqrt(det g)`` on disk points.
+
+    ``T^{ij} D_ij vol_g`` is a density, so it is evaluated on the disk
+    against the pulled-back metric ``f^* g``, with the disk Green gradients
+    and the velocity pulled back by ``f`` (the family velocity by default):
+    no node is mapped to ``f(z)`` and inverted again, and the factor
+    ``|f'|^2`` is inside ``vol_{f^* g}``.  Returns ``(N, 2) -> (N,)``.
+    """
+    fmap = _base_map(family)
+    v = _velocity(family, velocity, disk=True)
+    disk = PolarizedEMT.from_map(
+        None, *(to_points(fmap.inverse(to_complex(np.asarray(p, float)))) for p in (a, b)),
+        metric=pullback_metric(fmap, metric if metric is not None else euclidean_metric(2)))
+
+    def integrand(z):
+        T = disk.emt_contra(z)
+        D = strain_tensor(disk.metric, v, z)
+        return np.einsum("...ij,...ij->...", T, D) * volume_density(disk.metric, z)
+
+    return integrand
+
+
 def volume_variation(family, a, b, rule=None,
                      metric: Optional[MetricField] = None,
                      velocity: Optional[VectorField] = None,
                      n_r: int = 64, n_theta: int = 128, n_patch: int = 32,
-                     check: bool = True, parallel: bool = False) -> VolumeEstimate:
+                     check: bool = True) -> VolumeEstimate:
     """Interior estimate ``∫ T^{ij} D_ij vol_g  -  source_pairing(v)``.
 
-    The quadrature rule must carry pole patches at ``a`` and ``b``; one is
-    built at the given resolution when not supplied.  The pairing term is
-    evaluated exactly at the two poles, never quadratured.
+    The integral is taken on the disk (see :func:`volume_integrand`).  The
+    quadrature rule must carry pole patches at the preimages of ``a`` and
+    ``b``; one is built at the given resolution when not supplied.  The
+    pairing term is evaluated exactly at the two poles, in ambient
+    coordinates, never quadratured.
     """
     _check_distinct(a, b)
     fmap = _base_map(family)
-    emt = PolarizedEMT.from_map(fmap, a, b, metric=metric)
-    met = emt.metric
     v = _velocity(family, velocity)
+    integrand = volume_integrand(family, a, b, metric=metric, velocity=velocity)
     if rule is None:
         rule = interior_rule(fmap, poles=(to_complex(np.asarray(a, float)),
                                           to_complex(np.asarray(b, float))),
                              n_r=n_r, n_theta=n_theta, n_patch=n_patch)
-    identity = fmap.is_identity
-
-    def integrand(points):
-        if identity:
-            x = points
-        else:
-            z = to_complex(points)
-            x = to_points(fmap(z))
-        T = emt.emt_contra(x)
-        D = strain_tensor(met, v, x)
-        val = np.einsum("...ij,...ij->...", T, D) * volume_density(met, x)
-        if not identity:
-            val = val * np.abs(fmap.derivative(z)) ** 2
-        return val
-
-    quad = integrate(rule, integrand, check=check, parallel=parallel)
-    pairing = emt.source_pairing(v)
+    quad = integrate(rule, integrand, check=check)
+    pairing = source_pairing(fmap, v, a, b)
     return VolumeEstimate(value=float(quad) - pairing, pairing=pairing,
                           quadrature=quad)
 

@@ -190,6 +190,21 @@ def test_triple_requires_third_pole(capsys):
     assert "config error:" in err and "pole 'c'" in err
 
 
+def test_run_time_failure_is_a_run_error(capsys, tmp_path):
+    # a valid fd_dt that shrinks the domain past pole a fails at run time
+    doc = default_config()
+    doc["poles"] = {"a": [0.94, 0.0], "b": [0.0, 0.5]}
+    path = write_config(tmp_path, doc)
+    code, out, err = run(capsys, "converge", "--config", path, "--fd-dt", "0.1")
+    assert code == 3 and out == ""
+    assert err.startswith("run error: converge: DomainError: point outside")
+    # vary records the same failure as a skipped estimate
+    code, out, _ = run(capsys, "vary", "--config", path, "--fd-dt", "0.1")
+    assert code == 1
+    assert "DomainError" in json.loads(out)["checks"]["estimator_agreement"][
+        "params"]["skips"]["fd_oracle"]
+
+
 # ------------------------------------------------------------ config errors
 
 def test_rejects_unknown_fields(capsys, tmp_path):

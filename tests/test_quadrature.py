@@ -156,15 +156,6 @@ def test_integrand_shape_checked():
         integrate(rule, lambda p: 1.0)
 
 
-def test_parallel_path_matches_serial():
-    a = 0.3 - 0.2j
-    rule = disk_rule(poles=[a])
-    f = inverse_distance(a)
-    serial = integrate(rule, f, check=False).value
-    parallel = integrate(rule, f, check=False, parallel=True).value
-    assert abs(serial - parallel) < 1e-13 * abs(serial)
-
-
 def test_boundary_integrate_callable_and_values():
     grid = boundary_grid(ConformalMap.identity(), m=128)
     assert boundary_integrate(grid, lambda x: np.ones(len(x))) == pytest.approx(

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from greenvar.errors import DegenerateMetricError, DimensionMismatchError
-from greenvar.tensors import (MetricField, TensorAtPoint, VectorField,
+from greenvar.tensors import (MetricField, VectorField,
                               christoffel, conformal_metric,
                               covariant_derivative_vector, divergence,
                               euclidean_metric, lower_index, raise_index,
@@ -111,6 +111,44 @@ def test_christoffel_matches_fd_metric():
     assert np.allclose(christoffel(met, x), christoffel(fd, x), atol=1e-9)
 
 
+def untagged(met):
+    """The same metric as a general MetricField: matrix plus analytic derivative."""
+    return MetricField(2, met, met.derivative)
+
+
+def test_conformal_closed_forms_match_general_path():
+    # phi = 0.2 x + 0.1 y^2 at scattered points, against Cholesky/inverse/einsum
+    met = conformal_metric(
+        lambda p: 0.2 * p[..., 0] + 0.1 * p[..., 1] ** 2,
+        lambda p: np.stack([np.full(p.shape[:-1], 0.2), 0.2 * p[..., 1]], axis=-1))
+    ref = untagged(met)
+    assert met.is_conformal and not ref.is_conformal
+    x = np.random.default_rng(5).uniform(-0.9, 0.9, (200, 2))
+    v = VectorField(2, lambda p: np.stack([p[..., 0] ** 2, p[..., 0] * p[..., 1]], axis=-1),
+                    lambda p: np.stack([2.0 * p[..., 0], np.zeros(p.shape[:-1]),
+                                        p[..., 1], p[..., 0]], axis=-1).reshape(p.shape + (2,)))
+    for got, want in [(met.inverse(x), ref.inverse(x)),
+                      (christoffel(met, x), christoffel(ref, x)),
+                      (volume_density(met, x), volume_density(ref, x)),
+                      (strain_tensor(met, v, x), strain_tensor(ref, v, x))]:
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_conformal_gate_rejects_overflow():
+    met = conformal_metric(lambda p: 400.0 + p[..., 0])
+    with pytest.raises(DegenerateMetricError):
+        met.inverse(np.zeros((3, 2)))
+    with pytest.raises(DegenerateMetricError):
+        volume_density(met, np.zeros(2))
+
+
+def test_conformal_fd_gradient_without_grad_phi():
+    met = conformal_metric(lambda p: np.sin(p[..., 0]) * p[..., 1])
+    x = np.array([[0.3, -0.4], [-0.2, 0.7]])
+    want = np.stack([np.cos(x[:, 0]) * x[:, 1], np.sin(x[:, 0])], axis=-1)
+    assert np.allclose(met.conformal_gradient(x), want, atol=1e-9)
+
+
 def test_metric_compatibility():
     # covariant derivative of the metric vanishes:
     # d_k g_ij = Gamma^l_ki g_lj + Gamma^l_kj g_il
@@ -134,24 +172,6 @@ def test_raise_lower_round_trip(cx, cy, x, y, a0, a1):
     up = raise_index(met, pt, alpha)
     back = lower_index(met, pt, up)
     assert np.allclose(back, alpha, atol=1e-12)
-
-
-def test_raise_index_accepts_tensor_at_point():
-    met = linear_phi(0.2, 0.0)
-    pt = np.array([0.5, 0.0])
-    t = TensorAtPoint(np.array([1.0, 2.0]), ("down",))
-    up = raise_index(met, pt, t)
-    assert up.variance == ("up",)
-    assert np.allclose(up.components, np.array([1.0, 2.0]) * np.exp(-0.2))
-
-
-def test_tensor_at_point_validation():
-    with pytest.raises(DimensionMismatchError):
-        TensorAtPoint(np.zeros((2, 2)), ("up",))
-    with pytest.raises(ValueError):
-        TensorAtPoint(np.zeros(2), ("sideways",))
-    t = TensorAtPoint(np.array([[1.0, 2.0], [2.0, 3.0]]), ("down", "down"))
-    assert t.rank == 2 and t.is_symmetric()
 
 
 # ------------------------------------------------ derivatives along fields

@@ -6,13 +6,17 @@ import pytest
 from greenvar.conformal import (
     ConformalMap,
     DomainFamily,
+    to_complex,
+    to_points,
     cubic_mix_family,
     dilation_family,
     rotation_family,
 )
+from greenvar.energy_momentum import PolarizedEMT
 from greenvar.errors import CoincidentPoleError, ConfigError, DomainError
-from greenvar.greens import green_gradient_field
-from greenvar.tensors import conformal_metric
+from greenvar.greens import GreenFunction, green_gradient_field, interior_rule
+from greenvar.tensors import (MetricField, VectorField, conformal_metric,
+                              strain_tensor, volume_density)
 from greenvar.variation import (
     REL_FLOOR,
     VariationReport,
@@ -22,6 +26,7 @@ from greenvar.variation import (
     flux_variation,
     triple_variation,
     variation_report,
+    volume_integrand,
     volume_variation,
 )
 
@@ -41,6 +46,33 @@ def linear_phi(c=0.2):
         return g
 
     return conformal_metric(phi, grad)
+
+
+# f = z + 0.1 z^2, h = 0.05 z^2 + 0.03 z^3, phi = 0.2 x + 0.1 y^2
+CURVED_A, CURVED_B = (0.1, 0.05), (-0.3, 0.2)
+
+
+def curved_family():
+    return DomainFamily([1.0, 0.1], [0.0, 0.05, 0.03])
+
+
+def curved_metric():
+    return conformal_metric(
+        lambda p: 0.2 * p[..., 0] + 0.1 * p[..., 1] ** 2,
+        lambda p: np.stack([np.full(p.shape[:-1], 0.2), 0.2 * p[..., 1]], axis=-1))
+
+
+def square_velocity():
+    """``v = (x^2, x y)``: smooth, not holomorphic, so ``T : D`` is not 0."""
+    def jac(p):
+        J = np.zeros(p.shape[:-1] + (2, 2))
+        J[..., 0, 0] = 2.0 * p[..., 0]
+        J[..., 1, 0] = p[..., 1]
+        J[..., 1, 1] = p[..., 0]
+        return J
+
+    return VectorField(2, lambda p: np.stack([p[..., 0] ** 2, p[..., 0] * p[..., 1]],
+                                             axis=-1), jac)
 
 
 def dilation_value(a, b):
@@ -232,3 +264,51 @@ def test_report_json_layout():
     assert doc["params"]["volume_converged"] is True
     assert doc["params"]["fd_richardson_gap"] < 1e-8
     assert set(doc["estimates"]) == {"boundary", "volume", "flux", "fd_oracle"}
+
+
+def test_pulled_back_integrand_matches_ambient_pieces():
+    # the disk integrand against f^*g equals the x-space T^{ij} D_ij
+    # sqrt(det g) |f'|^2, node by node.  The x-space Green gradients are
+    # taken at the nodes' own preimages: Newton's 1e-14 residual would cost
+    # up to 1e-9 relative at patch nodes 1e-5 from a pole.
+    fam, met, v = curved_family(), curved_metric(), square_velocity()
+    fmap = fam.base
+    rule = interior_rule(fmap, poles=[CURVED_A, CURVED_B], n_r=32, n_theta=64,
+                         n_patch=16)
+    z = to_complex(rule.nodes)
+    x = to_points(fmap(z))
+    green = GreenFunction(fmap)
+    wa, wb = green.pole_preimage(CURVED_A), green.pole_preimage(CURVED_B)
+    emt = PolarizedEMT(CURVED_A, CURVED_B,
+                       lambda p: to_points(green.gradient_z(z, wa)),
+                       lambda p: to_points(green.gradient_z(z, wb)), metric=met)
+    T, D = emt.emt_contra(x), strain_tensor(met, v, x)
+    jac = np.abs(fmap.derivative(z)) ** 2
+    want = np.sum(T * D, axis=(-2, -1)) * volume_density(met, x) * jac
+    scale = (np.linalg.norm(T, axis=(-2, -1)) * np.linalg.norm(D, axis=(-2, -1))
+             * volume_density(met, x) * jac)
+    got = volume_integrand(fam, CURVED_A, CURVED_B, metric=met, velocity=v)(rule.nodes)
+    assert np.max(np.abs(got - want) / scale) < 1e-12
+    assert np.max(np.abs(want) / scale) > 0.1  # the integrand is not identically 0
+
+
+def test_general_metric_pullback_matches_conformal():
+    # the same metric as an untagged MetricField: matrix, chain-rule derivative
+    fam, met, v = curved_family(), curved_metric(), square_velocity()
+    general = MetricField(2, met, met.derivative)
+    kw = dict(velocity=v, n_r=32, n_theta=64, n_patch=16, check=False)
+    closed = volume_variation(fam, CURVED_A, CURVED_B, metric=met, **kw)
+    ref = volume_variation(fam, CURVED_A, CURVED_B, metric=general, **kw)
+    assert float(closed) == pytest.approx(float(ref), rel=1e-12)
+
+
+def test_non_holomorphic_volume_gap_shrinks():
+    fam, met, v = curved_family(), curved_metric(), square_velocity()
+    exact = boundary_variation(fam, CURVED_A, CURVED_B, velocity=v)
+    gaps = []
+    for n_r, n_theta, n_patch in [(32, 64, 16), (64, 128, 32), (128, 256, 64)]:
+        est = volume_variation(fam, CURVED_A, CURVED_B, metric=met, velocity=v,
+                               n_r=n_r, n_theta=n_theta, n_patch=n_patch)
+        gaps.append(abs(float(est) - exact) / abs(exact))
+    assert gaps[0] > gaps[1] > gaps[2]
+    assert gaps[2] < 1e-6
