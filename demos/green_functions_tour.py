@@ -13,7 +13,6 @@ from greenvar.conformal import ConformalMap, boundary_grid, to_points
 from greenvar.greens import (
     GreenFunction,
     disk_green,
-    mapped_green,
     mutual_energy,
     poisson_normal_derivative,
 )
@@ -37,13 +36,13 @@ print("\nboundary integral of dG/dn:", np.sum(kernel) * (2 * np.pi / 256),
 
 fmap = ConformalMap([1.0, 0.08, 0.03])
 z, w = 0.2 + 0.3j, -0.4 + 0.1j
-lhs = mapped_green(fmap, to_points(fmap(z)), to_points(fmap(w)))
+green = GreenFunction(fmap)
+lhs = green.value(to_points(fmap(z)), to_points(fmap(w)))
 print("\ntransported value:", lhs)
 print("disk value:       ", disk_green(z, w))
 
 # the normal derivative on the image boundary still integrates to -1
 grid = boundary_grid(fmap, m=256)
-green = GreenFunction(fmap)
 total = float(np.dot(green.normal_derivative(grid, to_points(fmap(w))),
                      grid.weights))
 print("harmonic measure on f(D):", total)

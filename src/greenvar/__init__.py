@@ -26,10 +26,8 @@ from .greens import (
     GreenFunction,
     disk_green,
     disk_green_gradient,
-    green_gradient,
     green_gradient_field,
     interior_rule,
-    mapped_green,
     mutual_energy,
     poisson_normal_derivative,
 )
@@ -57,6 +55,7 @@ from .tensors import (
 from .variation import (
     VariationReport,
     VolumeEstimate,
+    boundary_nodes,
     boundary_variation,
     fd_oracle,
     flux_variation,

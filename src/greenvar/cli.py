@@ -29,20 +29,22 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from itertools import combinations, permutations
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from .conformal import (ConformalMap, DomainFamily, boundary_grid,
-                        dilation_family, to_complex)
+                        dilation_family, to_complex, to_points)
 from .energy_momentum import PolarizedEMT
-from .errors import ConfigError, DomainError, GreenvarError
+from .errors import ConfigError, GreenvarError
 from .greens import GreenFunction, green_gradient_field, interior_rule
 from .quadrature import integrate
 from .tensors import MetricField, conformal_metric
 from .variation import (DEFAULT_FD_FACTOR, TOL_MUTUAL, TOL_VOLUME,
-                        boundary_variation, fd_oracle, flux_variation,
-                        triple_variation, variation_report, volume_variation)
+                        boundary_nodes, boundary_variation, fd_oracle,
+                        flux_variation, triple_variation, variation_report,
+                        volume_variation)
 
 __all__ = ["main", "load_experiment", "run_verify", "run_vary",
            "run_convergence", "run_triple", "render_json", "render_csv"]
@@ -219,7 +221,7 @@ def _parse_metric(raw):
 def _check_margin(fmap: ConformalMap, point, name: str):
     try:
         z = fmap.inverse(to_complex(np.asarray(point, dtype=float)))
-    except (DomainError, GreenvarError) as exc:
+    except GreenvarError as exc:
         raise ConfigError(f"pole '{name}' is not inside the domain: {exc}") from exc
     if abs(z) > 1.0 - POLE_MARGIN:
         raise ConfigError(
@@ -262,16 +264,14 @@ def load_experiment(args) -> Experiment:
     c = _parse_point(poles["c"], "c") if "c" in poles else None
 
     named = [("a", a), ("b", b)] + ([("c", c)] if c is not None else [])
-    for (na, pa), (nb, pb) in [(named[i], named[j])
-                               for i in range(len(named))
-                               for j in range(i + 1, len(named))]:
+    for (na, pa), (nb, pb) in combinations(named, 2):
         if np.hypot(pa[0] - pb[0], pa[1] - pb[1]) < 1e-12:
             raise ConfigError(f"coincident poles '{na}' and '{nb}'")
     fmap = family.map_at(0.0)
     for name, point in named:
         _check_margin(fmap, point, name)
 
-    quad = {"n_r": 64, "n_theta": 128, "n_patch": 32, "m_boundary": 256}
+    quad = {"n_r": 64, "n_theta": 128, "n_patch": 32, "m_boundary": None}
     raw_quad = raw.get("quadrature", {})
     _require(isinstance(raw_quad, dict), "'quadrature' must be an object")
     unknown = set(raw_quad) - set(_QUAD_FIELDS)
@@ -288,6 +288,8 @@ def load_experiment(args) -> Experiment:
     if args.quad_ntheta is not None:
         _require(args.quad_ntheta >= _QUAD_FIELDS["n_theta"], "--quad-ntheta too small")
         quad["n_theta"] = args.quad_ntheta
+    if quad["m_boundary"] is None:
+        quad["m_boundary"] = boundary_nodes(fmap, *(point for _, point in named))
 
     tols = {"boundary": TOL_MUTUAL, "volume": TOL_VOLUME}
     raw_tols = raw.get("tolerances", {})
@@ -359,6 +361,12 @@ def run_verify(exp: Experiment, only: Optional[Tuple[str, ...]] = None):
     green = GreenFunction(fmap)
     za, zb = to_complex(np.asarray(exp.a)), to_complex(np.asarray(exp.b))
 
+    def samples(seed, lo, hi, n):
+        """``f(z)`` for random ``lo < |z| < hi``, farther than 0.05 from both poles."""
+        rng = np.random.default_rng(seed)
+        x = fmap(rng.uniform(lo, hi, n) * np.exp(2j * np.pi * rng.uniform(size=n)))
+        return to_points(x[(np.abs(x - za) > 0.05) & (np.abs(x - zb) > 0.05)])
+
     def agreement():
         """The four-estimator reconciliation."""
         report = variation_report(
@@ -390,12 +398,7 @@ def run_verify(exp: Experiment, only: Optional[Tuple[str, ...]] = None):
 
     def trace_identity():
         emt = PolarizedEMT.from_map(fmap, exp.a, exp.b, metric=exp.metric)
-        rng = np.random.default_rng(0)
-        z = rng.uniform(0.05, 0.9, 1000) * np.exp(2j * np.pi * rng.uniform(size=1000))
-        x = fmap(z)
-        pts = np.stack([x.real, x.imag], axis=-1)
-        keep = (np.abs(x - za) > 0.05) & (np.abs(x - zb) > 0.05)
-        pts = pts[keep]
+        pts = samples(0, 0.05, 0.9, 1000)
         T = emt.emt_cov(pts)
         scale = np.linalg.norm(T, axis=(-2, -1))
         ratio = float(np.max(np.abs(emt.trace(pts)) / scale))
@@ -404,11 +407,7 @@ def run_verify(exp: Experiment, only: Optional[Tuple[str, ...]] = None):
     def divergence_residual():
         emt = PolarizedEMT.from_map(fmap, exp.a, exp.b, metric=exp.metric)
         h = 1e-4
-        rng = np.random.default_rng(1)
-        z = rng.uniform(0.1, 0.85, 64) * np.exp(2j * np.pi * rng.uniform(size=64))
-        x = fmap(z)
-        keep = (np.abs(x - za) > 0.05) & (np.abs(x - zb) > 0.05)
-        pts = np.stack([x.real, x.imag], axis=-1)[keep]
+        pts = samples(1, 0.1, 0.85, 64)
         div = emt.divergence(pts, h=h)
         T = emt.emt_contra(pts)
         dist = np.minimum(np.abs(to_complex(pts) - za), np.abs(to_complex(pts) - zb))
@@ -465,16 +464,15 @@ def run_vary(exp: Experiment):
 def run_convergence(exp: Experiment):
     """CSV error table against a Richardson-extrapolated FD reference."""
     fam, a, b = exp.family, exp.a, exp.b
-    fd_full = fd_oracle(fam, a, b, dt=exp.fd_dt)
-    fd_half = fd_oracle(fam, a, b, dt=exp.fd_dt / 2.0)
-    ref = (4.0 * fd_half - fd_full) / 3.0
+    scales = [2**level for level in range(exp.levels)]
+    fd = {s: fd_oracle(fam, a, b, dt=exp.fd_dt / s) for s in sorted({1, 2, *scales})}
+    ref = (4.0 * fd[2] - fd[1]) / 3.0
     rows = []
-    for level in range(exp.levels):
-        s = 2 ** level
+    for level, s in enumerate(scales):
         m = exp.quad["m_boundary"] * s
         values = {
             "boundary": boundary_variation(fam, a, b, m=m),
-            "fd_oracle": fd_oracle(fam, a, b, dt=exp.fd_dt / s),
+            "fd_oracle": fd[s],
             "flux": flux_variation(fam, a, b, m=m, metric=exp.metric),
             "volume": float(volume_variation(
                 fam, a, b, metric=exp.metric, n_r=exp.quad["n_r"] * s,
@@ -492,12 +490,9 @@ def run_triple(exp: Experiment):
         raise ConfigError("triple requires pole 'c' in the config")
     a, b, c = exp.a, exp.b, exp.c
     m = exp.quad["m_boundary"]
-    orders = {
-        "abc": (a, b, c), "acb": (a, c, b), "bac": (b, a, c),
-        "bca": (b, c, a), "cab": (c, a, b), "cba": (c, b, a),
-    }
-    values = {key: triple_variation(exp.family, *pts, m=m)
-              for key, pts in orders.items()}
+    poles = {"a": a, "b": b, "c": c}
+    values = {"".join(key): triple_variation(exp.family, *(poles[k] for k in key), m=m)
+              for key in permutations("abc")}
     spread = max(values.values()) - min(values.values())
 
     checks: dict = {}

@@ -31,7 +31,7 @@ import numpy as np
 from .conformal import ConformalMap, to_complex
 from .errors import CoincidentPoleError, DimensionMismatchError, DomainError
 from .greens import green_gradient_field
-from .tensors import MetricField, christoffel, euclidean_metric
+from .tensors import MetricField, christoffel, euclidean_metric, trace_tensor
 
 __all__ = [
     "PolarizedEMT",
@@ -115,7 +115,7 @@ class PolarizedEMT:
 
     def trace(self, x):
         """``g^{ij} T_ij = (2 - n) Phi``, i.e. zero in two dimensions."""
-        return np.einsum("...ij,...ij->...", self.metric.inverse(x), self.emt_cov(x))
+        return trace_tensor(self.metric, x, self.emt_cov(x))
 
     # ----- divergence and sources
 

@@ -27,8 +27,6 @@ __all__ = [
     "disk_green",
     "disk_green_gradient",
     "poisson_normal_derivative",
-    "mapped_green",
-    "green_gradient",
     "GreenFunction",
     "green_gradient_field",
     "interior_rule",
@@ -126,7 +124,8 @@ class GreenFunction:
         z = self.map.inverse(_cx(x))
         w = self.pole_preimage(a)
         _check_separation(_cx(x), _cx(a))
-        val = self.value_z(z, w)
+        _check_separation(z, w)
+        val = _disk_value(z, w)
         return float(val) if np.ndim(val) == 0 else val
 
     def gradient(self, x, a):
@@ -135,12 +134,6 @@ class GreenFunction:
         w = self.pole_preimage(a)
         _check_separation(_cx(x), _cx(a))
         return to_points(self.gradient_z(z, w))
-
-    # ----- preimage-coordinate fast paths (used by quadrature integrands)
-
-    def value_z(self, z, w):
-        _check_separation(z, w)
-        return _disk_value(z, w)
 
     def gradient_z(self, z, w):
         """Complex-packed ambient gradient at ``x = f(z)``.
@@ -155,23 +148,13 @@ class GreenFunction:
         return g * np.conj(1.0 / self.map.derivative(z))
 
     def normal_derivative(self, grid: BoundaryGrid, a):
-        """Outward normal derivative at the nodes of a boundary grid."""
-        w = self.pole_preimage(a)
-        if self.map.is_identity:
-            return poisson_normal_derivative(grid.params, w)
-        grad = self.gradient_z(grid.params, w)
-        n = to_complex(grid.normals)
-        return np.real(grad * np.conj(n))
+        """Outward normal derivative at the nodes of a boundary grid.
 
-
-def mapped_green(fmap: ConformalMap, x, a):
-    """Green function of ``f(D)`` via conformal transport."""
-    return GreenFunction(fmap).value(x, a)
-
-
-def green_gradient(fmap: ConformalMap, x, a):
-    """Ambient-coordinate gradient of the mapped Green function."""
-    return GreenFunction(fmap).gradient(x, a)
+        Conformal transport: the disk's Poisson kernel at the node's
+        preimage ``e^{i theta}``, divided by ``|f'(e^{i theta})|``.
+        """
+        kernel = poisson_normal_derivative(grid.params, self.pole_preimage(a))
+        return kernel / np.abs(self.map.derivative(grid.params))
 
 
 def green_gradient_field(fmap: ConformalMap, c) -> VectorField:
@@ -195,11 +178,7 @@ def green_gradient_field(fmap: ConformalMap, c) -> VectorField:
         fp = fmap.derivative(z)
         s1 = 1.0 / (z - w) + np.conj(w) / (1.0 - z * np.conj(w))
         s2 = -1.0 / (z - w) ** 2 + np.conj(w) ** 2 / (1.0 - z * np.conj(w)) ** 2
-        if fmap.is_identity:
-            dW = -s2 / TWO_PI
-        else:
-            fpp = fmap.second_derivative(z)
-            dW = -(s2 / fp - s1 * fpp / fp**2) / TWO_PI
+        dW = -(s2 / fp - s1 * fmap.second_derivative(z) / fp**2) / TWO_PI
         # u -> conj(A) conj(u): multiplication by conj(A) after conjugation
         J = _multiplication_matrix(np.conj(dW / fp))
         J[..., :, 1] *= -1.0
@@ -209,8 +188,7 @@ def green_gradient_field(fmap: ConformalMap, c) -> VectorField:
 
 
 def interior_rule(fmap: Optional[ConformalMap], poles=(), n_r: int = 64,
-                  n_theta: int = 128, n_patch: int = 32,
-                  rho: Optional[float] = None) -> QuadratureRule:
+                  n_theta: int = 128, n_patch: int = 32) -> QuadratureRule:
     """Disk rule with patches at the preimages of ambient pole points.
 
     The rule always lives on the unit disk; integrands over ``f(D)`` must be
@@ -219,10 +197,8 @@ def interior_rule(fmap: Optional[ConformalMap], poles=(), n_r: int = 64,
     """
     fmap = fmap if fmap is not None else ConformalMap.identity()
     zs = [complex(fmap.inverse(_cx(p))) for p in poles]
-    for z in zs:
-        if abs(z) >= 1.0 - COINCIDENCE_TOL:
-            raise DomainError("pole preimage must lie in the open disk")
-    return disk_rule(n_r, n_theta, poles=zs, rho=rho, n_patch=n_patch)
+    _check_pole(np.asarray(zs))
+    return disk_rule(n_r, n_theta, poles=zs, n_patch=n_patch)
 
 
 def mutual_energy(fmap: Optional[ConformalMap], a, b,

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -86,10 +87,14 @@ def _window(dist, rho):
                                             1.0 - _smoothstep(w)))
 
 
+@lru_cache(maxsize=64)
 def _gauss_legendre(n: int, lo: float, hi: float):
+    """Nodes and weights on ``[lo, hi]``; cached, hence read-only."""
     x, w = np.polynomial.legendre.leggauss(n)
     half = 0.5 * (hi - lo)
-    return lo + half * (x + 1.0), half * w
+    nodes, weights = lo + half * (x + 1.0), half * w
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 @dataclass(eq=False)

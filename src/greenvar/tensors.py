@@ -43,7 +43,7 @@ __all__ = [
     "trace_tensor",
 ]
 
-# Default relative step for centered finite differences of field callbacks.
+# Relative step for centered finite differences of field callbacks.
 FD_STEP = 1e-5
 
 # Tolerance on symmetry of user-supplied metric matrices.
@@ -69,10 +69,10 @@ def _checked(value, shape, what: str):
     return out
 
 
-def _central_differences(func, x, step):
+def _central_differences(func, x):
     """``out[..., k] = d func / d x^k`` by centered differences with step
-    ``h = step * (1 + |x|)``, one scalar per point."""
-    h = step * (1.0 + np.linalg.norm(x, axis=-1))
+    ``h = FD_STEP * (1 + |x|)``, one scalar per point."""
+    h = FD_STEP * (1.0 + np.linalg.norm(x, axis=-1))
     cols = []
     for k in range(x.shape[-1]):
         dx = np.zeros_like(x)
@@ -104,7 +104,7 @@ class MetricField:
     """
 
     def __init__(self, dim: int, matrix: Optional[Callable] = None,
-                 derivative: Optional[Callable] = None, fd_step: float = FD_STEP,
+                 derivative: Optional[Callable] = None,
                  name: str = "metric", phi: Optional[Callable] = None,
                  grad_phi: Optional[Callable] = None):
         if dim < 2:
@@ -116,7 +116,6 @@ class MetricField:
         self._derivative = derivative
         self._phi = phi
         self._grad_phi = grad_phi
-        self.fd_step = float(fd_step)
         self.name = name
 
     @property
@@ -132,7 +131,7 @@ class MetricField:
         """``d_k phi(x)`` as ``(..., n)``, analytic or by centered differences."""
         x = _as_points(x, self.dim)
         if self._grad_phi is None:
-            return _central_differences(self.conformal_factor, x, self.fd_step)
+            return _central_differences(self.conformal_factor, x)
         return _checked(self._grad_phi(x), x.shape, "conformal gradient")
 
     def _scale(self, x):
@@ -165,7 +164,7 @@ class MetricField:
         if self._derivative is not None:
             return _checked(self._derivative(x), x.shape[:-1] + (self.dim,) * 3,
                             "metric derivative")
-        return np.moveaxis(_central_differences(self, x, self.fd_step), -1, -3)
+        return np.moveaxis(_central_differences(self, x), -1, -3)
 
     def inverse(self, x):
         if self.is_conformal:
@@ -186,11 +185,10 @@ class VectorField:
     """
 
     def __init__(self, dim: int, func: Callable, jacobian: Optional[Callable] = None,
-                 fd_step: float = FD_STEP, name: str = "vector field"):
+                 name: str = "vector field"):
         self.dim = int(dim)
         self._func = func
         self._jacobian = jacobian
-        self.fd_step = float(fd_step)
         self.name = name
 
     def __call__(self, x):
@@ -202,7 +200,7 @@ class VectorField:
         if self._jacobian is not None:
             return _checked(self._jacobian(x), x.shape[:-1] + (self.dim, self.dim),
                             "jacobian")
-        return _central_differences(self, x, self.fd_step)
+        return _central_differences(self, x)
 
     def __repr__(self):
         return f"VectorField(dim={self.dim}, name={self.name!r})"
@@ -214,19 +212,18 @@ def euclidean_metric(dim: int = 2) -> MetricField:
                        grad_phi=np.zeros_like, name="euclidean")
 
 
-def conformal_metric(phi: Callable, grad_phi: Optional[Callable] = None,
-                     dim: int = 2) -> MetricField:
-    """Conformally flat metric ``g_ij = exp(2 phi(x)) delta_ij``.
+def conformal_metric(phi: Callable, grad_phi: Optional[Callable] = None) -> MetricField:
+    """Planar conformally flat metric ``g_ij = exp(2 phi(x)) delta_ij``.
 
     Parameters
     ----------
     phi : callable
-        Scalar conformal factor, vectorized over points ``(..., n) -> (...)``.
+        Scalar conformal factor, vectorized over points ``(..., 2) -> (...)``.
     grad_phi : callable, optional
-        Gradient ``(..., n) -> (..., n)``.  Omitted: centered differences
+        Gradient ``(..., 2) -> (..., 2)``.  Omitted: centered differences
         of ``phi``.
     """
-    return MetricField(dim, phi=phi, grad_phi=grad_phi, name="conformal")
+    return MetricField(2, phi=phi, grad_phi=grad_phi, name="conformal")
 
 
 def _cholesky(g):

@@ -45,7 +45,7 @@ from .conformal import (ConformalMap, DomainFamily, boundary_grid, normal_speed,
                         to_points)
 from .energy_momentum import PolarizedEMT, source_pairing
 from .errors import CoincidentPoleError, ConfigError, GreenvarError
-from .greens import GreenFunction, interior_rule, mapped_green
+from .greens import GreenFunction, interior_rule
 from .quadrature import IntegrationResult, boundary_integrate, integrate
 from .tensors import (MetricField, VectorField, euclidean_metric, strain_tensor,
                       volume_density)
@@ -60,6 +60,7 @@ __all__ = [
     "fd_oracle",
     "triple_variation",
     "variation_report",
+    "boundary_nodes",
     "DEFAULT_BOUNDARY_NODES",
     "DEFAULT_FD_FACTOR",
     "TOL_MUTUAL",
@@ -67,7 +68,10 @@ __all__ = [
     "REL_FLOOR",
 ]
 
+# Range and error target of the boundary resolution (see boundary_nodes).
 DEFAULT_BOUNDARY_NODES = 256
+MAX_BOUNDARY_NODES = 2**14
+BOUNDARY_RATE_TARGET = 1e-16
 
 # FD oracle step as a fraction of the family's injectivity range.
 DEFAULT_FD_FACTOR = 1e-4
@@ -98,7 +102,6 @@ def _check_distinct(*points):
     for (i, p), (j, q) in combinations(enumerate(pts), 2):
         if np.hypot(*(p - q)) < 1e-12:
             raise CoincidentPoleError(f"coincident poles (arguments {i} and {j})")
-    return pts
 
 
 def _velocity(family, velocity, disk: bool = False) -> VectorField:
@@ -110,7 +113,29 @@ def _velocity(family, velocity, disk: bool = False) -> VectorField:
     return family.disk_velocity_field() if disk else family.velocity_field()
 
 
-def boundary_variation(family, a, b, m: int = DEFAULT_BOUNDARY_NODES,
+def boundary_nodes(fmap: ConformalMap, *poles) -> int:
+    """The smallest power of two ``m >= DEFAULT_BOUNDARY_NODES`` with ``r^m <=
+    BOUNDARY_RATE_TARGET``, at most ``MAX_BOUNDARY_NODES``: the trapezoid rule
+    converges like ``r^m``, ``r`` the largest pole-preimage modulus
+    (Trefethen and Weideman, SIAM Rev. 2014)."""
+    r = max(abs(fmap.inverse(to_complex(np.asarray(p, float)))) for p in poles)
+    m = DEFAULT_BOUNDARY_NODES
+    while m < MAX_BOUNDARY_NODES and r**m > BOUNDARY_RATE_TARGET:
+        m *= 2
+    return m
+
+
+def _normal_derivatives(family, m: Optional[int], *poles):
+    """The boundary grid (``boundary_nodes`` nodes unless ``m`` is given) and
+    the outward normal derivative of ``G(., p)`` at its nodes, per pole."""
+    _check_distinct(*poles)
+    fmap = _base_map(family)
+    grid = boundary_grid(fmap, m=m if m is not None else boundary_nodes(fmap, *poles))
+    green = GreenFunction(fmap)
+    return grid, [green.normal_derivative(grid, p) for p in poles]
+
+
+def boundary_variation(family, a, b, m: Optional[int] = None,
                        velocity: Optional[VectorField] = None) -> float:
     """Hadamard boundary integral ``∮ (dG_a/dn)(dG_b/dn) delta_n dsigma``.
 
@@ -118,12 +143,7 @@ def boundary_variation(family, a, b, m: int = DEFAULT_BOUNDARY_NODES,
     The value is metric-free: under a conformally flat metric the three
     boundary factors pick up conformal weights that cancel exactly.
     """
-    _check_distinct(a, b)
-    fmap = _base_map(family)
-    grid = boundary_grid(fmap, m=m)
-    green = GreenFunction(fmap)
-    pa = green.normal_derivative(grid, a)
-    pb = green.normal_derivative(grid, b)
+    grid, (pa, pb) = _normal_derivatives(family, m, a, b)
     dn = normal_speed(grid, _velocity(family, velocity))
     return boundary_integrate(grid, pa * pb * dn)
 
@@ -172,34 +192,29 @@ def volume_integrand(family, a, b, metric: Optional[MetricField] = None,
     return integrand
 
 
-def volume_variation(family, a, b, rule=None,
-                     metric: Optional[MetricField] = None,
+def volume_variation(family, a, b, metric: Optional[MetricField] = None,
                      velocity: Optional[VectorField] = None,
                      n_r: int = 64, n_theta: int = 128, n_patch: int = 32,
                      check: bool = True) -> VolumeEstimate:
     """Interior estimate ``∫ T^{ij} D_ij vol_g  -  source_pairing(v)``.
 
-    The integral is taken on the disk (see :func:`volume_integrand`).  The
-    quadrature rule must carry pole patches at the preimages of ``a`` and
-    ``b``; one is built at the given resolution when not supplied.  The
-    pairing term is evaluated exactly at the two poles, in ambient
-    coordinates, never quadratured.
+    The integral is taken on the disk (see :func:`volume_integrand`), with
+    a rule at the given resolution whose pole patches sit at the preimages
+    of ``a`` and ``b``.  The pairing term is evaluated exactly at the two
+    poles, in ambient coordinates, never quadratured.
     """
     _check_distinct(a, b)
     fmap = _base_map(family)
     v = _velocity(family, velocity)
     integrand = volume_integrand(family, a, b, metric=metric, velocity=velocity)
-    if rule is None:
-        rule = interior_rule(fmap, poles=(to_complex(np.asarray(a, float)),
-                                          to_complex(np.asarray(b, float))),
-                             n_r=n_r, n_theta=n_theta, n_patch=n_patch)
+    rule = interior_rule(fmap, poles=(a, b), n_r=n_r, n_theta=n_theta, n_patch=n_patch)
     quad = integrate(rule, integrand, check=check)
     pairing = source_pairing(fmap, v, a, b)
     return VolumeEstimate(value=float(quad) - pairing, pairing=pairing,
                           quadrature=quad)
 
 
-def flux_variation(family, a, b, m: int = DEFAULT_BOUNDARY_NODES,
+def flux_variation(family, a, b, m: Optional[int] = None,
                    metric: Optional[MetricField] = None,
                    velocity: Optional[VectorField] = None) -> float:
     """Boundary flux ``∮ T^{ij} v_i nu_j dsigma_g``.
@@ -210,7 +225,7 @@ def flux_variation(family, a, b, m: int = DEFAULT_BOUNDARY_NODES,
     """
     _check_distinct(a, b)
     fmap = _base_map(family)
-    grid = boundary_grid(fmap, m=m)
+    grid = boundary_grid(fmap, m=m if m is not None else boundary_nodes(fmap, a, b))
     emt = PolarizedEMT.from_map(fmap, a, b, metric=metric)
     met = emt.metric
     v = _velocity(family, velocity)
@@ -245,12 +260,12 @@ def fd_oracle(family: DomainFamily, a, b, dt: Optional[float] = None) -> float:
     dt = float(dt)
     if not 0.0 < dt <= family.t_max:
         raise ConfigError(f"fd step {dt:g} outside (0, t_max={family.t_max:g}]")
-    gp = mapped_green(family.map_at(+dt), a, b)
-    gm = mapped_green(family.map_at(-dt), a, b)
+    gp = GreenFunction(family.map_at(+dt)).value(a, b)
+    gm = GreenFunction(family.map_at(-dt)).value(a, b)
     return (gp - gm) / (2.0 * dt)
 
 
-def triple_variation(family, a, b, c, m: int = DEFAULT_BOUNDARY_NODES) -> float:
+def triple_variation(family, a, b, c, m: Optional[int] = None) -> float:
     """Fully symmetric variation ``∮ (dG_a/dn)(dG_b/dn)(dG_c/dn) dsigma``.
 
     This is the Hadamard integral for the deformation ``v = grad G(., c)``,
@@ -258,13 +273,7 @@ def triple_variation(family, a, b, c, m: int = DEFAULT_BOUNDARY_NODES) -> float:
     Invariant under all six orderings of ``(a, b, c)``; strictly negative,
     since each factor is negative where the kernel is positive.
     """
-    _check_distinct(a, b, c)
-    fmap = _base_map(family)
-    grid = boundary_grid(fmap, m=m)
-    green = GreenFunction(fmap)
-    pa = green.normal_derivative(grid, a)
-    pb = green.normal_derivative(grid, b)
-    pc = green.normal_derivative(grid, c)
+    grid, (pa, pb, pc) = _normal_derivatives(family, m, a, b, c)
     return boundary_integrate(grid, pa * pb * pc)
 
 
@@ -329,8 +338,7 @@ class VariationReport:
         }
 
 
-def variation_report(family: DomainFamily, a, b,
-                     m: int = DEFAULT_BOUNDARY_NODES,
+def variation_report(family: DomainFamily, a, b, m: Optional[int] = None,
                      n_r: int = 64, n_theta: int = 128, n_patch: int = 32,
                      dt: Optional[float] = None,
                      metric: Optional[MetricField] = None,
@@ -343,7 +351,10 @@ def variation_report(family: DomainFamily, a, b,
     recorded as skipped instead of raising; the report then cannot pass.
     The FD oracle is evaluated at ``dt`` and ``dt/2`` and the Richardson
     gap recorded, as a self-estimate of its own discretization error.
+    ``m`` defaults to :func:`boundary_nodes` of the two poles.
     """
+    if m is None:
+        m = boundary_nodes(_base_map(family), a, b)
     if dt is None:
         dt = DEFAULT_FD_FACTOR * family.t_max
     estimates: Dict[str, Optional[float]] = {}

@@ -74,6 +74,25 @@ def test_verify_default_config(capsys):
     assert "out" not in doc["config_echo"]
 
 
+def test_near_margin_pole_sets_boundary_resolution(capsys, tmp_path):
+    # a pole at preimage modulus 0.94 needs m = 1024 for the 1e-8 flux check
+    doc = default_config()
+    doc["poles"] = {"a": [0.94, 0.0], "b": [0.0, 0.5], "c": [-0.3, -0.4]}
+    code, out, _ = run(capsys, "verify", "--config", write_config(tmp_path, doc))
+    report = json.loads(out)
+    assert code == 0
+    assert report["config_echo"]["quadrature"]["m_boundary"] == 1024
+    assert report["checks"]["estimator_agreement"]["params"]["m_boundary"] == 1024
+    assert report["checks"]["flux_normalization"]["passed"]
+    # a configured m_boundary is used as given
+    doc["quadrature"] = {"m_boundary": 256}
+    code, out, _ = run(capsys, "verify", "--config", write_config(tmp_path, doc))
+    report = json.loads(out)
+    assert code == 1
+    assert report["config_echo"]["quadrature"]["m_boundary"] == 256
+    assert not report["checks"]["flux_normalization"]["passed"]
+
+
 def test_verify_is_deterministic(capsys):
     _, first, _ = run(capsys, "verify")
     _, second, _ = run(capsys, "verify")

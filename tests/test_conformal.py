@@ -105,6 +105,25 @@ def test_family_t_max_declared_and_range_checked():
         DomainFamily([1.0], [0.0, 1.0], t_max=0.8)
 
 
+def test_family_gate_matches_maps_built_per_t():
+    # the family decides every t from f' and h' evaluated once; each decision
+    # must equal the gate of the map f + t h itself
+    def gate(base, pert, t):
+        c = np.zeros(max(len(base), len(pert)), dtype=complex)
+        c[: len(base)] += base
+        c[: len(pert)] += t * np.asarray(pert)
+        return ConformalMap(c, check=False).passes_gate()
+
+    ts = np.linspace(-4.0, 4.0, 129)
+    cases = [([1.0], [1.0]), ([1.0], [0.0, 1.0]), ([1.0, 0.1], [0.0, 0.05, 0.03]),
+             # f' = 1 + 2 t q z vanishes at the grid node -0.83 for t = 0.75
+             ([1.0], [0.0, 1.0 / (2.0 * 0.75 * 0.83)]), ([1.0, 0.2j], [0.3, -0.4, 0.1j])]
+    for base, pert in cases:
+        fam = DomainFamily(base, pert, t_max=1e-3)
+        assert list(fam._gate_ok(ts)) == [gate(base, pert, t) for t in ts]
+    assert not gate(*cases[3], 0.75)
+
+
 def test_family_t_max_autoscan():
     fam = DomainFamily([1.0], [0.0, 1.0])
     assert 0.0 < fam.t_max <= 0.5

@@ -11,6 +11,8 @@ from greenvar.conformal import (
     BUILTIN_FAMILIES,
     ConformalMap,
     boundary_grid,
+    cubic_mix_family,
+    to_complex,
     to_points,
 )
 from greenvar.errors import CoincidentPoleError, DomainError
@@ -18,10 +20,8 @@ from greenvar.greens import (
     GreenFunction,
     disk_green,
     disk_green_gradient,
-    green_gradient,
     green_gradient_field,
     interior_rule,
-    mapped_green,
     mutual_energy,
     poisson_normal_derivative,
 )
@@ -104,7 +104,7 @@ def test_coincident_evaluation_rejected():
     with pytest.raises(CoincidentPoleError):
         disk_green(0.3 + 0j, 0.3 + 0j)
     with pytest.raises(CoincidentPoleError):
-        mapped_green(ConformalMap.identity(), 0.1 + 0.2j, 0.1 + 0.2j)
+        GreenFunction(ConformalMap.identity()).value(0.1 + 0.2j, 0.1 + 0.2j)
 
 
 def test_poisson_kernel_closed_form():
@@ -135,12 +135,27 @@ def test_poisson_kernel_requires_unit_modulus():
 def test_harmonic_measure_integrates_to_minus_one():
     for name, factory in BUILTIN_FAMILIES.items():
         fam = factory()
-        grid = boundary_grid(fam, 0.5 * fam.t_max, 256)
+        grid = boundary_grid(fam.map_at(0.5 * fam.t_max), m=256)
         fmap = grid.map
         green = GreenFunction(fmap)
         a = to_points(fmap(0.3 + 0.25j))
         total = np.dot(green.normal_derivative(grid, a), grid.weights)
         assert total == pytest.approx(-1.0, abs=1e-10), name
+
+
+def test_normal_derivative_matches_gradient_dot_normal():
+    # reference: the chain-rule gradient at the preimage, dotted with the
+    # outward normal, Re(grad_z conj(n))
+    cubic = cubic_mix_family()
+    for fmap in (ConformalMap([1.0, 0.1]), cubic.map_at(0.5 * cubic.t_max)):
+        grid = boundary_grid(fmap, m=256)
+        green = GreenFunction(fmap)
+        n = to_complex(grid.normals)
+        for w in (0.1 + 0.05j, -0.3 + 0.2j, 0.6 - 0.5j):
+            a = to_points(fmap(w))
+            ref = np.real(green.gradient_z(grid.params, green.pole_preimage(a)) * np.conj(n))
+            got = green.normal_derivative(grid, a)
+            assert np.max(np.abs(got / ref - 1.0)) < 1e-13
 
 
 @given(small, small, small, small)
@@ -149,7 +164,7 @@ def test_conformal_transport(zr, zi, wr, wi):
     if abs(z - w) < 1e-3:
         return
     fmap = ConformalMap([1.0, 0.08, 0.03j])
-    val = mapped_green(fmap, to_points(fmap(z)), to_points(fmap(w)))
+    val = GreenFunction(fmap).value(to_points(fmap(z)), to_points(fmap(w)))
     assert val == pytest.approx(disk_green(z, w), rel=1e-10, abs=1e-12)
 
 
@@ -158,26 +173,27 @@ def test_scale_invariance():
     base = ConformalMap([1.0, 0.1])
     scaled = ConformalMap([1.3, 0.13])
     x, a = 0.3 + 0.2j, -0.1 + 0.4j
-    lhs = mapped_green(base, to_points(base(x)), to_points(base(a)))
-    rhs = mapped_green(scaled, to_points(scaled(x)), to_points(scaled(a)))
+    lhs = GreenFunction(base).value(to_points(base(x)), to_points(base(a)))
+    rhs = GreenFunction(scaled).value(to_points(scaled(x)), to_points(scaled(a)))
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
 def test_mapped_gradient_chain_rule(rng):
     fmap = ConformalMap([1.0, 0.1, 0.05])
+    green = GreenFunction(fmap)
     a = to_points(fmap(0.2 + 0.1j))
     h = 1e-6
     for z in interior_points(rng, 8, radius=0.7):
         if abs(z - (0.2 + 0.1j)) < 0.1:
             continue
         x = complex(fmap(z))
-        g = green_gradient(fmap, to_points(x), a)
+        g = green.gradient(to_points(x), a)
         fd = np.array(
             [
-                (mapped_green(fmap, to_points(x + h), a)
-                 - mapped_green(fmap, to_points(x - h), a)) / (2 * h),
-                (mapped_green(fmap, to_points(x + 1j * h), a)
-                 - mapped_green(fmap, to_points(x - 1j * h), a)) / (2 * h),
+                (green.value(to_points(x + h), a)
+                 - green.value(to_points(x - h), a)) / (2 * h),
+                (green.value(to_points(x + 1j * h), a)
+                 - green.value(to_points(x - 1j * h), a)) / (2 * h),
             ]
         )
         assert np.max(np.abs(g - fd)) < 1e-6 * max(1.0, np.max(np.abs(g)))
@@ -202,7 +218,7 @@ def test_gradient_field_matches_pointwise_gradient(rng):
     c = to_points(fmap(0.3 + 0.3j))
     field = green_gradient_field(fmap, c)
     pts = to_points(fmap(interior_points(rng, 10, radius=0.8, min_radius=0.5)))
-    assert np.allclose(field(pts), green_gradient(fmap, pts, c), atol=1e-14)
+    assert np.allclose(field(pts), GreenFunction(fmap).gradient(pts, c), atol=1e-14)
 
 
 def test_interior_rule_patches_at_preimages():
@@ -242,7 +258,7 @@ def test_mutual_energy_equals_green_value(rng):
             continue
         a, b = to_points(fmap(z)), to_points(fmap(w))
         val = mutual_energy(fmap, a, b)
-        assert val == pytest.approx(mapped_green(fmap, a, b), abs=1e-6)
+        assert val == pytest.approx(GreenFunction(fmap).value(a, b), abs=1e-6)
 
 
 def test_mutual_energy_rejects_coincident_sources():

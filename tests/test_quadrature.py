@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import ellipe
 
+from greenvar import quadrature
 from greenvar.conformal import ConformalMap, boundary_grid
 from greenvar.errors import (
     ConfigError,
@@ -197,3 +198,15 @@ def test_window_transition_is_smooth():
     hi = _window(1.0 - eps, rho) / eps
     assert abs(lo) < 1e-9
     assert abs(hi) < 1e-9
+
+
+def test_gauss_legendre_nodes_cached_read_only():
+    first = disk_rule(16, 32, poles=[0.3 + 0.1j], n_patch=16)
+    second = disk_rule(16, 32, poles=[0.3 + 0.1j], n_patch=16)
+    assert np.array_equal(first.nodes, second.nodes)
+    assert np.array_equal(first.weights, second.weights)
+    r, w = quadrature._gauss_legendre(16, 0.0, 1.0)
+    assert quadrature._gauss_legendre(16, 0.0, 1.0)[0] is r
+    for arr in (r, w):
+        with pytest.raises(ValueError):
+            arr[0] = 0.5

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from greenvar import tensors
 from greenvar.errors import DegenerateMetricError, DimensionMismatchError
 from greenvar.tensors import (MetricField, VectorField,
                               christoffel, conformal_metric,
@@ -225,16 +226,20 @@ def test_vector_field_fd_jacobian_matches_analytic():
     assert np.allclose(fd.jacobian(x), want, atol=1e-9)
 
 
-def test_fd_derivative_second_order():
+def test_fd_derivative_second_order(monkeypatch):
     # centered differences: halving the step shrinks the error ~4x
     def matrix(p):
         s = np.exp(2.0 * np.sin(p[..., 0]) * np.cos(p[..., 1]))
         return s[..., None, None] * np.eye(2)
 
+    def derivative(step):
+        monkeypatch.setattr(tensors, "FD_STEP", step)
+        return MetricField(2, matrix).derivative(x)
+
     x = np.array([0.4, 0.2])
-    ref = MetricField(2, matrix, fd_step=1e-7).derivative(x)
+    ref = derivative(1e-7)
     errs = []
     for h in (1e-3, 5e-4):
-        errs.append(np.max(np.abs(MetricField(2, matrix, fd_step=h).derivative(x) - ref)))
+        errs.append(np.max(np.abs(derivative(h) - ref)))
     ratio = errs[0] / errs[1]
     assert 3.2 < ratio < 4.8

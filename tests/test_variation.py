@@ -21,6 +21,7 @@ from greenvar.variation import (
     REL_FLOOR,
     VariationReport,
     VolumeEstimate,
+    boundary_nodes,
     boundary_variation,
     fd_oracle,
     flux_variation,
@@ -312,3 +313,25 @@ def test_non_holomorphic_volume_gap_shrinks():
         gaps.append(abs(float(est) - exact) / abs(exact))
     assert gaps[0] > gaps[1] > gaps[2]
     assert gaps[2] < 1e-6
+
+
+def test_boundary_nodes_follow_the_pole_preimages():
+    fam = dilation_family()
+    fmap = fam.map_at(0.0)
+    assert boundary_nodes(fmap, A0, B0) == 256
+    assert boundary_nodes(fmap, (0.94, 0.0), (0.0, 0.5)) == 1024
+    assert boundary_nodes(fmap, (0.999, 0.0)) == 2**14
+    assert boundary_nodes(curved_family().map_at(0.0), CURVED_A, CURVED_B) == 256
+
+
+def test_default_boundary_resolution_near_the_margin():
+    # r^m at m = 256 and r = 0.94 is 1.3e-7: the default must refine
+    fam = dilation_family()
+    a, b, c = (0.94, 0.0), (0.0, 0.5), (-0.3, -0.4)
+    assert boundary_variation(fam, a, b) == boundary_variation(fam, a, b, m=1024)
+    assert flux_variation(fam, a, b) == flux_variation(fam, a, b, m=1024)
+    assert triple_variation(fam, a, b, c) == triple_variation(fam, a, b, c, m=1024)
+    assert boundary_variation(fam, a, b) == pytest.approx(dilation_value(a, b), rel=1e-14)
+    rep = variation_report(fam, a, b, n_r=32, n_theta=64, n_patch=16)
+    assert rep.params["m_boundary"] == 1024
+    assert rep.estimates["boundary"] == boundary_variation(fam, a, b)
