@@ -27,8 +27,8 @@ from .errors import (
     DimensionMismatchError,
     DomainError,
     InjectivityError,
-    MapInversionError,
 )
+from .quadrature import require_integers
 from .tensors import MetricField, VectorField
 
 __all__ = [
@@ -63,7 +63,6 @@ _GATE_POINTS = np.concatenate([
 
 NEWTON_MAXITER = 50
 NEWTON_TOL = 1e-14
-SCAN_FALLBACK_ANGLES = 72
 
 # Families constructed without an explicit t_max scan |t| up to this cap.
 T_SCAN_CAP = 4.0
@@ -173,69 +172,50 @@ class ConformalMap:
     def inverse(self, x):
         """Preimage ``z = f^{-1}(x)`` for ``x`` in the image of the closed disk.
 
-        Newton iteration from ``z_0 = x / c_1`` capped at 50 steps, falling
-        back to a 72-point argument scan of starting guesses.  Raises
-        :class:`MapInversionError` if no start converges and
-        :class:`DomainError` when the preimage lies outside the closed disk
-        (modulus above ``1 + 1e-9``).
+        Newton from ``z_0 = x / c_1`` (exact for degree 1) until every
+        residual ``|f(z) - x|`` is at most ``NEWTON_TOL max(1, |x|)``, then one
+        more step.  A point left non-finite or outside the disk is solved by
+        :meth:`_least_root`.  Raises :class:`DomainError` for a non-finite
+        ``x`` or a preimage of modulus above ``1 + 1e-9``.
         """
         x = np.asarray(x, dtype=complex)
-        scalar = x.ndim == 0
-        xf = np.atleast_1d(x).astype(complex).ravel()
-        if self.is_identity:
-            z = xf.copy()
-        else:
-            z = self._newton(xf, xf / self.coeffs[0])
-            bad = np.flatnonzero(~np.isfinite(z))
-            for idx in bad:
-                z[idx] = self._scan_start(xf[idx])
-        out = z.reshape(x.shape)
-        if np.any(np.abs(out) > 1.0 + 1e-9):
-            worst = np.max(np.abs(out))
-            raise DomainError(
-                f"point outside the mapped disk: preimage modulus {worst:.6g}"
-            )
-        return out[()] if scalar else out
+        if not np.all(np.isfinite(x)):
+            raise DomainError("cannot invert a non-finite point")
+        xf = x.ravel()
+        with np.errstate(all="ignore"):
+            z = xf / self.coeffs[0]
+            if self.degree > 1:
+                z = self._newton(xf, z)
+        for i in np.flatnonzero(~(np.abs(z) <= 1.0 + 1e-9)):
+            z[i] = self._least_root(xf[i])
+        return z.reshape(x.shape)[()]
 
-    def _newton(self, x, z0):
-        z = z0.astype(complex).copy()
-        active = np.ones(z.shape, dtype=bool)
-        scale = np.maximum(1.0, np.abs(x))
+    def _newton(self, x, z):
+        """Newton sweeps over all points; NaN where the residual test never held."""
+        tol = NEWTON_TOL * np.maximum(1.0, np.abs(x))
+        met = np.zeros(x.shape, dtype=bool)
         for _ in range(NEWTON_MAXITER):
-            res = self(z[active]) - x[active]
-            done = np.abs(res) <= NEWTON_TOL * scale[active]
-            if np.all(done):
-                active[active] = False
-                break
-            d = self.derivative(z[active])
-            # stalled derivative: nudge off the critical point
-            d = np.where(np.abs(d) < 1e-30, 1e-30, d)
-            step = np.where(done, 0.0, res / d)
-            z[active] -= step
-            still = active.copy()
-            still[active] = ~done
-            active = still
-            if not np.any(active):
-                break
-        z[active] = np.nan  # unconverged
-        return z
-
-    def _scan_start(self, xi):
-        r = float(np.clip(np.abs(xi / self.coeffs[0]), 0.05, 0.98))
-        for k in range(SCAN_FALLBACK_ANGLES):
-            th = 2.0 * np.pi * k / SCAN_FALLBACK_ANGLES
-            z = self._newton(np.array([xi]), np.array([r * np.exp(1j * th)]))[0]
-            if np.isfinite(z):
+            res = self(z) - x
+            met |= np.abs(res) <= tol
+            z = z - res / self.derivative(z)
+            if met.all():
                 return z
-        raise MapInversionError(
-            f"Newton failed for x = {xi:.6g} after argument scan"
-        )
+        return np.where(met, z, np.nan)
+
+    def _least_root(self, xi):
+        """The least-modulus root of ``f(z) - xi``, polished by one Newton step."""
+        roots = np.roots(np.append(self.coeffs[::-1], -xi))
+        z = roots[np.argmin(np.abs(roots))] if roots.size else np.inf
+        if abs(z) > 1.0 + 1e-9:
+            raise DomainError(f"point outside the mapped disk: preimage modulus {abs(z):.6g}")
+        d = self.derivative(z)
+        return z - (self(z) - xi) / d if d != 0 else z
 
     def contains(self, x) -> bool:
         """Whether the point lies in the closed image ``f(cl D)``."""
         try:
             self.inverse(x)
-        except (DomainError, MapInversionError):
+        except DomainError:
             return False
         return True
 
@@ -384,6 +364,7 @@ class BoundaryGrid:
 
 def boundary_grid(family, m: int = 256) -> BoundaryGrid:
     """The M-node periodic trapezoid rule on ``d f(D)`` (a family's ``t = 0``)."""
+    require_integers(m=m)
     if m < 4:
         raise ConfigError(f"boundary grid needs at least 4 nodes, got {m}")
     fmap = family.map_at(0.0) if isinstance(family, DomainFamily) else family

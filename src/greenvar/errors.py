@@ -6,7 +6,6 @@ __all__ = [
     "GreenvarError",
     "DimensionMismatchError",
     "DegenerateMetricError",
-    "MapInversionError",
     "InjectivityError",
     "DomainError",
     "CoincidentPoleError",
@@ -27,10 +26,6 @@ class DimensionMismatchError(GreenvarError, ValueError):
 
 class DegenerateMetricError(GreenvarError, ValueError):
     """Metric matrix is not symmetric positive definite at a point."""
-
-
-class MapInversionError(GreenvarError, RuntimeError):
-    """Newton inversion of a conformal map failed to converge."""
 
 
 class InjectivityError(GreenvarError, ValueError):

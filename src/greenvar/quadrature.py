@@ -87,6 +87,13 @@ def _window(dist, rho):
                                             1.0 - _smoothstep(w)))
 
 
+def require_integers(**counts):
+    """Raise :class:`ConfigError` unless every count is an integer (not a bool)."""
+    for name, n in counts.items():
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            raise ConfigError(f"{name} must be an integer, got {n!r}")
+
+
 @lru_cache(maxsize=64)
 def _gauss_legendre(n: int, lo: float, hi: float):
     """Nodes and weights on ``[lo, hi]``; cached, hence read-only."""
@@ -173,6 +180,7 @@ def disk_rule(n_r: int = 64, n_theta: int = 128, poles: Sequence = (),
     n_patch : int
         Radial node count of each pole patch.
     """
+    require_integers(n_r=n_r, n_theta=n_theta, n_patch=n_patch)
     if n_r < _MIN_NR or n_theta < _MIN_NTHETA:
         raise ConfigError(f"resolution too small: n_r={n_r}, n_theta={n_theta}")
     pole_arr = _as_pole_list(poles)

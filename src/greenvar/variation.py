@@ -116,9 +116,13 @@ def _velocity(family, velocity, disk: bool = False) -> VectorField:
 def boundary_nodes(fmap: ConformalMap, *poles) -> int:
     """The smallest power of two ``m >= DEFAULT_BOUNDARY_NODES`` with ``r^m <=
     BOUNDARY_RATE_TARGET``, at most ``MAX_BOUNDARY_NODES``: the trapezoid rule
-    converges like ``r^m``, ``r`` the largest pole-preimage modulus
-    (Trefethen and Weideman, SIAM Rev. 2014)."""
-    r = max(abs(fmap.inverse(to_complex(np.asarray(p, float)))) for p in poles)
+    converges like ``r^m`` (Trefethen and Weideman, SIAM Rev. 2014), ``r =
+    min(|s|, 1/|s|)`` for the singularity ``s`` of the integrand nearest the
+    circle: a pole preimage, or a zero of ``f'`` (the integrand carries
+    ``h/f'`` and ``1/|f'|``)."""
+    crit = np.abs(np.roots(fmap.coeffs[::-1] * np.arange(fmap.degree, 0, -1)))
+    r = max([abs(fmap.inverse(to_complex(np.asarray(p, float)))) for p in poles]
+            + [min(c, 1.0 / c) for c in crit])
     m = DEFAULT_BOUNDARY_NODES
     while m < MAX_BOUNDARY_NODES and r**m > BOUNDARY_RATE_TARGET:
         m *= 2

@@ -7,6 +7,7 @@ import pytest
 
 from greenvar.cli import (
     CSV_HEADER,
+    _parse_metric,
     default_config,
     main,
     render_csv,
@@ -151,6 +152,31 @@ def test_flag_overrides_echoed(capsys):
     assert echo["quadrature"]["n_theta"] == 64
 
 
+def test_config_tolerances_are_applied_and_echoed(capsys, tmp_path):
+    doc = default_config()
+    doc["tolerances"] = {"boundary": 1e-16}
+    code, out, _ = run(capsys, "vary", "--config", write_config(tmp_path, doc))
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["status"] == "fail"
+    assert doc["config_echo"]["tolerances"]["boundary"] == 1e-16
+
+
+def test_tol_volume_flag_echoed(capsys):
+    code, out, _ = run(capsys, "vary", "--tol-volume", "0.01")
+    assert code == 0
+    assert json.loads(out)["config_echo"]["tolerances"]["volume"] == 0.01
+
+
+def test_conformal_phi_gradient_matches_differences():
+    _, metric = _parse_metric({"conformal_phi": [[1, 0, 0.2], [0, 2, 0.1], [1, 1, 0.05]]})
+    p = np.array([[0.3, -0.2], [-0.5, 0.4], [0.1, 0.7]])
+    h = 1e-5
+    fd = np.stack([(metric.conformal_factor(p + h * e) - metric.conformal_factor(p - h * e))
+                   / (2 * h) for e in np.eye(2)], axis=-1)
+    assert np.allclose(metric.conformal_gradient(p), fd, rtol=0, atol=1e-10)
+
+
 # ----------------------------------------------------------------- converge
 
 def test_converge_table(capsys, tmp_path):
@@ -248,6 +274,12 @@ def test_rejects_pole_near_boundary(capsys, tmp_path):
     code, _, err = run(capsys, "verify", "--config", write_config(tmp_path, doc))
     assert code == 2
     assert "preimage modulus 0.9700 > 0.95" in err
+
+
+def test_rejects_missing_config(capsys, tmp_path):
+    code, _, err = run(capsys, "verify", "--config", str(tmp_path / "absent.json"))
+    assert code == 2
+    assert "config error: cannot read config" in err
 
 
 def test_rejects_malformed_json(capsys, tmp_path):

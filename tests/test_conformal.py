@@ -92,6 +92,49 @@ def test_inverse_outside_image():
     assert fmap.contains(0.2 + 0.2j)
 
 
+# z + (0.01-0.22i) z^2 + (-0.11-0.01i) z^3 - 0.17 z^4 is univalent (the zeros
+# of f' have modulus >= 1.014), yet Newton from x / c_1 lands on a root
+# outside the disk for some points near its boundary
+QUARTIC = [1.0, 0.01 - 0.22j, -0.11 - 0.01j, -0.17]
+
+
+def test_inverse_polar_grid_of_a_univalent_quartic():
+    fmap = ConformalMap(QUARTIC)
+    assert np.min(np.abs(np.roots(fmap.coeffs[::-1] * np.arange(4, 0, -1)))) > 1.01
+    r = np.linspace(0.0, 0.999, 200)
+    z = (r[:, None] * np.exp(2j * np.pi * np.arange(360) / 360)).ravel()
+    assert np.max(np.abs(fmap.inverse(fmap(z)) - z)) < 1e-13
+
+
+@pytest.mark.parametrize("coeffs", [[1.0, 0.1], [1.0, 0.1, 0.05, 0.03]])
+def test_inverse_round_trip_at_rounding_level(coeffs):
+    # one Newton step past the residual test leaves z at rounding level
+    fmap = ConformalMap(coeffs)
+    r = np.linspace(0.0, 0.99, 100)
+    z = (r[:, None] * np.exp(2j * np.pi * np.arange(128) / 128)).ravel()
+    assert np.max(np.abs(fmap.inverse(fmap(z)) - z)) < 2e-15
+
+
+def test_inverse_of_degree_one_is_closed_form():
+    fmap = ConformalMap([0.8 - 0.3j])
+    x = np.array([0.1 + 0.2j, -0.5j, 0.7])
+    assert np.array_equal(fmap.inverse(x), x / (0.8 - 0.3j))
+
+
+@pytest.mark.parametrize("x", [np.nan, np.inf, complex(0.1, np.nan),
+                               np.array([0.1, complex(np.inf, 0.0)])])
+def test_inverse_rejects_non_finite_points(x):
+    with pytest.raises(DomainError, match="non-finite"):
+        ConformalMap([1.0, 0.1]).inverse(x)
+
+
+def test_inverse_outside_image_reports_least_modulus_root():
+    fmap = ConformalMap([1.0, 0.1])
+    least = np.min(np.abs(np.roots([0.1, 1.0, -3.0])))
+    with pytest.raises(DomainError, match=f"preimage modulus {least:.6g}"):
+        fmap.inverse(np.array([0.2, 3.0]))
+
+
 # ----------------------------------------------------------------- families
 
 def test_family_t_max_declared_and_range_checked():

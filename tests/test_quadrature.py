@@ -113,6 +113,22 @@ def test_resolution_floors():
         disk_rule(16, 32, poles=[(0.1, 0.2, 0.3)])
 
 
+@pytest.mark.parametrize("kw", [dict(n_r=16.5), dict(n_theta=32.5), dict(n_r=True),
+                                dict(n_patch=8.0, poles=[0.2 + 0j])])
+def test_resolutions_must_be_integers(kw):
+    with pytest.raises(ConfigError, match="must be an integer"):
+        disk_rule(**kw)
+
+
+def test_boundary_resolution_must_be_an_integer():
+    fmap = ConformalMap.identity()
+    for m in (256.5, True):
+        with pytest.raises(ConfigError, match="must be an integer"):
+            boundary_grid(fmap, m=m)
+    assert boundary_grid(fmap, m=np.int64(64)).nodes.shape == (64, 2)
+    assert disk_rule(np.int64(8), np.int32(16)).n_theta == 16
+
+
 def test_coarse_rule_halves_and_caches():
     rule = disk_rule(32, 64, poles=[0.3 + 0j], n_patch=16)
     c = rule.coarse()

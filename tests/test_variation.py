@@ -335,3 +335,18 @@ def test_default_boundary_resolution_near_the_margin():
     rep = variation_report(fam, a, b, n_r=32, n_theta=64, n_patch=16)
     assert rep.params["m_boundary"] == 1024
     assert rep.estimates["boundary"] == boundary_variation(fam, a, b)
+
+
+def test_boundary_nodes_follow_the_critical_points():
+    # the integrand carries h/f' and 1/|f'|, so the zero of f' nearest the
+    # circle (modulus 1.014 here) sets the trapezoid rate, not the poles
+    fam = DomainFamily([1.0, 0.01 - 0.22j, -0.11 - 0.01j, -0.17], [0.0, 0.05, 0.03],
+                       t_max=0.1)
+    a, b = (0.1, 0.05), (-0.3, 0.2)
+    assert boundary_nodes(fam.map_at(0.0), a, b) == 4096
+    rep = variation_report(fam, a, b)
+    assert rep.params["m_boundary"] == 4096
+    assert rep.passes
+    assert rep.discrepancies["max_rel"] < 1e-8
+    assert boundary_variation(fam, a, b, m=256) != pytest.approx(rep.estimates["boundary"],
+                                                                 rel=1e-2)
