@@ -153,8 +153,13 @@ class GreenFunction:
         Conformal transport: the disk's Poisson kernel at the node's
         preimage ``e^{i theta}``, divided by ``|f'(e^{i theta})|``.
         """
-        kernel = poisson_normal_derivative(grid.params, self.pole_preimage(a))
-        return kernel / np.abs(self.map.derivative(grid.params))
+        return _normal_derivative(self.map, grid.params, self.pole_preimage(a))
+
+
+def _normal_derivative(fmap: ConformalMap, params, w):
+    """:meth:`GreenFunction.normal_derivative` at the boundary points
+    ``f(params)``, ``|params| = 1``, for the pole preimage ``w``."""
+    return poisson_normal_derivative(params, w) / np.abs(fmap.derivative(params))
 
 
 def green_gradient_field(fmap: ConformalMap, c) -> VectorField:

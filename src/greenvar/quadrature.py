@@ -87,6 +87,12 @@ def _window(dist, rho):
                                             1.0 - _smoothstep(w)))
 
 
+def _fsum(x: np.ndarray) -> float:
+    """Correctly rounded sum of a 1-d float array: ``math.fsum`` over a
+    buffer view, which yields plain floats instead of numpy scalars."""
+    return math.fsum(memoryview(x))
+
+
 def require_integers(**counts):
     """Raise :class:`ConfigError` unless every count is an integer (not a bool)."""
     for name, n in counts.items():
@@ -129,7 +135,7 @@ class QuadratureRule:
 
     @property
     def total_weight(self) -> float:
-        return math.fsum(self.weights)
+        return _fsum(self.weights)
 
     def coarse(self) -> "QuadratureRule":
         """The same rule at half resolution (used for convergence flags)."""
@@ -217,13 +223,17 @@ def disk_rule(n_r: int = 64, n_theta: int = 128, poles: Sequence = (),
         raise PoleSeparationError(
             f"pole separation {sep:g} must exceed 2 rho = {2 * rho:g}")
 
-    # background: multiply by (1 - sum of windows), drop the dead nodes
+    # background: multiply by (1 - sum of windows), drop the dead nodes;
+    # a window is exactly 0 beyond rho, so only the nodes within rho are
+    # touched, and the sums and factors come out bit-identical
     fac = np.ones_like(w_bg)
     b_chi = np.empty(pole_arr.size)
     for i, p in enumerate(pole_arr):
-        chi = _window(np.abs(z_bg - p), rho)
-        b_chi[i] = math.fsum(w_bg * chi)
-        fac = fac - chi
+        dist = np.abs(z_bg - p)
+        near = np.flatnonzero(dist < rho)
+        chi = _window(dist[near], rho)
+        b_chi[i] = _fsum(w_bg[near] * chi)
+        fac[near] -= chi
     keep = fac > 1e-14
     nodes = [z_bg[keep]]
     weights = [w_bg[keep] * fac[keep]]
@@ -246,7 +256,7 @@ def disk_rule(n_r: int = 64, n_theta: int = 128, poles: Sequence = (),
         z_patch = (p + rad[:, None] * ring[None, :]).ravel()
         w_patch = (wrad * chi_r)[:, None].repeat(m_t, axis=1).ravel()
         w_patch = w_patch * (2.0 * np.pi / m_t)
-        raw = math.fsum(w_patch)
+        raw = _fsum(w_patch)
         if raw <= 0.0:
             raise ConfigError("pole patch has no weight; increase n_patch")
         # Normalize so the patch contributes exactly the weight the windowed
@@ -296,7 +306,7 @@ def _apply(rule: QuadratureRule, f) -> float:
         i = int(bad[0])
         raise EvaluationError(
             f"non-finite integrand value at node {i} = {tuple(rule.nodes[i])}")
-    return math.fsum(rule.weights * vals)
+    return _fsum(rule.weights * vals)
 
 
 def integrate(rule: QuadratureRule, f: Callable, check: bool = True) -> IntegrationResult:
@@ -329,4 +339,4 @@ def boundary_integrate(grid, f: Union[Callable, np.ndarray]) -> float:
         i = int(np.flatnonzero(~np.isfinite(vals))[0])
         raise EvaluationError(
             f"non-finite boundary value at node {i} = {tuple(grid.nodes[i])}")
-    return math.fsum(grid.weights * vals)
+    return _fsum(grid.weights * vals)

@@ -8,14 +8,18 @@ Four independent routes to the same number:
   metric on the same domain.
 * ``volume_variation``: the interior integral of ``T^{ij} D_ij`` against
   the Riemannian volume, minus the source pairing ``v(b).alpha(b) +
-  v(a).beta(a)``.  The integrand is a density, so it is evaluated on the
-  disk against the pulled-back metric ``f^* g`` (conformal metrics pull
-  back to conformal metrics, with closed forms).  In two dimensions the
-  integrand vanishes pointwise whenever the deformation velocity is
-  holomorphic and the metric is conformally flat (``T`` is trace-free and
-  ``D`` is then a multiple of ``g``), so the pairing term carries the
-  value; the quadrature still certifies the strain/Christoffel pipeline,
-  since any error there breaks the cancellation.
+  v(a).beta(a)``.  For a conformal metric the integrand does not depend on
+  the conformal factor (``T`` is conformally invariant and trace-free) and
+  is the Beltrami-differential form ``2 Re(A B dbar v)`` of Schiffer's
+  interior variation, ``A = alpha_1 - i alpha_2``, ``B`` likewise.  It is
+  evaluated on the disk in that closed form, ``2 Re(conj(g_a) conj(g_b)
+  (dbar v)(f(z)) conj(f') / f')`` with the disk Green gradients ``g_w``;
+  for a holomorphic (family) velocity ``dbar v = 0`` and the pairing term
+  carries the value.  Every evaluation also runs the tensor route
+  (:func:`volume_integrand`: EMT, strain and Christoffel symbols against
+  the pulled-back metric ``f^* g``) at ``CROSS_CHECK_NODES`` nodes of the
+  rule and raises :class:`EvaluationError` if the two disagree, so the
+  paper's formula stays checked inside every estimate.
 * ``flux_variation``: the boundary flux ``T^{ij} v_i nu_j`` against the
   induced boundary measure; equals the Hadamard integrand pointwise on
   the boundary, where both gradients are normal.
@@ -29,6 +33,10 @@ symmetric in ``(a, b, c)`` and negative by positivity of the kernel.
 ``variation_report`` bundles the four estimates with their pairwise
 discrepancies; relative discrepancies use the larger magnitude with a
 floor of ``REL_FLOOR``, so near-zero (Killing) cases compare absolutely.
+
+The Green functions here are those of the flat Laplacian, which are the
+Green functions of ``Delta_g`` only for a conformal ``g``: every route that
+takes a metric raises :class:`ConfigError` for any other.
 """
 
 from __future__ import annotations
@@ -40,13 +48,13 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from .conformal import (ConformalMap, DomainFamily, boundary_grid, normal_speed,
-                        pullback_metric, pullback_vector_field, to_complex,
-                        to_points)
+from .conformal import (ConformalMap, DomainFamily, boundary_grid, pullback_metric,
+                        pullback_vector_field, to_complex, to_points)
 from .energy_momentum import PolarizedEMT, source_pairing
-from .errors import CoincidentPoleError, ConfigError, GreenvarError
-from .greens import GreenFunction, interior_rule
-from .quadrature import IntegrationResult, boundary_integrate, integrate
+from .errors import (CoincidentPoleError, ConfigError, DegenerateMetricError,
+                     EvaluationError, GreenvarError)
+from .greens import GreenFunction, _disk_gradient, _normal_derivative
+from .quadrature import IntegrationResult, boundary_integrate, disk_rule, integrate
 from .tensors import (MetricField, VectorField, euclidean_metric, strain_tensor,
                       volume_density)
 
@@ -86,6 +94,17 @@ TOL_VOLUME = 5e-3
 # to ~1e-12, where ratios of noise are meaningless).
 REL_FLOOR = 1e-2
 
+# The closed-form interior integrand is checked against the tensor route at
+# this many nodes of every rule, spread over the node index range (so the
+# pole patches, stored last, are included), to CROSS_CHECK_TOL of the node's
+# |T| |D| vol.
+CROSS_CHECK_NODES = 32
+CROSS_CHECK_TOL = 1e-12
+
+# A matrix-built metric is conformal where |g_12| and |g_11 - g_22| are at
+# most CONFORMAL_TOL (|g_11| + |g_22|).
+CONFORMAL_TOL = 1e-12
+
 
 def _base_map(family) -> ConformalMap:
     if family is None:
@@ -104,6 +123,25 @@ def _check_distinct(*points):
             raise CoincidentPoleError(f"coincident poles (arguments {i} and {j})")
 
 
+def _require_conformal(metric: Optional[MetricField], x):
+    """Evaluate ``metric`` at the points ``x``, which runs its own gates, and
+    raise :class:`ConfigError` unless it is conformal there: by its tag, or
+    by value for a matrix-built metric (``g_12 = 0``, ``g_11 = g_22``)."""
+    if metric is None:
+        return
+    g = metric(x)
+    if metric.is_conformal:
+        return
+    g11, g12, g22 = g[..., 0, 0], g[..., 0, 1], g[..., 1, 1]
+    if not np.all(g11 > 0.0):
+        raise DegenerateMetricError(f"metric {metric.name!r} is not positive definite")
+    tol = CONFORMAL_TOL * (np.abs(g11) + np.abs(g22))
+    if not np.all((np.abs(g12) <= tol) & (np.abs(g11 - g22) <= tol)):
+        raise ConfigError(f"metric {metric.name!r} is not conformal (g_12 = 0, "
+                          "g_11 = g_22): the Green functions are the flat ones, "
+                          "those of Delta_g only for a conformal g")
+
+
 def _velocity(family, velocity, disk: bool = False) -> VectorField:
     """The deformation velocity on ``f(D)``, or pulled back to the disk."""
     if velocity is not None:
@@ -120,9 +158,14 @@ def boundary_nodes(fmap: ConformalMap, *poles) -> int:
     min(|s|, 1/|s|)`` for the singularity ``s`` of the integrand nearest the
     circle: a pole preimage, or a zero of ``f'`` (the integrand carries
     ``h/f'`` and ``1/|f'|``)."""
+    return _boundary_nodes(fmap, [fmap.inverse(to_complex(np.asarray(p, float)))
+                                  for p in poles])
+
+
+def _boundary_nodes(fmap: ConformalMap, preimages) -> int:
+    """:func:`boundary_nodes` from the pole preimages."""
     crit = np.abs(np.roots(fmap.coeffs[::-1] * np.arange(fmap.degree, 0, -1)))
-    r = max([abs(fmap.inverse(to_complex(np.asarray(p, float)))) for p in poles]
-            + [min(c, 1.0 / c) for c in crit])
+    r = max([abs(w) for w in preimages] + [min(c, 1.0 / c) for c in crit])
     m = DEFAULT_BOUNDARY_NODES
     while m < MAX_BOUNDARY_NODES and r**m > BOUNDARY_RATE_TARGET:
         m *= 2
@@ -131,24 +174,32 @@ def boundary_nodes(fmap: ConformalMap, *poles) -> int:
 
 def _normal_derivatives(family, m: Optional[int], *poles):
     """The boundary grid (``boundary_nodes`` nodes unless ``m`` is given) and
-    the outward normal derivative of ``G(., p)`` at its nodes, per pole."""
+    the outward normal derivative of ``G(., p)`` at its nodes, per pole;
+    each pole is inverted once."""
     _check_distinct(*poles)
     fmap = _base_map(family)
-    grid = boundary_grid(fmap, m=m if m is not None else boundary_nodes(fmap, *poles))
     green = GreenFunction(fmap)
-    return grid, [green.normal_derivative(grid, p) for p in poles]
+    ws = [green.pole_preimage(p) for p in poles]
+    grid = boundary_grid(fmap, m=m if m is not None else _boundary_nodes(fmap, ws))
+    return grid, [_normal_derivative(fmap, grid.params, w) for w in ws]
 
 
 def boundary_variation(family, a, b, m: Optional[int] = None,
                        velocity: Optional[VectorField] = None) -> float:
     """Hadamard boundary integral ``∮ (dG_a/dn)(dG_b/dn) delta_n dsigma``.
 
-    ``delta_n = v . n`` is the outward normal speed of the deformation.
-    The value is metric-free: under a conformally flat metric the three
-    boundary factors pick up conformal weights that cancel exactly.
+    ``delta_n = v . n`` is the outward normal speed of the deformation; the
+    family velocity is ``h`` at the node preimages ``e^{i theta}``, so no
+    node is inverted.  The value is metric-free: under a conformally flat
+    metric the three boundary factors pick up conformal weights that cancel
+    exactly.
     """
     grid, (pa, pb) = _normal_derivatives(family, m, a, b)
-    dn = normal_speed(grid, _velocity(family, velocity))
+    if velocity is None and isinstance(family, DomainFamily):
+        v = to_points(ConformalMap(family.perturbation, check=False)(grid.params))
+    else:
+        v = _velocity(family, velocity)(grid.nodes)
+    dn = np.einsum("mi,mi->m", v, grid.normals)
     return boundary_integrate(grid, pa * pb * dn)
 
 
@@ -172,6 +223,22 @@ class VolumeEstimate:
         return self.value
 
 
+def _tensor_route(family, fmap: ConformalMap, wa, wb, metric: Optional[MetricField],
+                  velocity: Optional[VectorField]):
+    """``z -> (T^{ij}, D_ij, sqrt(det g))`` at disk points, against ``f^* g``,
+    for the poles with preimages ``wa`` and ``wb``."""
+    v = _velocity(family, velocity, disk=True)
+    disk = PolarizedEMT.from_map(
+        None, to_points(wa), to_points(wb),
+        metric=pullback_metric(fmap, metric if metric is not None else euclidean_metric(2)))
+    return lambda z: (disk.emt_contra(z), strain_tensor(disk.metric, v, z),
+                      volume_density(disk.metric, z))
+
+
+def _contract(T, D, vol):
+    return np.einsum("...ij,...ij->...", T, D) * vol
+
+
 def volume_integrand(family, a, b, metric: Optional[MetricField] = None,
                      velocity: Optional[VectorField] = None):
     """The interior integrand ``T^{ij} D_ij sqrt(det g)`` on disk points.
@@ -181,17 +248,52 @@ def volume_integrand(family, a, b, metric: Optional[MetricField] = None,
     and the velocity pulled back by ``f`` (the family velocity by default):
     no node is mapped to ``f(z)`` and inverted again, and the factor
     ``|f'|^2`` is inside ``vol_{f^* g}``.  Returns ``(N, 2) -> (N,)``.
+    This is the tensor route; :func:`volume_variation` evaluates the same
+    integrand in closed form and checks it against this one.
     """
     fmap = _base_map(family)
-    v = _velocity(family, velocity, disk=True)
-    disk = PolarizedEMT.from_map(
-        None, *(to_points(fmap.inverse(to_complex(np.asarray(p, float)))) for p in (a, b)),
-        metric=pullback_metric(fmap, metric if metric is not None else euclidean_metric(2)))
+    wa, wb = (fmap.inverse(to_complex(np.asarray(p, float))) for p in (a, b))
+    pieces = _tensor_route(family, fmap, wa, wb, metric, velocity)
+    return lambda z: _contract(*pieces(z))
 
-    def integrand(z):
-        T = disk.emt_contra(z)
-        D = strain_tensor(disk.metric, v, z)
-        return np.einsum("...ij,...ij->...", T, D) * volume_density(disk.metric, z)
+
+def _closed_form_integrand(family, fmap: ConformalMap, wa, wb,
+                           metric: Optional[MetricField],
+                           velocity: Optional[VectorField]):
+    """``2 Re(A B (dbar v)(f(z)) conj(f'(z)) / f'(z))`` at disk points, with
+    ``A = conj(g_a)``, ``B = conj(g_b)`` the conjugated disk Green gradients
+    and ``dbar v = ((J_11 - J_22) + i (J_21 + J_12)) / 2`` from the ambient
+    Jacobian of the velocity; 0 for the (holomorphic) family velocity.  The
+    metric is evaluated at every image node ``f(z)`` and must be conformal.
+    Each call also evaluates :func:`_tensor_route` at ``CROSS_CHECK_NODES``
+    nodes and raises :class:`EvaluationError` where the two disagree."""
+    pieces = _tensor_route(family, fmap, wa, wb, metric, velocity)
+
+    def closed_form(z):
+        x = to_points(fmap(z))
+        _require_conformal(metric, x)
+        if velocity is None:
+            return np.zeros(z.shape)
+        J = velocity.jacobian(x)
+        dbar = 0.5 * ((J[:, 0, 0] - J[:, 1, 1]) + 1j * (J[:, 1, 0] + J[:, 0, 1]))
+        fp = fmap.derivative(z)
+        ab = np.conj(_disk_gradient(z, wa) * _disk_gradient(z, wb))
+        return 2.0 * np.real(ab * dbar * np.conj(fp) / fp)
+
+    def integrand(points):
+        vals = closed_form(to_complex(points))
+        idx = np.unique(np.linspace(0, len(points) - 1, CROSS_CHECK_NODES).astype(int))
+        T, D, vol = pieces(points[idx])
+        ref = _contract(T, D, vol)
+        scale = np.linalg.norm(T, axis=(-2, -1)) * np.linalg.norm(D, axis=(-2, -1)) * vol
+        bad = np.flatnonzero(np.isfinite(vals[idx])
+                             & ~(np.abs(vals[idx] - ref) <= CROSS_CHECK_TOL * scale))
+        if bad.size:
+            i = int(idx[bad[0]])
+            raise EvaluationError(
+                f"closed-form interior integrand {vals[i]:.17g} disagrees with the "
+                f"tensor route {ref[bad[0]]:.17g} at node {i} = {tuple(points[i])}")
+        return vals
 
     return integrand
 
@@ -202,16 +304,21 @@ def volume_variation(family, a, b, metric: Optional[MetricField] = None,
                      check: bool = True) -> VolumeEstimate:
     """Interior estimate ``∫ T^{ij} D_ij vol_g  -  source_pairing(v)``.
 
-    The integral is taken on the disk (see :func:`volume_integrand`), with
-    a rule at the given resolution whose pole patches sit at the preimages
-    of ``a`` and ``b``.  The pairing term is evaluated exactly at the two
-    poles, in ambient coordinates, never quadratured.
+    The integral is taken on the disk, in the closed form ``2 Re(A B dbar
+    v)`` (see the module docstring), checked at every evaluation against
+    the tensor route :func:`volume_integrand`, with a rule at the given
+    resolution whose pole patches sit at the preimages of ``a`` and ``b``.
+    ``metric`` must be conformal (:class:`ConfigError` otherwise).  The
+    pairing term is evaluated exactly at the two poles, in ambient
+    coordinates, never quadratured.
     """
     _check_distinct(a, b)
     fmap = _base_map(family)
     v = _velocity(family, velocity)
-    integrand = volume_integrand(family, a, b, metric=metric, velocity=velocity)
-    rule = interior_rule(fmap, poles=(a, b), n_r=n_r, n_theta=n_theta, n_patch=n_patch)
+    green = GreenFunction(fmap)
+    wa, wb = (complex(green.pole_preimage(p)) for p in (a, b))
+    integrand = _closed_form_integrand(family, fmap, wa, wb, metric, velocity)
+    rule = disk_rule(n_r, n_theta, poles=[wa, wb], n_patch=n_patch)
     quad = integrate(rule, integrand, check=check)
     pairing = source_pairing(fmap, v, a, b)
     return VolumeEstimate(value=float(quad) - pairing, pairing=pairing,
@@ -225,11 +332,13 @@ def flux_variation(family, a, b, m: Optional[int] = None,
 
     ``nu`` is the outward unit conormal of ``g`` and ``dsigma_g`` the
     induced length element; for the flat metric both reduce to the
-    Euclidean normal and arclength.
+    Euclidean normal and arclength.  ``metric`` must be conformal
+    (:class:`ConfigError` otherwise).
     """
     _check_distinct(a, b)
     fmap = _base_map(family)
     grid = boundary_grid(fmap, m=m if m is not None else boundary_nodes(fmap, a, b))
+    _require_conformal(metric, grid.nodes)
     emt = PolarizedEMT.from_map(fmap, a, b, metric=metric)
     met = emt.metric
     v = _velocity(family, velocity)
@@ -355,8 +464,11 @@ def variation_report(family: DomainFamily, a, b, m: Optional[int] = None,
     recorded as skipped instead of raising; the report then cannot pass.
     The FD oracle is evaluated at ``dt`` and ``dt/2`` and the Richardson
     gap recorded, as a self-estimate of its own discretization error.
-    ``m`` defaults to :func:`boundary_nodes` of the two poles.
+    ``m`` defaults to :func:`boundary_nodes` of the two poles.  A metric
+    that is not conformal at the poles raises :class:`ConfigError` before
+    any estimator runs, whatever ``strict``.
     """
+    _require_conformal(metric, np.asarray([a, b], dtype=float))
     if m is None:
         m = boundary_nodes(_base_map(family), a, b)
     if dt is None:

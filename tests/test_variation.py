@@ -13,7 +13,9 @@ from greenvar.conformal import (
     rotation_family,
 )
 from greenvar.energy_momentum import PolarizedEMT
-from greenvar.errors import CoincidentPoleError, ConfigError, DomainError
+from greenvar import variation
+from greenvar.errors import (CoincidentPoleError, ConfigError, DegenerateMetricError,
+                             DomainError, EvaluationError)
 from greenvar.greens import GreenFunction, green_gradient_field, interior_rule
 from greenvar.tensors import (MetricField, VectorField, conformal_metric,
                               strain_tensor, volume_density)
@@ -350,3 +352,87 @@ def test_boundary_nodes_follow_the_critical_points():
     assert rep.discrepancies["max_rel"] < 1e-8
     assert boundary_variation(fam, a, b, m=256) != pytest.approx(rep.estimates["boundary"],
                                                                  rel=1e-2)
+
+
+def constant_metric(matrix):
+    """An untagged ``MetricField`` with the constant ``matrix``."""
+    g = np.asarray(matrix, dtype=float)
+    return MetricField(2, lambda p: np.broadcast_to(g, p.shape[:-1] + (2, 2)),
+                       lambda p: np.zeros(p.shape[:-1] + (2, 2, 2)))
+
+
+def test_closed_form_integrand_matches_the_tensor_route():
+    # 2 Re(A B dbar v conj(f') / f') against T^{ij} D_ij vol of f^*g, node by
+    # node, on a velocity whose integrand is not 0, under a tagged and a
+    # matrix-built conformal metric
+    fam, met, v = curved_family(), curved_metric(), square_velocity()
+    fmap = fam.base
+    green = GreenFunction(fmap)
+    wa, wb = (complex(green.pole_preimage(p)) for p in (CURVED_A, CURVED_B))
+    rule = interior_rule(fmap, poles=[CURVED_A, CURVED_B], n_r=32, n_theta=64,
+                         n_patch=16)
+    for metric in (met, MetricField(2, met, met.derivative)):
+        want = volume_integrand(fam, CURVED_A, CURVED_B, metric=metric,
+                                velocity=v)(rule.nodes)
+        got = variation._closed_form_integrand(fam, fmap, wa, wb, metric, v)(rule.nodes)
+        assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
+        assert np.max(np.abs(want)) > 0.0
+
+
+def test_tensor_route_cross_check_fires(monkeypatch):
+    strain = variation.strain_tensor
+    monkeypatch.setattr(variation, "strain_tensor", lambda *args: 2.0 * strain(*args))
+    with pytest.raises(EvaluationError, match="tensor route"):
+        volume_variation(curved_family(), CURVED_A, CURVED_B, metric=curved_metric(),
+                         velocity=square_velocity(), n_r=32, n_theta=64, n_patch=16)
+
+
+def test_family_velocity_integrand_is_exactly_zero():
+    est = volume_variation(curved_family(), CURVED_A, CURVED_B, metric=curved_metric(),
+                           n_r=32, n_theta=64, n_patch=16)
+    assert est.quadrature.value == 0.0
+    assert est.quadrature.coarse_value == 0.0
+    assert est.quadrature.rel_change == 0.0
+    assert est.value == -est.pairing
+
+
+def test_non_conformal_metric_is_rejected():
+    # the Green functions are those of the flat Laplacian: with g = diag(1, 2)
+    # the estimators would return numbers that belong to no problem
+    fam, g = curved_family(), constant_metric([[1.0, 0.0], [0.0, 2.0]])
+    kw = dict(n_r=32, n_theta=64, n_patch=16)
+    with pytest.raises(ConfigError, match="not conformal"):
+        volume_variation(fam, CURVED_A, CURVED_B, metric=g, **kw)
+    with pytest.raises(ConfigError, match="not conformal"):
+        volume_variation(fam, CURVED_A, CURVED_B, metric=g, velocity=square_velocity(),
+                         **kw)
+    with pytest.raises(ConfigError, match="not conformal"):
+        flux_variation(fam, CURVED_A, CURVED_B, metric=g)
+    for strict in (True, False):
+        with pytest.raises(ConfigError, match="not conformal"):
+            variation_report(fam, CURVED_A, CURVED_B, metric=g, strict=strict, **kw)
+    # the metric is evaluated at every image node, so its own gates still run
+    # where the closed form needs no metric value
+    overflow = conformal_metric(lambda p: np.where(p[..., 0] > 0.5, 400.0, 0.0))
+    for bad in (constant_metric(-np.eye(2)), overflow):
+        with pytest.raises(DegenerateMetricError):
+            volume_variation(fam, CURVED_A, CURVED_B, metric=bad, **kw)
+
+
+def test_boundary_routes_invert_each_pole_once(monkeypatch):
+    # the family velocity is h at the node preimages, and the default m and
+    # the normal derivatives share one inversion per pole
+    calls = []
+    inverse = ConformalMap.inverse
+    monkeypatch.setattr(ConformalMap, "inverse",
+                        lambda self, x: calls.append(np.size(x)) or inverse(self, x))
+    fam = curved_family()
+    value = boundary_variation(fam, CURVED_A, CURVED_B)
+    assert calls == [1, 1]
+    calls.clear()
+    triple_variation(fam, CURVED_A, CURVED_B, (0.25, -0.35))
+    assert calls == [1, 1, 1]
+    monkeypatch.undo()
+    assert value == pytest.approx(boundary_variation(fam, CURVED_A, CURVED_B,
+                                                     velocity=fam.velocity_field()),
+                                  rel=1e-15, abs=0.0)
