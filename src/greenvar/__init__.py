@@ -21,7 +21,7 @@ from .conformal import (
     to_complex,
     to_points,
 )
-from .energy_momentum import PolarizedEMT, source_pairing
+from .energy_momentum import PolarizedEMT
 from .greens import (
     GreenFunction,
     disk_green,

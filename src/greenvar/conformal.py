@@ -11,7 +11,9 @@ arithmetic with ``x = x^1 + i x^2``.
 Densities on ``Omega`` are integrated on the disk, by pullback through
 ``f``: :func:`pullback_metric`, :func:`pullback_vector_field` and
 :meth:`DomainFamily.disk_velocity_field` evaluate at disk points directly,
-with no inversion of ``f``.
+with no inversion of ``f``.  Only a conformal metric pulls back: ``f^*
+(exp(2 phi) delta)`` is conformal again, and a matrix-built metric enters
+through its conformal factor, read off by value.
 """
 
 from __future__ import annotations
@@ -397,49 +399,28 @@ def enclosed_area(grid: BoundaryGrid) -> float:
 
 
 def pullback_metric(fmap: ConformalMap, metric: MetricField) -> MetricField:
-    """The metric ``f^* g`` on the disk: ``F^T g(f(z)) F``, ``F`` the Jacobian of ``f``.
+    """The metric ``f^* g`` on the disk for a conformal ``g = exp(2 phi) delta``.
 
-    A conformal ``g = exp(2 phi) delta`` pulls back to the conformal metric
-    with ``phi~(z) = phi(f(z)) + log|f'(z)|``, whose complex-packed gradient
-    is ``conj(f') grad phi(f(z)) + conj(f'' / f')``.
+    It is the conformal metric with ``phi~(z) = phi(f(z)) + log|f'(z)|``, whose
+    complex-packed gradient is ``conj(f') grad phi(f(z)) + conj(f'' / f')``.
+    ``phi`` is :meth:`MetricField.conformal_factor`: a matrix-built metric
+    raises :class:`ConfigError` where it is not conformal.
     """
     if metric.dim != 2:
         raise DimensionMismatchError("only a planar metric pulls back to the disk")
-    if fmap.is_identity:
-        return metric
-    name = f"{metric.name}, pulled back"
-    if metric.is_conformal:
-        def phi(p):
-            z = to_complex(p)
-            return (metric.conformal_factor(to_points(fmap(z)))
-                    + np.log(np.abs(fmap.derivative(z))))
 
-        def grad_phi(p):
-            z = to_complex(p)
-            fp = fmap.derivative(z)
-            grad = to_complex(metric.conformal_gradient(to_points(fmap(z))))
-            return to_points(np.conj(fp) * grad + np.conj(fmap.second_derivative(z) / fp))
-
-        return MetricField(2, phi=phi, grad_phi=grad_phi, name=name)
-
-    def matrix(p):
+    def phi(p):
         z = to_complex(p)
-        F = _multiplication_matrix(fmap.derivative(z))
-        return np.swapaxes(F, -2, -1) @ metric(to_points(fmap(z))) @ F
+        return (metric.conformal_factor(to_points(fmap(z)))
+                + np.log(np.abs(fmap.derivative(z))))
 
-    def derivative(p):
-        # d_k (F^T g F) = S_k + S_k^T + F^T (d_c g F_ck) F with S_k = dF_k^T g F,
-        # dF_k the multiplication by f'' times the k-th unit (1, then i)
+    def grad_phi(p):
         z = to_complex(p)
-        x, F = to_points(fmap(z)), _multiplication_matrix(fmap.derivative(z))
-        Ft = np.swapaxes(F, -2, -1)[..., None, :, :]
-        chain = np.einsum("...ck,...cij->...kij", F, metric.derivative(x))
-        dF = np.stack([_multiplication_matrix(u * fmap.second_derivative(z))
-                       for u in (1.0, 1j)], axis=-3)
-        S = np.swapaxes(dF, -2, -1) @ (metric(x) @ F)[..., None, :, :]
-        return S + np.swapaxes(S, -2, -1) + Ft @ chain @ F[..., None, :, :]
+        fp = fmap.derivative(z)
+        grad = to_complex(metric.conformal_gradient(to_points(fmap(z))))
+        return to_points(np.conj(fp) * grad + np.conj(fmap.second_derivative(z) / fp))
 
-    return MetricField(2, matrix, derivative, name=name)
+    return MetricField(2, phi=phi, grad_phi=grad_phi, name=f"{metric.name}, pulled back")
 
 
 def pullback_vector_field(fmap: ConformalMap, v: VectorField) -> VectorField:

@@ -17,7 +17,7 @@ Away from the poles the covariant divergence ``T^{ij}{}_{;j}`` vanishes;
 at the poles it concentrates into point sources whose pairing with a
 velocity field ``v`` is the metric-free contraction
 
-    source_pairing(v) = v(b) . alpha(b) + v(a) . beta(a),
+    PolarizedEMT.source_pairing(v) = v(b) . alpha(b) + v(a) . beta(a),
 
 finite whenever ``a != b`` and symmetric under swapping the poles.
 """
@@ -35,7 +35,6 @@ from .tensors import MetricField, christoffel, euclidean_metric, trace_tensor
 
 __all__ = [
     "PolarizedEMT",
-    "source_pairing",
 ]
 
 # Minimum pole clearance, in multiples of the FD step, for divergence().
@@ -176,8 +175,3 @@ class PolarizedEMT:
     def __repr__(self):
         return (f"PolarizedEMT(a={tuple(self.a)}, b={tuple(self.b)}, "
                 f"metric={self.metric.name!r})")
-
-
-def source_pairing(fmap: Optional[ConformalMap], v: Callable, a, b) -> float:
-    """Pairing of ``v`` against the point sources of the Green pair of ``f(D)``."""
-    return PolarizedEMT.from_map(fmap, a, b).source_pairing(v)

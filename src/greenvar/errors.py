@@ -9,8 +9,6 @@ __all__ = [
     "InjectivityError",
     "DomainError",
     "CoincidentPoleError",
-    "PoleSeparationError",
-    "PatchRadiusError",
     "EvaluationError",
     "ConfigError",
 ]
@@ -38,14 +36,6 @@ class DomainError(GreenvarError, ValueError):
 
 class CoincidentPoleError(GreenvarError, ValueError):
     """Green function evaluated with source and target closer than 1e-12."""
-
-
-class PoleSeparationError(GreenvarError, ValueError):
-    """Quadrature pole patches would overlap (separation <= 2*rho)."""
-
-
-class PatchRadiusError(GreenvarError, ValueError):
-    """Pole patch radius reaches the domain boundary."""
 
 
 class EvaluationError(GreenvarError, ValueError):

@@ -3,11 +3,12 @@
 The interior rule is a Gauss-Legendre (radial) times uniform (angular)
 background grid over the whole disk.  Integrands with ``1/|x - p|`` type
 singularities at known pole points are handled by replacing each disk of
-radius ``rho`` around a pole with a pole-centered polar patch whose radial
-nodes follow the grading ``r ~ rho * (k / N_patch)^2``.  The handoff between
-background and patch uses a smooth radial partition-of-unity window: the
-background integrates ``(1 - chi) f`` (its nodes inside the flat core of the
-window are dropped outright), the patch integrates ``chi f``.  Patch weights
+radius ``rho = RHO_FACTOR * min(pole separation, boundary gap)`` around a
+pole with a pole-centered polar patch whose radial nodes follow the grading
+``r ~ rho * (k / N_patch)^2``.  The handoff between background and patch
+uses a smooth radial partition-of-unity window: the background integrates
+``(1 - chi) f`` (its nodes inside the flat core of the window are dropped
+outright), the patch integrates ``chi f``.  Patch weights
 are normalized so the whole rule integrates constants exactly, independent
 of how well the background grid resolves the window.
 
@@ -26,13 +27,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DomainError,
-    EvaluationError,
-    PatchRadiusError,
-    PoleSeparationError,
-)
+from .errors import CoincidentPoleError, ConfigError, DomainError, EvaluationError
 
 __all__ = [
     "QuadratureRule",
@@ -42,10 +37,15 @@ __all__ = [
     "boundary_integrate",
 ]
 
-# Pole patch radius when not given: RHO_FACTOR * min(pole separation,
-# pole-to-boundary distance).  0.2 keeps the window transition wide enough
-# for the background grid to resolve; smaller factors stall convergence.
+# Pole patch radius: RHO_FACTOR * min(pole separation, pole-to-boundary
+# distance), so patches never overlap or reach the boundary.  0.2 keeps the
+# window transition wide enough for the background grid to resolve; smaller
+# factors stall convergence.
 RHO_FACTOR = 0.2
+
+# integrate() flags a rule as converged when its value moves by less than
+# this, relative, against the same rule at half resolution.
+CONVERGENCE_TOL = 1e-3
 
 # Window shape: chi = 1 for r <= WINDOW_FLAT * rho (background nodes there
 # are dropped), then a C^5 polynomial smoothstep down to 0 at r = rho.
@@ -126,7 +126,6 @@ class QuadratureRule:
     n_r: int
     n_theta: int
     n_patch: int
-    tol: float = 1e-3
     _coarse: Optional["QuadratureRule"] = field(default=None, repr=False)
 
     @property
@@ -144,9 +143,7 @@ class QuadratureRule:
                 max(_MIN_NR, self.n_r // 2),
                 max(_MIN_NTHETA, self.n_theta // 2),
                 poles=self.poles,
-                rho=self.rho,
                 n_patch=max(_MIN_NPATCH, self.n_patch // 2),
-                tol=self.tol,
             )
         return self._coarse
 
@@ -155,41 +152,27 @@ class QuadratureRule:
                 f"poles={len(self.poles)}, nodes={self.node_count})")
 
 
-def _as_pole_list(poles) -> np.ndarray:
-    out = []
-    for p in poles:
-        if isinstance(p, (complex, np.complexfloating)):
-            out.append(complex(p))
-        else:
-            arr = np.asarray(p, dtype=float)
-            if arr.shape != (2,):
-                raise ConfigError(f"pole must be complex or a coordinate pair, got {p!r}")
-            out.append(complex(arr[0], arr[1]))
-    return np.asarray(out, dtype=complex)
-
-
 def disk_rule(n_r: int = 64, n_theta: int = 128, poles: Sequence = (),
-              rho: Optional[float] = None, n_patch: int = 32,
-              tol: float = 1e-3) -> QuadratureRule:
+              n_patch: int = 32) -> QuadratureRule:
     """Build the disk rule, optionally refined around pole points.
 
     Parameters
     ----------
     n_r, n_theta : int
         Background resolution (Gauss-Legendre radial x uniform angular).
-    poles : sequence of complex or coordinate pairs
-        Points (in disk coordinates) where integrands may blow up like
-        ``1/|x - p|``.  Pairwise separation must exceed ``2 rho`` and each
-        pole must be farther than ``rho`` from the boundary.
-    rho : float, optional
-        Patch radius; default ``RHO_FACTOR * min(separation, boundary gap)``.
+    poles : sequence of complex
+        Distinct points (in disk coordinates) where integrands may blow up
+        like ``1/|x - p|``.  Each gets a patch of radius ``rho = RHO_FACTOR *
+        min(separation, boundary gap)``.
     n_patch : int
         Radial node count of each pole patch.
     """
     require_integers(n_r=n_r, n_theta=n_theta, n_patch=n_patch)
     if n_r < _MIN_NR or n_theta < _MIN_NTHETA:
         raise ConfigError(f"resolution too small: n_r={n_r}, n_theta={n_theta}")
-    pole_arr = _as_pole_list(poles)
+    pole_arr = np.asarray(poles, dtype=complex)
+    if pole_arr.ndim != 1:
+        raise ConfigError(f"poles must be a sequence of complex numbers, got {poles!r}")
 
     r, wr = _gauss_legendre(n_r, 0.0, 1.0)
     th = 2.0 * np.pi * np.arange(n_theta) / n_theta
@@ -200,13 +183,13 @@ def disk_rule(n_r: int = 64, n_theta: int = 128, poles: Sequence = (),
         return QuadratureRule(
             nodes=np.stack([z_bg.real, z_bg.imag], axis=-1),
             weights=w_bg, poles=pole_arr, rho=None,
-            n_r=n_r, n_theta=n_theta, n_patch=n_patch, tol=tol,
+            n_r=n_r, n_theta=n_theta, n_patch=n_patch,
         )
 
     if n_patch < _MIN_NPATCH:
         raise ConfigError(f"n_patch must be at least {_MIN_NPATCH}, got {n_patch}")
     mods = np.abs(pole_arr)
-    if np.any(mods >= 1.0):
+    if not np.all(mods < 1.0):
         raise DomainError("quadrature poles must lie inside the unit disk")
     gap = float(np.min(1.0 - mods))
     if pole_arr.size > 1:
@@ -214,14 +197,9 @@ def disk_rule(n_r: int = 64, n_theta: int = 128, poles: Sequence = (),
         sep = float(np.min(np.abs(diff[np.triu_indices(pole_arr.size, 1)])))
     else:
         sep = np.inf
-    if rho is None:
-        rho = RHO_FACTOR * min(sep, gap)
-    rho = float(rho)
-    if not 0.0 < rho < gap:
-        raise PatchRadiusError(f"rho = {rho:g} reaches the boundary (gap {gap:g})")
-    if sep <= 2.0 * rho:
-        raise PoleSeparationError(
-            f"pole separation {sep:g} must exceed 2 rho = {2 * rho:g}")
+    if sep == 0.0:
+        raise CoincidentPoleError("quadrature poles must be distinct")
+    rho = RHO_FACTOR * min(sep, gap)
 
     # background: multiply by (1 - sum of windows), drop the dead nodes;
     # a window is exactly 0 beyond rho, so only the nodes within rho are
@@ -279,7 +257,7 @@ def disk_rule(n_r: int = 64, n_theta: int = 128, poles: Sequence = (),
     return QuadratureRule(
         nodes=np.stack([z_all.real, z_all.imag], axis=-1),
         weights=w_all, poles=pole_arr, rho=rho,
-        n_r=n_r, n_theta=n_theta, n_patch=n_patch, tol=tol,
+        n_r=n_r, n_theta=n_theta, n_patch=n_patch,
     )
 
 
@@ -313,7 +291,7 @@ def integrate(rule: QuadratureRule, f: Callable, check: bool = True) -> Integrat
     """Apply the rule to a vectorized integrand ``f((N, 2) nodes) -> (N,)``.
 
     The convergence flag compares against the same rule at half resolution;
-    it is True when the relative change is below the rule's declared ``tol``.
+    it is True when the relative change is below ``CONVERGENCE_TOL``.
     With ``check=False`` the flag is reported True without the comparison.
     """
     value = _apply(rule, f)
@@ -322,7 +300,7 @@ def integrate(rule: QuadratureRule, f: Callable, check: bool = True) -> Integrat
     coarse = _apply(rule.coarse(), f)
     scale = max(abs(value), abs(coarse), 1e-9)
     rel = abs(value - coarse) / scale
-    return IntegrationResult(value, rel < rule.tol, coarse, rel)
+    return IntegrationResult(value, rel < CONVERGENCE_TOL, coarse, rel)
 
 
 def boundary_integrate(grid, f: Union[Callable, np.ndarray]) -> float:

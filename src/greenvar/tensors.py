@@ -11,7 +11,8 @@ Metrics built by :func:`conformal_metric` and :func:`euclidean_metric`
 delta``, ``sqrt(det g) = exp(n phi)`` and the Christoffel symbols are closed
 forms, with no batched factorization.  A :class:`MetricField` built from a
 matrix callback (and finite differences, when it has no derivative) is the
-general reference path.
+general reference path; its conformal factor is read off by value, where
+the matrix is conformal (``ConfigError`` elsewhere).
 
 Index conventions
 -----------------
@@ -26,7 +27,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DegenerateMetricError, DimensionMismatchError
+from .errors import ConfigError, DegenerateMetricError, DimensionMismatchError
 
 __all__ = [
     "MetricField",
@@ -48,6 +49,10 @@ FD_STEP = 1e-5
 
 # Tolerance on symmetry of user-supplied metric matrices.
 SYMMETRY_TOL = 1e-9
+
+# A matrix-built metric is conformal where |g_ij - g_11 delta_ij| <=
+# CONFORMAL_TOL (g_11 + |g_jj|), i <= j: in the plane g_12 = 0, g_11 = g_22.
+CONFORMAL_TOL = 1e-12
 
 
 def _as_points(x, dim):
@@ -123,16 +128,37 @@ class MetricField:
         return self._phi is not None
 
     def conformal_factor(self, x):
-        """``phi(x)`` of a conformally flat metric ``exp(2 phi) delta``."""
+        """``phi(x)`` of a conformally flat metric ``exp(2 phi) delta``;
+        ``log(g_11) / 2`` for a matrix-built one (see :meth:`_conformal_g11`)."""
         x = _as_points(x, self.dim)
+        if self._phi is None:
+            return 0.5 * np.log(self._conformal_g11(x))
         return _checked(self._phi(x), x.shape[:-1], "conformal factor")
 
     def conformal_gradient(self, x):
-        """``d_k phi(x)`` as ``(..., n)``, analytic or by centered differences."""
+        """``d_k phi(x)`` as ``(..., n)``: analytic, by centered differences
+        of ``phi``, or ``d_k g_11 / (2 g_11)`` for a matrix-built metric."""
         x = _as_points(x, self.dim)
+        if self._phi is None:
+            g11 = self._conformal_g11(x)
+            return self.derivative(x)[..., 0, 0] / (2.0 * g11[..., None])
         if self._grad_phi is None:
             return _central_differences(self.conformal_factor, x)
         return _checked(self._grad_phi(x), x.shape, "conformal gradient")
+
+    def _conformal_g11(self, x):
+        """``g_11`` of a matrix-built metric at ``x``, which must be positive
+        (:class:`DegenerateMetricError`) and conformal (:class:`ConfigError`)."""
+        g = self(x)
+        g11 = g[..., 0, 0]
+        if not np.all(g11 > 0.0):
+            raise DegenerateMetricError(f"metric {self.name!r} is not positive definite")
+        diag = np.abs(np.diagonal(g, axis1=-2, axis2=-1))
+        tol = CONFORMAL_TOL * (g11[..., None, None] + diag[..., None, :])
+        if np.any(np.triu(~(np.abs(g - g11[..., None, None] * np.eye(self.dim)) <= tol))):
+            raise ConfigError(f"metric {self.name!r} is not conformal (g_12 = 0, "
+                              "g_11 = g_22): it has no conformal factor")
+        return g11
 
     def _scale(self, x):
         # exp(2 phi): the positive-definiteness gate of a conformal metric

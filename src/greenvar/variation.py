@@ -22,7 +22,9 @@ Four independent routes to the same number:
   paper's formula stays checked inside every estimate.
 * ``flux_variation``: the boundary flux ``T^{ij} v_i nu_j`` against the
   induced boundary measure; equals the Hadamard integrand pointwise on
-  the boundary, where both gradients are normal.
+  the boundary, where both gradients are normal.  It is evaluated on the
+  unit circle against ``f^* g``, with the disk EMT and velocity of the
+  tensor route, so no boundary node is inverted.
 * ``fd_oracle``: a central difference of Green values across the family,
   with the poles held fixed in ambient coordinates.
 
@@ -50,9 +52,8 @@ import numpy as np
 
 from .conformal import (ConformalMap, DomainFamily, boundary_grid, pullback_metric,
                         pullback_vector_field, to_complex, to_points)
-from .energy_momentum import PolarizedEMT, source_pairing
-from .errors import (CoincidentPoleError, ConfigError, DegenerateMetricError,
-                     EvaluationError, GreenvarError)
+from .energy_momentum import PolarizedEMT
+from .errors import CoincidentPoleError, ConfigError, EvaluationError, GreenvarError
 from .greens import GreenFunction, _disk_gradient, _normal_derivative
 from .quadrature import IntegrationResult, boundary_integrate, disk_rule, integrate
 from .tensors import (MetricField, VectorField, euclidean_metric, strain_tensor,
@@ -101,10 +102,6 @@ REL_FLOOR = 1e-2
 CROSS_CHECK_NODES = 32
 CROSS_CHECK_TOL = 1e-12
 
-# A matrix-built metric is conformal where |g_12| and |g_11 - g_22| are at
-# most CONFORMAL_TOL (|g_11| + |g_22|).
-CONFORMAL_TOL = 1e-12
-
 
 def _base_map(family) -> ConformalMap:
     if family is None:
@@ -124,22 +121,13 @@ def _check_distinct(*points):
 
 
 def _require_conformal(metric: Optional[MetricField], x):
-    """Evaluate ``metric`` at the points ``x``, which runs its own gates, and
-    raise :class:`ConfigError` unless it is conformal there: by its tag, or
-    by value for a matrix-built metric (``g_12 = 0``, ``g_11 = g_22``)."""
-    if metric is None:
-        return
-    g = metric(x)
-    if metric.is_conformal:
-        return
-    g11, g12, g22 = g[..., 0, 0], g[..., 0, 1], g[..., 1, 1]
-    if not np.all(g11 > 0.0):
-        raise DegenerateMetricError(f"metric {metric.name!r} is not positive definite")
-    tol = CONFORMAL_TOL * (np.abs(g11) + np.abs(g22))
-    if not np.all((np.abs(g12) <= tol) & (np.abs(g11 - g22) <= tol)):
-        raise ConfigError(f"metric {metric.name!r} is not conformal (g_12 = 0, "
-                          "g_11 = g_22): the Green functions are the flat ones, "
-                          "those of Delta_g only for a conformal g")
+    """Evaluate the scale ``exp(2 phi)`` of ``metric`` at the points ``x``:
+    :class:`ConfigError` where a matrix-built metric is not conformal (the
+    Green functions are the flat ones, those of ``Delta_g`` only for a
+    conformal ``g``), :class:`DegenerateMetricError` where the scale is not
+    finite and positive."""
+    if metric is not None:
+        metric._scale(x)
 
 
 def _velocity(family, velocity, disk: bool = False) -> VectorField:
@@ -172,16 +160,15 @@ def _boundary_nodes(fmap: ConformalMap, preimages) -> int:
     return m
 
 
-def _normal_derivatives(family, m: Optional[int], *poles):
-    """The boundary grid (``boundary_nodes`` nodes unless ``m`` is given) and
-    the outward normal derivative of ``G(., p)`` at its nodes, per pole;
-    each pole is inverted once."""
+def _boundary_grid(family, m: Optional[int], *poles):
+    """The base map, the pole preimages (each pole inverted once) and the
+    boundary grid, ``boundary_nodes`` nodes unless ``m`` is given."""
     _check_distinct(*poles)
     fmap = _base_map(family)
     green = GreenFunction(fmap)
     ws = [green.pole_preimage(p) for p in poles]
     grid = boundary_grid(fmap, m=m if m is not None else _boundary_nodes(fmap, ws))
-    return grid, [_normal_derivative(fmap, grid.params, w) for w in ws]
+    return fmap, ws, grid
 
 
 def boundary_variation(family, a, b, m: Optional[int] = None,
@@ -194,7 +181,8 @@ def boundary_variation(family, a, b, m: Optional[int] = None,
     metric the three boundary factors pick up conformal weights that cancel
     exactly.
     """
-    grid, (pa, pb) = _normal_derivatives(family, m, a, b)
+    fmap, ws, grid = _boundary_grid(family, m, a, b)
+    pa, pb = (_normal_derivative(fmap, grid.params, w) for w in ws)
     if velocity is None and isinstance(family, DomainFamily):
         v = to_points(ConformalMap(family.perturbation, check=False)(grid.params))
     else:
@@ -223,14 +211,21 @@ class VolumeEstimate:
         return self.value
 
 
+def _disk_fields(family, fmap: ConformalMap, wa, wb, metric: Optional[MetricField],
+                 velocity: Optional[VectorField]):
+    """The polarized EMT of the poles with preimages ``wa`` and ``wb``
+    against ``f^* g`` (``g`` flat by default), and the velocity pulled back
+    by ``f``, both on the disk."""
+    v = _velocity(family, velocity, disk=True)
+    g = pullback_metric(fmap, metric if metric is not None else euclidean_metric(2))
+    return PolarizedEMT.from_map(None, to_points(wa), to_points(wb), metric=g), v
+
+
 def _tensor_route(family, fmap: ConformalMap, wa, wb, metric: Optional[MetricField],
                   velocity: Optional[VectorField]):
     """``z -> (T^{ij}, D_ij, sqrt(det g))`` at disk points, against ``f^* g``,
     for the poles with preimages ``wa`` and ``wb``."""
-    v = _velocity(family, velocity, disk=True)
-    disk = PolarizedEMT.from_map(
-        None, to_points(wa), to_points(wb),
-        metric=pullback_metric(fmap, metric if metric is not None else euclidean_metric(2)))
+    disk, v = _disk_fields(family, fmap, wa, wb, metric, velocity)
     return lambda z: (disk.emt_contra(z), strain_tensor(disk.metric, v, z),
                       volume_density(disk.metric, z))
 
@@ -309,18 +304,22 @@ def volume_variation(family, a, b, metric: Optional[MetricField] = None,
     the tensor route :func:`volume_integrand`, with a rule at the given
     resolution whose pole patches sit at the preimages of ``a`` and ``b``.
     ``metric`` must be conformal (:class:`ConfigError` otherwise).  The
-    pairing term is evaluated exactly at the two poles, in ambient
-    coordinates, never quadratured.
+    pairing term ``v(b) . alpha(b) + v(a) . beta(a)`` is evaluated exactly,
+    never quadratured: the ambient velocity at the two poles against the
+    Green gradients at the pole preimages the rule is built on.
     """
     _check_distinct(a, b)
     fmap = _base_map(family)
     v = _velocity(family, velocity)
     green = GreenFunction(fmap)
-    wa, wb = (complex(green.pole_preimage(p)) for p in (a, b))
+    wa, wb = (green.pole_preimage(p) for p in (a, b))
     integrand = _closed_form_integrand(family, fmap, wa, wb, metric, velocity)
     rule = disk_rule(n_r, n_theta, poles=[wa, wb], n_patch=n_patch)
     quad = integrate(rule, integrand, check=check)
-    pairing = source_pairing(fmap, v, a, b)
+    # numpy scalars, so the value is PolarizedEMT.source_pairing's to the bit
+    va, vb = (v(np.asarray(p, dtype=float).reshape(2)) for p in (a, b))
+    pairing = float(np.dot(vb, to_points(green.gradient_z(wb, wa)))
+                    + np.dot(va, to_points(green.gradient_z(wa, wb))))
     return VolumeEstimate(value=float(quad) - pairing, pairing=pairing,
                           quadrature=quad)
 
@@ -332,30 +331,29 @@ def flux_variation(family, a, b, m: Optional[int] = None,
 
     ``nu`` is the outward unit conormal of ``g`` and ``dsigma_g`` the
     induced length element; for the flat metric both reduce to the
-    Euclidean normal and arclength.  ``metric`` must be conformal
-    (:class:`ConfigError` otherwise).
+    Euclidean normal and arclength.  The density is evaluated on the unit
+    circle against ``f^* g``, with the disk EMT and velocity of
+    :func:`volume_integrand`: at ``e^{i theta}`` the flat outward unit
+    normal is the point itself and the arclength weight ``2 pi / m`` is
+    ``grid.weights / |f'|``, so no node is inverted.  ``metric`` must be
+    conformal (:class:`ConfigError` otherwise).
     """
-    _check_distinct(a, b)
-    fmap = _base_map(family)
-    grid = boundary_grid(fmap, m=m if m is not None else boundary_nodes(fmap, a, b))
-    _require_conformal(metric, grid.nodes)
-    emt = PolarizedEMT.from_map(fmap, a, b, metric=metric)
+    fmap, (wa, wb), grid = _boundary_grid(family, m, a, b)
+    emt, v = _disk_fields(family, fmap, wa, wb, metric, velocity)
     met = emt.metric
-    v = _velocity(family, velocity)
 
-    x = grid.nodes
+    x = n = to_points(grid.params)
     T = emt.emt_contra(x)
     g = met(x)
     ginv = met.inverse(x)
     v_low = np.einsum("mij,mj->mi", g, v(x))
-    n = grid.normals
     # unit conormal: the flat normal covector, normalized in g^{-1}
     nu = n / np.sqrt(np.einsum("mij,mi,mj->m", ginv, n, n))[:, None]
     # induced length element: g-length of the flat unit tangent
     t = np.stack([-n[:, 1], n[:, 0]], axis=-1)
     stretch = np.sqrt(np.einsum("mij,mi,mj->m", g, t, t))
     vals = np.einsum("mij,mi,mj->m", T, v_low, nu) * stretch
-    return boundary_integrate(grid, vals)
+    return boundary_integrate(grid, vals / np.abs(fmap.derivative(grid.params)))
 
 
 def fd_oracle(family: DomainFamily, a, b, dt: Optional[float] = None) -> float:
@@ -386,7 +384,8 @@ def triple_variation(family, a, b, c, m: Optional[int] = None) -> float:
     Invariant under all six orderings of ``(a, b, c)``; strictly negative,
     since each factor is negative where the kernel is positive.
     """
-    grid, (pa, pb, pc) = _normal_derivatives(family, m, a, b, c)
+    fmap, ws, grid = _boundary_grid(family, m, a, b, c)
+    pa, pb, pc = (_normal_derivative(fmap, grid.params, w) for w in ws)
     return boundary_integrate(grid, pa * pb * pc)
 
 

@@ -3,14 +3,15 @@
 import numpy as np
 import pytest
 
-from greenvar.conformal import ConformalMap
-from greenvar.energy_momentum import PolarizedEMT, source_pairing
+from greenvar.conformal import DomainFamily, dilation_family
+from greenvar.energy_momentum import PolarizedEMT
 from greenvar.errors import (
     CoincidentPoleError,
     DimensionMismatchError,
     DomainError,
 )
-from greenvar.tensors import conformal_metric, euclidean_metric
+from greenvar.tensors import VectorField, conformal_metric, euclidean_metric
+from greenvar.variation import volume_variation
 
 from conftest import interior_points
 
@@ -188,23 +189,40 @@ def test_pairing_symmetric_in_poles():
         x = np.asarray(x, dtype=float)
         return np.stack([x[..., 0] ** 2, x[..., 1]], axis=-1)
 
-    assert source_pairing(None, v, a, b) == pytest.approx(
-        source_pairing(None, v, b, a), rel=1e-14)
+    assert disk_pair(a, b).source_pairing(v) == pytest.approx(
+        disk_pair(b, a).source_pairing(v), rel=1e-14)
+
+
+# the rule does not enter the pairing; the smallest one keeps the tests quick
+SMALL_RULE = dict(n_r=8, n_theta=16, n_patch=8, check=False)
 
 
 def test_module_level_pairing_delegates():
-    val = source_pairing(None, lambda x: np.asarray(x, float), (0, 0), (0.5, 0))
+    # volume_variation's pairing, from the pole preimages it holds, is the
+    # method's value; integer poles are accepted as points
+    fam = dilation_family()
+    val = volume_variation(fam, (0, 0), (0.5, 0), **SMALL_RULE).pairing
+    assert val == PolarizedEMT.from_map(None, (0, 0), (0.5, 0)).source_pairing(
+        fam.velocity_field())
     assert val == pytest.approx(-1.0 / TWO_PI, rel=1e-14)
 
 
-def test_mapped_domain_pairing_matches_direct():
-    fmap = ConformalMap([1.0, 0.1])
-    a = tuple(np.asarray([0.05, 0.0]))
-    b = tuple(np.asarray([0.45, 0.1]))
-    emt = PolarizedEMT.from_map(fmap, a, b)
-    direct = emt.source_pairing(lambda x: np.asarray(x, float))
-    assert direct == pytest.approx(
-        source_pairing(fmap, lambda x: np.asarray(x, float), a, b), rel=1e-14)
+def test_mapped_domain_pairing_matches_direct(rng):
+    # on a mapped domain the volume route's pairing equals the direct
+    # evaluation through ambient Green gradient fields, bit for bit
+    square = VectorField(2, lambda p: np.stack([p[..., 0] ** 2, p[..., 0] * p[..., 1]], axis=-1))
+    for base in ([1.0, 0.1], [1.0, 0.2 - 0.1j, 0.05],
+                 [1.0, 0.01 - 0.22j, -0.11 - 0.01j, -0.17]):
+        fam = DomainFamily(base, [0.0, 0.05, 0.03], t_max=0.1)
+        fmap = fam.map_at(0.0)
+        zs = interior_points(rng, 8, radius=0.7)
+        for z, w in zip(zs[::2], zs[1::2]):
+            a, b = ((float(x.real), float(x.imag)) for x in fmap(np.array([z, w])))
+            for v in (None, square):
+                est = volume_variation(fam, a, b, velocity=v, **SMALL_RULE)
+                direct = PolarizedEMT.from_map(fmap, a, b).source_pairing(
+                    v if v is not None else fam.velocity_field())
+                assert est.pairing == direct
 
 
 def test_coincident_poles_rejected():

@@ -8,13 +8,7 @@ from scipy.special import ellipe
 
 from greenvar import quadrature
 from greenvar.conformal import ConformalMap, boundary_grid
-from greenvar.errors import (
-    ConfigError,
-    DomainError,
-    EvaluationError,
-    PatchRadiusError,
-    PoleSeparationError,
-)
+from greenvar.errors import CoincidentPoleError, ConfigError, DomainError, EvaluationError
 from greenvar.quadrature import (
     IntegrationResult,
     WINDOW_FLAT,
@@ -54,8 +48,11 @@ def test_weights_positive_nodes_interior():
 
 
 def test_coarse_background_drops_patch():
-    # window so narrow no background node sees it: kappa = 0, patch vanishes
-    rule = disk_rule(8, 16, poles=[0.3 + 0j], rho=0.008, n_patch=8)
+    # poles 0.04 apart give rho = 0.008: windows so narrow no background node
+    # sees them, kappa = 0, and the patches vanish
+    rule = disk_rule(8, 16, poles=[0.3 + 0j, 0.34 + 0j], n_patch=8)
+    assert rule.rho == pytest.approx(0.008, rel=1e-14)
+    assert rule.node_count == disk_rule(8, 16).node_count
     assert abs(rule.total_weight - PI) < 1e-14
     assert np.all(rule.weights > 0.0)
 
@@ -87,19 +84,16 @@ def test_polynomial_background_exactness():
     assert val == pytest.approx(PI / 2.0, rel=1e-14)
 
 
-def test_pole_separation_guard():
-    with pytest.raises(PoleSeparationError):
-        disk_rule(16, 32, poles=[0.10 + 0j, 0.15 + 0j], rho=0.05, n_patch=8)
-
-
-def test_patch_radius_guard():
-    with pytest.raises(PatchRadiusError):
-        disk_rule(16, 32, poles=[0.9 + 0j], rho=0.2, n_patch=8)
-
-
 def test_pole_outside_disk_rejected():
     with pytest.raises(DomainError):
         disk_rule(16, 32, poles=[1.1 + 0j], n_patch=8)
+    with pytest.raises(DomainError):
+        disk_rule(16, 32, poles=[complex(np.nan, 0.0)], n_patch=8)
+
+
+def test_coincident_poles_rejected():
+    with pytest.raises(CoincidentPoleError):
+        disk_rule(16, 32, poles=[0.2 + 0.1j, 0.2 + 0.1j], n_patch=8)
 
 
 def test_resolution_floors():
@@ -151,8 +145,10 @@ def test_integration_result_fields():
 
 def test_convergence_flag_detects_unresolved():
     a = 0.25 + 0.35j
-    rule = disk_rule(16, 32, poles=[a], n_patch=8, tol=1e-12)
-    assert not integrate(rule, inverse_distance(a)).converged
+    rule = disk_rule(8, 16, poles=[a], n_patch=8)
+    res = integrate(rule, inverse_distance(a))
+    assert res.rel_change > 10.0 * quadrature.CONVERGENCE_TOL
+    assert not res.converged
 
 
 def test_nonfinite_integrand_rejected():

@@ -6,6 +6,7 @@ import pytest
 from greenvar.conformal import (
     ConformalMap,
     DomainFamily,
+    pullback_metric,
     to_complex,
     to_points,
     cubic_mix_family,
@@ -16,7 +17,7 @@ from greenvar.energy_momentum import PolarizedEMT
 from greenvar import variation
 from greenvar.errors import (CoincidentPoleError, ConfigError, DegenerateMetricError,
                              DomainError, EvaluationError)
-from greenvar.greens import GreenFunction, green_gradient_field, interior_rule
+from greenvar.greens import GreenFunction, green_gradient_field, interior_rule, mutual_energy
 from greenvar.tensors import (MetricField, VectorField, conformal_metric,
                               strain_tensor, volume_density)
 from greenvar.variation import (
@@ -436,3 +437,83 @@ def test_boundary_routes_invert_each_pole_once(monkeypatch):
     assert value == pytest.approx(boundary_variation(fam, CURVED_A, CURVED_B,
                                                      velocity=fam.velocity_field()),
                                   rel=1e-15, abs=0.0)
+
+
+def count_inversions(monkeypatch):
+    """Record the size of every point batch inverted by a map other than the
+    identity (the disk Green gradients live on the identity map, whose
+    inverse is the division by ``c_1 = 1``)."""
+    calls = []
+    inverse = ConformalMap.inverse
+
+    def counted(self, x):
+        if not self.is_identity:
+            calls.append(np.size(x))
+        return inverse(self, x)
+
+    monkeypatch.setattr(ConformalMap, "inverse", counted)
+    return calls
+
+
+def test_flux_inverts_each_pole_once(monkeypatch):
+    # the flux is evaluated on the circle: the default m and the disk EMT
+    # share one inversion per pole, and no node is inverted
+    calls = count_inversions(monkeypatch)
+    fam = curved_family()
+    for metric in (None, curved_metric()):
+        flux_variation(fam, CURVED_A, CURVED_B, metric=metric)
+        assert calls == [1, 1]
+        calls.clear()
+        flux_variation(fam, CURVED_A, CURVED_B, m=512, metric=metric,
+                       velocity=square_velocity())
+        assert calls == [1, 1]
+        calls.clear()
+
+
+def test_volume_inverts_each_pole_once(monkeypatch):
+    # the pole preimages, then the ambient family velocity at the two poles;
+    # the pairing reuses the preimages
+    calls = count_inversions(monkeypatch)
+    fam = curved_family()
+    volume_variation(fam, CURVED_A, CURVED_B, metric=curved_metric(), n_r=32,
+                     n_theta=64, n_patch=16)
+    assert len(calls) <= 4 and set(calls) == {1}
+    calls.clear()
+    volume_variation(fam, CURVED_A, CURVED_B, velocity=square_velocity(), n_r=32,
+                     n_theta=64, n_patch=16)
+    assert calls == [1, 1]
+
+
+def test_matrix_metric_cross_check_is_at_rounding_level():
+    # a matrix-built conformal metric pulls back through its conformal factor,
+    # so the tensor route takes the closed-form Christoffel symbols: with the
+    # family velocity T : D vol is rounding of 0 at every node
+    fam, met = curved_family(), curved_metric()
+    fmap = fam.base
+    green = GreenFunction(fmap)
+    wa, wb = (green.pole_preimage(p) for p in (CURVED_A, CURVED_B))
+    rule = interior_rule(fmap, poles=[CURVED_A, CURVED_B], n_r=128, n_theta=256,
+                         n_patch=64)
+    T, D, vol = variation._tensor_route(fam, fmap, wa, wb,
+                                        MetricField(2, met, met.derivative), None)(rule.nodes)
+    scale = np.linalg.norm(T, axis=(-2, -1)) * np.linalg.norm(D, axis=(-2, -1)) * vol
+    assert np.all(np.abs(np.einsum("nij,nij->n", T, D) * vol) <= 1e-14 * scale)
+
+
+def test_non_conformal_matrix_metric_has_no_pullback():
+    # diag(1, 2) has no conformal factor: every pullback raises, where the
+    # parent's F^T g F route returned a mutual energy of 0.1267 for
+    # G(a, b) = 0.1353
+    fam, g = curved_family(), constant_metric([[1.0, 0.0], [0.0, 2.0]])
+    fmap = fam.base
+    x = np.array([[0.1, 0.2], [-0.3, 0.05]])
+    for fm in (fmap, ConformalMap.identity()):
+        with pytest.raises(ConfigError, match="not conformal"):
+            pullback_metric(fm, g)(x)
+    with pytest.raises(ConfigError, match="not conformal"):
+        mutual_energy(fmap, CURVED_A, CURVED_B, metric=g)
+    with pytest.raises(ConfigError, match="not conformal"):
+        volume_integrand(fam, CURVED_A, CURVED_B, metric=g, velocity=square_velocity())(x)
+    conformal = constant_metric(2.0 * np.eye(2))
+    assert mutual_energy(fmap, CURVED_A, CURVED_B, metric=conformal) == pytest.approx(
+        mutual_energy(fmap, CURVED_A, CURVED_B), rel=1e-14)
