@@ -15,7 +15,13 @@ of how well the background grid resolves the window.
 Boundary integrals use the periodic trapezoid rule (spectrally accurate for
 analytic boundary data), assembled by :func:`greenvar.conformal.boundary_grid`.
 
-Summation is exactly rounded (``math.fsum``) and therefore deterministic.
+Summation is exactly rounded and therefore deterministic: every sum is the
+double ``math.fsum`` returns.  Arrays shorter than ``FSUM_EXTRACT_MIN`` go
+to ``math.fsum`` itself; longer ones to an error-free extraction sum in
+numpy, which splits every value into parts on a few fixed grids, sums each
+grid's parts exactly in any order and rounds the exact total once.
+Non-finite values, and magnitudes where the splitting constant would
+overflow, fall back to ``math.fsum`` (see ``_fsum``).
 """
 
 from __future__ import annotations
@@ -55,6 +61,14 @@ SMOOTHSTEP_ORDER = 5
 # Angular nodes of a pole patch, as a multiple of its radial count.
 PATCH_ANGULAR_FACTOR = 2
 
+# _fsum sums arrays of at least this many values by error-free extraction,
+# shorter ones with math.fsum.  Extraction costs a few numpy passes (25 to
+# 45 us up to a few thousand values on a 2-core Xeon), fsum 40 to 55 ns a
+# value: they tie near 1,024 values on the program's own sums (the boundary
+# routes' 1,024-value sums), and at 2,048 extraction takes half the time.
+# Twice the tie point keeps the boundary sums on fsum.
+FSUM_EXTRACT_MIN = 2048
+
 _MIN_NR = 4
 _MIN_NTHETA = 8
 _MIN_NPATCH = 8
@@ -88,9 +102,48 @@ def _window(dist, rho):
 
 
 def _fsum(x: np.ndarray) -> float:
-    """Correctly rounded sum of a 1-d float array: ``math.fsum`` over a
-    buffer view, which yields plain floats instead of numpy scalars."""
-    return math.fsum(memoryview(x))
+    """Correctly rounded sum of a 1-d float array: the double ``math.fsum``
+    returns, bit for bit.
+
+    Below ``FSUM_EXTRACT_MIN`` values it is ``math.fsum`` over a buffer view.
+    From there on it is an error-free extraction sum (Rump, Ogita and
+    Oishi, SIAM J. Sci. Comput. 2008): with ``e`` the exponent of
+    ``top = max |r| < 2^e`` and ``2^shift >= n + 2``, ``sigma = 2^(e +
+    shift)`` splits the residual ``r`` (first the input) exactly into ``q =
+    (sigma + r) - sigma``, a multiple of ``2^-53 sigma``, and ``r - q``.  The
+    ``n`` values of ``q`` sum to less than ``sigma`` in magnitude, so every
+    partial sum is exact in any order, numpy's pairwise one included; each
+    pass leaves ``|r| <= 2^(e + shift - 53)``, and the loop ends when ``r``
+    is all zero.  The pass sums add up exactly to the input's sum, and
+    ``math.fsum`` rounds them once.  Non-finite input (which would never
+    empty ``r``) and ``e + shift > 1023`` (where ``sigma`` overflows) go to
+    ``math.fsum``, which returns or raises for them as it always has.
+    """
+    n = x.size
+    if n < FSUM_EXTRACT_MIN:
+        return math.fsum(memoryview(x))
+    top = _max_abs(x)
+    shift = (n + 1).bit_length()            # ceil(log2(n + 2))
+    if not math.isfinite(top) or math.frexp(top)[1] + shift > 1023:
+        return math.fsum(memoryview(x))
+    if top == 0.0:
+        # all zeros: the zero math.fsum returns, which may be -0.0 only when
+        # every term is
+        return math.fsum([-0.0] if np.signbit(x).all() else [0.0])
+    taus, r, q = [], x, np.empty_like(x)
+    while top:
+        sigma = math.ldexp(1.0, math.frexp(top)[1] + shift)
+        np.add(r, sigma, out=q)
+        q -= sigma
+        taus.append(float(q.sum()))
+        r = r - q if r is x else np.subtract(r, q, out=r)   # x stays as given
+        top = _max_abs(r)
+    return math.fsum(taus)
+
+
+def _max_abs(x: np.ndarray) -> float:
+    """``max |x|`` without an ``|x|`` temporary; NaN if any value is."""
+    return max(float(x.max()), -float(x.min()))
 
 
 def require_integers(**counts):

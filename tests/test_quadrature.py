@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.special import ellipe
 
 from greenvar import quadrature
@@ -222,3 +224,75 @@ def test_gauss_legendre_nodes_cached_read_only():
     for arr in (r, w):
         with pytest.raises(ValueError):
             arr[0] = 0.5
+
+
+# _fsum must return the double math.fsum returns, on both sides of the size
+# at which it switches to the extraction sum, and raise where fsum raises.
+FSUM_MAX_N = 3 * quadrature.FSUM_EXTRACT_MIN
+
+
+def _sum_bits(f, x):
+    try:
+        return f(x).hex()
+    except (OverflowError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_fsum(x):
+    assert _sum_bits(quadrature._fsum, x) == _sum_bits(math.fsum, x)
+
+
+@given(hnp.arrays(np.float64, st.integers(0, FSUM_MAX_N),
+                  elements=st.floats(allow_nan=False, allow_infinity=False)),
+       st.booleans())
+def test_fsum_matches_math_fsum_on_arbitrary_doubles(x, cancel):
+    if cancel:
+        x = np.concatenate([x, -x * (1.0 - 2.0**-40)])
+    _assert_fsum(x)
+
+
+@given(st.integers(0, FSUM_MAX_N), st.integers(0, 2**32 - 1),
+       st.integers(-1074, 1023), st.integers(0, 200),
+       st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=8),
+       st.sampled_from(["mixed", "positive", "cancelling"]))
+def test_fsum_matches_math_fsum_across_exponent_windows(n, seed, lo, span, extra, signs):
+    # values 2^k u, k uniform in [lo, lo + span], so both the extraction loop
+    # (down to subnormals) and its overflow fallback near 2^1023 are reached;
+    # same-sign values make the partial sums grow like n, not sqrt(n)
+    rng = np.random.default_rng(seed)
+    k = rng.integers(lo, min(lo + span, 1023), n, endpoint=True)
+    x = np.ldexp(rng.uniform(-1.0, 1.0, n), k)
+    x = np.insert(x, rng.integers(0, n, len(extra), endpoint=True), extra)
+    if signs == "positive":
+        x = np.abs(x)
+    elif signs == "cancelling":
+        x = np.concatenate([x, -x * (1.0 - rng.uniform(0.0, 2.0**-30, x.size))])
+    _assert_fsum(rng.permutation(x))
+
+
+def test_fsum_explicit_cases():
+    n = quadrature.FSUM_EXTRACT_MIN + 5
+    for x in (np.zeros(n), np.full(n, -0.0), np.zeros(0), np.zeros(1)):
+        _assert_fsum(x)
+    # just above a rounding tie: the extraction's three pass sums 1, 2^-53 and
+    # 2^-106 round to 1 + 2^-52 only when added exactly
+    tie = np.zeros(n)
+    tie[[0, 1, 2]] = 1.0, 2.0**-53, 2.0**-106
+    _assert_fsum(tie)
+    # negative values just above -1, on the finer grid of q below sigma, and
+    # n + 2 just below a power of two: the partial sums come nearest sigma
+    for seed in range(8):
+        near = np.random.default_rng(seed).uniform(0.0, 2.0**-20, 2 * n - 13) - 1.0
+        _assert_fsum(near)
+    _assert_fsum(disk_rule(64, 128, poles=[0.3 + 0.1j], n_patch=32).weights)
+    small = np.random.default_rng(3).standard_normal(n)
+    big = small.copy()
+    big[17] = 2.0**1020              # 2^(1021 + shift) overflows: fsum path
+    _assert_fsum(big)
+    big[:3] = 2.0**1023, 2.0**1023, -2.0**1023     # fsum raises OverflowError
+    _assert_fsum(big)
+    for special in ([np.inf], [-np.inf], [np.nan], [np.inf, np.nan],
+                    [np.inf, -np.inf], [np.inf, np.inf]):
+        x = small.copy()
+        x[:len(special)] = special
+        _assert_fsum(x)

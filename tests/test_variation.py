@@ -1,5 +1,7 @@
 """Domain-variation estimators: four routes, one number."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from greenvar import variation
 from greenvar.errors import (CoincidentPoleError, ConfigError, DegenerateMetricError,
                              DomainError, EvaluationError)
 from greenvar.greens import GreenFunction, green_gradient_field, interior_rule, mutual_energy
+from greenvar.quadrature import integrate
 from greenvar.tensors import (MetricField, VectorField, conformal_metric,
                               strain_tensor, volume_density)
 from greenvar.variation import (
@@ -362,22 +365,31 @@ def constant_metric(matrix):
                        lambda p: np.zeros(p.shape[:-1] + (2, 2, 2)))
 
 
-def test_closed_form_integrand_matches_the_tensor_route():
+def test_closed_form_integrand_matches_the_tensor_route(monkeypatch):
     # 2 Re(A B dbar v conj(f') / f') against T^{ij} D_ij vol of f^*g, node by
     # node, on a velocity whose integrand is not 0, under a tagged and a
-    # matrix-built conformal metric
+    # matrix-built conformal metric; the 128x256x64 rule spans several
+    # closed-form blocks and ends in a partial one
     fam, met, v = curved_family(), curved_metric(), square_velocity()
     fmap = fam.base
     green = GreenFunction(fmap)
     wa, wb = (complex(green.pole_preimage(p)) for p in (CURVED_A, CURVED_B))
-    rule = interior_rule(fmap, poles=[CURVED_A, CURVED_B], n_r=32, n_theta=64,
-                         n_patch=16)
-    for metric in (met, MetricField(2, met, met.derivative)):
-        want = volume_integrand(fam, CURVED_A, CURVED_B, metric=metric,
-                                velocity=v)(rule.nodes)
-        got = variation._closed_form_integrand(fam, fmap, wa, wb, metric, v)(rule.nodes)
-        assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
-        assert np.max(np.abs(want)) > 0.0
+    block = variation.CLOSED_FORM_BLOCK
+    for n_r, n_theta, n_patch in ((32, 64, 16), (128, 256, 64)):
+        rule = interior_rule(fmap, poles=[CURVED_A, CURVED_B], n_r=n_r,
+                             n_theta=n_theta, n_patch=n_patch)
+        for metric in (met, MetricField(2, met, met.derivative)):
+            want = volume_integrand(fam, CURVED_A, CURVED_B, metric=metric,
+                                    velocity=v)(rule.nodes)
+            integrand = variation._closed_form_integrand(fam, fmap, wa, wb, metric, v)
+            got = integrand(rule.nodes)
+            assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
+            assert np.max(np.abs(want)) > 0.0
+    assert rule.node_count > block and rule.node_count % block
+    assert (integrate(rule, integrand, check=False).value
+            == math.fsum(rule.weights * integrand(rule.nodes)))
+    monkeypatch.setattr(variation, "CLOSED_FORM_BLOCK", rule.node_count)
+    assert np.array_equal(integrand(rule.nodes), got)
 
 
 def test_tensor_route_cross_check_fires(monkeypatch):
