@@ -103,9 +103,12 @@ class PolarizedEMT:
 
     def emt_contra(self, x):
         """``T^{ij}``: both indices raised with the inverse metric."""
+        return self._emt_contra(x, self.metric.inverse(x))
+
+    def _emt_contra(self, x, ginv):
+        """:meth:`emt_contra` with ``g^{-1}`` at ``x`` already evaluated."""
         al = np.asarray(self.alpha(x), dtype=float)
         be = np.asarray(self.beta(x), dtype=float)
-        ginv = self.metric.inverse(x)
         alu = np.einsum("...ij,...j->...i", ginv, al)
         beu = np.einsum("...ij,...j->...i", ginv, be)
         phi = np.einsum("...k,...k->...", alu, be)

@@ -22,6 +22,13 @@ numpy, which splits every value into parts on a few fixed grids, sums each
 grid's parts exactly in any order and rounds the exact total once.
 Non-finite values, and magnitudes where the splitting constant would
 overflow, fall back to ``math.fsum`` (see ``_fsum``).
+
+Rules are shared and read-only.  :func:`disk_rule` holds the
+``RECENT_RULES`` (two) rules it built last and hands out a held rule again
+for equal inputs: a convergence ladder asks for each rung's rule once per
+velocity, and a rung's coarse twin is the previous rung's rule.  Every
+holder of a rule may be handed the same arrays, so ``nodes``, ``weights``
+and ``poles`` are not writeable.
 """
 
 from __future__ import annotations
@@ -68,6 +75,14 @@ PATCH_ANGULAR_FACTOR = 2
 # routes' 1,024-value sums), and at 2,048 extraction takes half the time.
 # Twice the tie point keeps the boundary sums on fsum.
 FSUM_EXTRACT_MIN = 2048
+
+# disk_rule holds the rules it built last, this many.  Two hold a
+# convergence ladder's working set: its rung's rule, asked for once per
+# velocity, and that rule's coarse twin, which is the previous rung's rule
+# (kept alive by the finer rule's _coarse in any case).  Every held rule
+# stays alive while the next rung's rule is built, so more slots cost peak
+# memory for hits that only repeated identical estimates would find.
+RECENT_RULES = 2
 
 _MIN_NR = 4
 _MIN_NTHETA = 8
@@ -169,7 +184,9 @@ class QuadratureRule:
 
     ``nodes`` has shape ``(N, 2)``; all nodes are strictly interior and none
     lies within 1e-10 of a pole center.  ``sum(weights)`` equals the disk
-    area pi to machine precision by construction.
+    area pi to machine precision by construction.  A rule from
+    :func:`disk_rule` may be shared with other callers, so its arrays are
+    read-only.
     """
 
     nodes: np.ndarray
@@ -205,6 +222,9 @@ class QuadratureRule:
                 f"poles={len(self.poles)}, nodes={self.node_count})")
 
 
+_recent = []        # (key, rule) of the rules disk_rule holds, oldest first
+
+
 def disk_rule(n_r: int = 64, n_theta: int = 128, poles: Sequence = (),
               n_patch: int = 32) -> QuadratureRule:
     """Build the disk rule, optionally refined around pole points.
@@ -219,25 +239,54 @@ def disk_rule(n_r: int = 64, n_theta: int = 128, poles: Sequence = (),
         min(separation, boundary gap)``.
     n_patch : int
         Radial node count of each pole patch.
+
+    Rules are shared: the ``RECENT_RULES`` (two) rules built last are held,
+    keyed on the exact inputs, and a call with equal inputs returns the
+    held rule instead of building it again.  Two serve every repeat of a
+    ``volume_variation`` ladder with its convergence check, which asks for
+    each rung's rule once per velocity and for the previous rung's rule as
+    the coarse twin.  So the rule's ``nodes``, ``weights`` and ``poles`` (a
+    copy of the argument) are not writeable.  Inputs are validated on every
+    call, and only a rule whose build succeeded is held.
     """
     require_integers(n_r=n_r, n_theta=n_theta, n_patch=n_patch)
     if n_r < _MIN_NR or n_theta < _MIN_NTHETA:
         raise ConfigError(f"resolution too small: n_r={n_r}, n_theta={n_theta}")
-    pole_arr = np.asarray(poles, dtype=complex)
+    pole_arr = np.array(poles, dtype=complex)
     if pole_arr.ndim != 1:
         raise ConfigError(f"poles must be a sequence of complex numbers, got {poles!r}")
+    key = (n_r, n_theta, n_patch, pole_arr.shape, pole_arr.tobytes())
+    for i, (held, rule) in enumerate(_recent):
+        if held == key:
+            _recent.append(_recent.pop(i))
+            return rule
+    rule = _build_rule(n_r, n_theta, pole_arr, n_patch)
+    _recent.append((key, rule))
+    del _recent[:-RECENT_RULES]
+    return rule
 
+
+def _frozen_rule(z, w, poles, rho, n_r, n_theta, n_patch) -> QuadratureRule:
+    nodes = np.stack([z.real, z.imag], axis=-1)
+    for arr in (nodes, w, poles):
+        arr.flags.writeable = False
+    return QuadratureRule(nodes=nodes, weights=w, poles=poles, rho=rho,
+                          n_r=n_r, n_theta=n_theta, n_patch=n_patch)
+
+
+def _build_rule(n_r: int, n_theta: int, pole_arr: np.ndarray,
+                n_patch: int) -> QuadratureRule:
+    """The rule :func:`disk_rule` describes, from validated counts and a
+    1-d complex pole array that the rule takes over.  Each background-grid
+    array is released as soon as it is used up, so the peak stays near
+    twice the rule's own bytes."""
     r, wr = _gauss_legendre(n_r, 0.0, 1.0)
     th = 2.0 * np.pi * np.arange(n_theta) / n_theta
     z_bg = (r[:, None] * np.exp(1j * th)[None, :]).ravel()
     w_bg = (wr * r)[:, None].repeat(n_theta, axis=1).ravel() * (2.0 * np.pi / n_theta)
 
     if pole_arr.size == 0:
-        return QuadratureRule(
-            nodes=np.stack([z_bg.real, z_bg.imag], axis=-1),
-            weights=w_bg, poles=pole_arr, rho=None,
-            n_r=n_r, n_theta=n_theta, n_patch=n_patch,
-        )
+        return _frozen_rule(z_bg, w_bg, pole_arr, None, n_r, n_theta, n_patch)
 
     if n_patch < _MIN_NPATCH:
         raise ConfigError(f"n_patch must be at least {_MIN_NPATCH}, got {n_patch}")
@@ -263,11 +312,14 @@ def disk_rule(n_r: int = 64, n_theta: int = 128, poles: Sequence = (),
         dist = np.abs(z_bg - p)
         near = np.flatnonzero(dist < rho)
         chi = _window(dist[near], rho)
+        del dist
         b_chi[i] = _fsum(w_bg[near] * chi)
         fac[near] -= chi
     keep = fac > 1e-14
     nodes = [z_bg[keep]]
+    del z_bg
     weights = [w_bg[keep] * fac[keep]]
+    del w_bg, fac, keep
 
     # pole patches: graded polar rule over B(p, rho), windowed by chi,
     # rescaled so the patch contributes exactly what the background gave up
@@ -297,9 +349,12 @@ def disk_rule(n_r: int = 64, n_theta: int = 128, poles: Sequence = (),
         good = w_patch > 0.0
         nodes.append(z_patch[good])
         weights.append(w_patch[good])
+    del z_patch, w_patch, good
 
     z_all = np.concatenate(nodes)
+    del nodes
     w_all = np.concatenate(weights)
+    del weights
     # invariant guards: strict interior, clear of pole centers
     if np.any(np.abs(z_all) >= 1.0):
         raise DomainError("constructed node on or outside the boundary")
@@ -307,11 +362,7 @@ def disk_rule(n_r: int = 64, n_theta: int = 128, poles: Sequence = (),
         d = np.min(np.abs(z_all - p))
         if d < 1e-10:
             raise ConfigError(f"node within {d:.2e} of pole {p:.6g}")
-    return QuadratureRule(
-        nodes=np.stack([z_all.real, z_all.imag], axis=-1),
-        weights=w_all, poles=pole_arr, rho=rho,
-        n_r=n_r, n_theta=n_theta, n_patch=n_patch,
-    )
+    return _frozen_rule(z_all, w_all, pole_arr, rho, n_r, n_theta, n_patch)
 
 
 @dataclass(frozen=True)

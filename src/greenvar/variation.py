@@ -271,10 +271,10 @@ def _closed_form_integrand(family, fmap: ConformalMap, wa, wb,
     nodes and raises :class:`EvaluationError` where the two disagree."""
     pieces = _tensor_route(family, fmap, wa, wb, metric, velocity)
 
-    def closed_form(z):
-        out = np.zeros(z.shape)
-        for lo in range(0, z.size, CLOSED_FORM_BLOCK):
-            zb = z[lo:lo + CLOSED_FORM_BLOCK]
+    def closed_form(points):
+        out = np.zeros(len(points))
+        for lo in range(0, len(points), CLOSED_FORM_BLOCK):
+            zb = to_complex(points[lo:lo + CLOSED_FORM_BLOCK])
             x = to_points(fmap(zb))
             _require_conformal(metric, x)
             if velocity is None:
@@ -287,7 +287,7 @@ def _closed_form_integrand(family, fmap: ConformalMap, wa, wb,
         return out
 
     def integrand(points):
-        vals = closed_form(to_complex(points))
+        vals = closed_form(points)
         idx = np.unique(np.linspace(0, len(points) - 1, CROSS_CHECK_NODES).astype(int))
         T, D, vol = pieces(points[idx])
         ref = _contract(T, D, vol)
@@ -354,9 +354,11 @@ def flux_variation(family, a, b, m: Optional[int] = None,
     met = emt.metric
 
     x = n = to_points(grid.params)
-    T = emt.emt_contra(x)
-    g = met(x)
-    ginv = met.inverse(x)
+    # f^* g is conformal: g and g^{-1} from one evaluation of its scale
+    s = met._scale(x)
+    g = s[..., None, None] * np.eye(2)
+    ginv = (1.0 / s)[..., None, None] * np.eye(2)
+    T = emt._emt_contra(x, ginv)
     v_low = np.einsum("mij,mj->mi", g, v(x))
     # unit conormal: the flat normal covector, normalized in g^{-1}
     nu = n / np.sqrt(np.einsum("mij,mi,mj->m", ginv, n, n))[:, None]

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from greenvar import quadrature
+
 # FD-heavy properties can exceed the default deadline on slow machines;
 # correctness here is about values, not latency.
 settings.register_profile(
@@ -25,3 +27,11 @@ def interior_points(rng, count, radius=0.85, min_radius=0.0):
     r = rng.uniform(min_radius, radius, count)
     th = rng.uniform(0.0, 2.0 * np.pi, count)
     return r * np.exp(1j * th)
+
+
+@pytest.fixture(autouse=True)
+def no_held_rules():
+    """Every test starts and ends with no rule held by ``disk_rule``."""
+    quadrature._recent.clear()
+    yield
+    quadrature._recent.clear()

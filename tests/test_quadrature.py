@@ -1,6 +1,7 @@
 """Disk quadrature: exactness, positivity, pole patches, convergence."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -225,6 +226,61 @@ def test_gauss_legendre_nodes_cached_read_only():
         with pytest.raises(ValueError):
             arr[0] = 0.5
 
+
+
+# pole preimages of (0.1, 0.05) and (-0.3, 0.2) under f = z + 0.1 z^2
+CURVED_POLES = [complex(ConformalMap([1.0, 0.1]).inverse(x))
+                for x in (0.1 + 0.05j, -0.3 + 0.2j)]
+
+
+def test_equal_inputs_share_one_read_only_rule():
+    poles = np.array(CURVED_POLES)
+    rule = disk_rule(64, 128, poles, 32)
+    assert disk_rule(64, 128, poles, 32) is rule
+    assert disk_rule(np.int64(64), 128, list(CURVED_POLES), 32) is rule
+    assert disk_rule(64, 128, CURVED_POLES, 32).coarse() is disk_rule(32, 64, CURVED_POLES, 16)
+    for arr in (rule.nodes, rule.weights, rule.poles):
+        with pytest.raises(ValueError):
+            arr[0] = 0.5
+    # the caller's complex array is copied, not frozen
+    assert poles.flags.writeable
+    poles[0] = 0.0
+    assert rule.poles[0] == CURVED_POLES[0]
+
+
+def test_two_rules_are_held_most_recent_first():
+    first = disk_rule(16, 32)
+    second = disk_rule(16, 32, poles=[0.3 + 0.1j], n_patch=8)
+    disk_rule(8, 16)
+    assert disk_rule(16, 32, poles=[0.3 + 0.1j], n_patch=8) is second
+    again = disk_rule(16, 32)
+    assert again is not first
+    assert np.array_equal(again.nodes, first.nodes)
+    assert np.array_equal(again.weights, first.weights)
+    assert len(quadrature._recent) == quadrature.RECENT_RULES == 2
+
+
+def test_failed_builds_raise_again_and_are_not_held():
+    for _ in range(2):
+        with pytest.raises(ConfigError, match="node within .* of pole"):
+            disk_rule(poles=CURVED_POLES, n_patch=256)
+        with pytest.raises(CoincidentPoleError):
+            disk_rule(16, 32, poles=[0.2 + 0.1j, 0.2 + 0.1j], n_patch=8)
+    assert quadrature._recent == []
+
+
+def test_cold_build_peaks_near_twice_the_rule():
+    # the background grid's temporaries are released before the patches,
+    # the concatenation and the node guards (4.3x the rule's bytes otherwise)
+    disk_rule(128, 256, CURVED_POLES, 64)
+    quadrature._recent.clear()
+    tracemalloc.start()
+    try:
+        rule = disk_rule(128, 256, CURVED_POLES, 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.0 * (rule.nodes.nbytes + rule.weights.nbytes)
 
 # _fsum must return the double math.fsum returns, on both sides of the size
 # at which it switches to the extraction sum, and raise where fsum raises.

@@ -16,7 +16,7 @@ from greenvar.conformal import (
     rotation_family,
 )
 from greenvar.energy_momentum import PolarizedEMT
-from greenvar import variation
+from greenvar import quadrature, variation
 from greenvar.errors import (CoincidentPoleError, ConfigError, DegenerateMetricError,
                              DomainError, EvaluationError)
 from greenvar.greens import GreenFunction, green_gradient_field, interior_rule, mutual_energy
@@ -494,6 +494,48 @@ def test_volume_inverts_each_pole_once(monkeypatch):
     volume_variation(fam, CURVED_A, CURVED_B, velocity=square_velocity(), n_r=32,
                      n_theta=64, n_patch=16)
     assert calls == [1, 1]
+
+
+def test_flux_evaluates_the_scale_once(monkeypatch):
+    # g, g^{-1} and T^{ij} on the circle share one evaluation of exp(2 phi)
+    calls = []
+    scale = MetricField._scale
+    monkeypatch.setattr(MetricField, "_scale",
+                        lambda self, x: calls.append(len(x)) or scale(self, x))
+    flux_variation(curved_family(), CURVED_A, CURVED_B, m=256, metric=curved_metric())
+    assert calls == [256]
+
+
+LADDER = [(32, 64, 16), (64, 128, 32), (128, 256, 64), (256, 512, 128)]
+
+
+def checked_ladder(clear=False):
+    """``volume_variation`` with its convergence check on four doubling
+    rungs, the family velocity and ``(x^2, x y)`` at each, as exact bits."""
+    fam, met, v = curved_family(), curved_metric(), square_velocity()
+    out = []
+    for n_r, n_theta, n_patch in LADDER:
+        for vel in (None, v):
+            if clear:
+                quadrature._recent.clear()
+            est = volume_variation(fam, CURVED_A, CURVED_B, metric=met, velocity=vel,
+                                   n_r=n_r, n_theta=n_theta, n_patch=n_patch)
+            out.append([est.value.hex(), est.pairing.hex(),
+                        est.quadrature.value.hex(), est.quadrature.coarse_value.hex()])
+    return out
+
+
+def test_checked_ladder_builds_each_rule_once(monkeypatch):
+    # 8 estimates of a fine and a coarse rule each, 5 distinct rules: rung k's
+    # coarse rule is rung k-1's rule, and both velocities share the rung's rule
+    built = []
+    build = quadrature._build_rule
+    monkeypatch.setattr(quadrature, "_build_rule",
+                        lambda *args: built.append(args[:2]) or build(*args))
+    warm = checked_ladder()
+    assert built == [(32, 64), (16, 32), (64, 128), (128, 256), (256, 512)]
+    assert checked_ladder(clear=True) == warm
+    assert len(built) == 5 + 16
 
 
 def test_matrix_metric_cross_check_is_at_rounding_level():
