@@ -369,7 +369,7 @@ def boundary_grid(family, m: int = 256) -> BoundaryGrid:
     require_integers(m=m)
     if m < 4:
         raise ConfigError(f"boundary grid needs at least 4 nodes, got {m}")
-    fmap = family.map_at(0.0) if isinstance(family, DomainFamily) else family
+    fmap = family.base if isinstance(family, DomainFamily) else family
     th = 2.0 * np.pi * np.arange(m) / m
     e = np.exp(1j * th)
     fp = fmap.derivative(e)

@@ -13,6 +13,7 @@ transports conformally, ``G_Omega(f(z), f(w)) = G_D(z, w)``, which is what
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Optional
 
 import numpy as np
@@ -76,6 +77,11 @@ def _disk_gradient(z, w):
     return -np.conj(1.0 / (z - w) + np.conj(w) / (1.0 - z * np.conj(w))) / TWO_PI
 
 
+def _poisson(z, w):
+    # outward normal derivative of G(. , w) at z on the unit circle
+    return -(1.0 - np.abs(w) ** 2) / (np.abs(z - w) ** 2) / TWO_PI
+
+
 def disk_green(x, a):
     """Unit-disk Green function; ``x`` on the closed disk, ``a`` interior."""
     z, w = _cx(x), _cx(a)
@@ -104,7 +110,7 @@ def poisson_normal_derivative(x, a):
     if np.any(np.abs(np.abs(z) - 1.0) > 1e-8):
         raise DomainError("poisson_normal_derivative expects |x| = 1")
     _check_pole(w)
-    val = -(1.0 - np.abs(w) ** 2) / (np.abs(z - w) ** 2) / TWO_PI
+    val = _poisson(z, w)
     return float(val) if np.ndim(val) == 0 else val
 
 
@@ -115,9 +121,20 @@ class GreenFunction:
         self.map = fmap if fmap is not None else ConformalMap.identity()
 
     def pole_preimage(self, a):
+        """``f^{-1}(a)``; :class:`DomainError` unless it lies in the open disk."""
         w = self.map.inverse(_cx(a))
         _check_pole(w)
         return w
+
+    def pole_preimages(self, *poles):
+        """:meth:`pole_preimage` of each pole, inverted once, after checking
+        that no two are within ``COINCIDENCE_TOL`` (:class:`CoincidentPoleError`):
+        the one path from ambient poles to the disk."""
+        pts = [_cx(p) for p in poles]
+        for (i, p), (j, q) in combinations(enumerate(pts), 2):
+            if abs(p - q) < COINCIDENCE_TOL:
+                raise CoincidentPoleError(f"coincident poles (arguments {i} and {j})")
+        return [self.pole_preimage(p) for p in pts]
 
     def value(self, x, a):
         """``G_Omega(x, a)`` with ``x`` on the closure, ``a`` interior."""
@@ -159,7 +176,7 @@ class GreenFunction:
 def _normal_derivative(fmap: ConformalMap, params, w):
     """:meth:`GreenFunction.normal_derivative` at the boundary points
     ``f(params)``, ``|params| = 1``, for the pole preimage ``w``."""
-    return poisson_normal_derivative(params, w) / np.abs(fmap.derivative(params))
+    return _poisson(params, w) / np.abs(fmap.derivative(params))
 
 
 def green_gradient_field(fmap: ConformalMap, c) -> VectorField:
@@ -200,10 +217,8 @@ def interior_rule(fmap: Optional[ConformalMap], poles=(), n_r: int = 64,
     pulled back (evaluate at ``f(z)`` and multiply by ``|f'(z)|^2``, or
     evaluate a density against the pulled-back metric ``f^* g``).
     """
-    fmap = fmap if fmap is not None else ConformalMap.identity()
-    zs = [complex(fmap.inverse(_cx(p))) for p in poles]
-    _check_pole(np.asarray(zs))
-    return disk_rule(n_r, n_theta, poles=zs, n_patch=n_patch)
+    return disk_rule(n_r, n_theta, poles=GreenFunction(fmap).pole_preimages(*poles),
+                     n_patch=n_patch)
 
 
 def mutual_energy(fmap: Optional[ConformalMap], a, b,
@@ -218,20 +233,16 @@ def mutual_energy(fmap: Optional[ConformalMap], a, b,
     dimensions (conformal invariance of the Dirichlet pairing); this is
     exercised by tests rather than assumed.
     """
-    fmap = fmap if fmap is not None else ConformalMap.identity()
     green = GreenFunction(fmap)
-    wa, wb = green.pole_preimage(a), green.pole_preimage(b)
-    if abs(wa - wb) < COINCIDENCE_TOL:
-        raise CoincidentPoleError("mutual energy needs distinct source points")
+    wa, wb = green.pole_preimages(a, b)
     if rule is None:
-        rule = interior_rule(fmap, poles=[a, b])
-    disk = GreenFunction()
-    met = pullback_metric(fmap, metric) if metric is not None else None
+        rule = disk_rule(poles=[wa, wb])
+    met = pullback_metric(green.map, metric) if metric is not None else None
 
     def integrand(points):
         z = to_complex(points)
-        alpha = disk.gradient_z(z, wa)
-        beta = disk.gradient_z(z, wb)
+        alpha = _disk_gradient(z, wa)
+        beta = _disk_gradient(z, wb)
         if met is None:
             return np.real(alpha * np.conj(beta))
         phi = np.einsum("...i,...ij,...j->...", to_points(alpha), met.inverse(points),

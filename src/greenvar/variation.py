@@ -53,7 +53,7 @@ import numpy as np
 from .conformal import (ConformalMap, DomainFamily, boundary_grid, pullback_metric,
                         pullback_vector_field, to_complex, to_points)
 from .energy_momentum import PolarizedEMT
-from .errors import CoincidentPoleError, ConfigError, EvaluationError, GreenvarError
+from .errors import ConfigError, EvaluationError, GreenvarError
 from .greens import GreenFunction, _disk_gradient, _normal_derivative
 from .quadrature import IntegrationResult, boundary_integrate, disk_rule, integrate
 from .tensors import (MetricField, VectorField, euclidean_metric, strain_tensor,
@@ -114,17 +114,10 @@ def _base_map(family) -> ConformalMap:
     if family is None:
         return ConformalMap.identity()
     if isinstance(family, DomainFamily):
-        return family.map_at(0.0)
+        return family.base
     if isinstance(family, ConformalMap):
         return family
     raise ConfigError(f"expected DomainFamily or ConformalMap, got {type(family).__name__}")
-
-
-def _check_distinct(*points):
-    pts = [np.asarray(p, dtype=float).reshape(2) for p in points]
-    for (i, p), (j, q) in combinations(enumerate(pts), 2):
-        if np.hypot(*(p - q)) < 1e-12:
-            raise CoincidentPoleError(f"coincident poles (arguments {i} and {j})")
 
 
 def _require_conformal(metric: Optional[MetricField], x):
@@ -152,9 +145,9 @@ def boundary_nodes(fmap: ConformalMap, *poles) -> int:
     converges like ``r^m`` (Trefethen and Weideman, SIAM Rev. 2014), ``r =
     min(|s|, 1/|s|)`` for the singularity ``s`` of the integrand nearest the
     circle: a pole preimage, or a zero of ``f'`` (the integrand carries
-    ``h/f'`` and ``1/|f'|``)."""
-    return _boundary_nodes(fmap, [fmap.inverse(to_complex(np.asarray(p, float)))
-                                  for p in poles])
+    ``h/f'`` and ``1/|f'|``).  The poles are checked as by
+    :meth:`GreenFunction.pole_preimages`."""
+    return _boundary_nodes(fmap, GreenFunction(fmap).pole_preimages(*poles))
 
 
 def _boundary_nodes(fmap: ConformalMap, preimages) -> int:
@@ -170,10 +163,8 @@ def _boundary_nodes(fmap: ConformalMap, preimages) -> int:
 def _boundary_grid(family, m: Optional[int], *poles):
     """The base map, the pole preimages (each pole inverted once) and the
     boundary grid, ``boundary_nodes`` nodes unless ``m`` is given."""
-    _check_distinct(*poles)
     fmap = _base_map(family)
-    green = GreenFunction(fmap)
-    ws = [green.pole_preimage(p) for p in poles]
+    ws = GreenFunction(fmap).pole_preimages(*poles)
     grid = boundary_grid(fmap, m=m if m is not None else _boundary_nodes(fmap, ws))
     return fmap, ws, grid
 
@@ -254,7 +245,7 @@ def volume_integrand(family, a, b, metric: Optional[MetricField] = None,
     integrand in closed form and checks it against this one.
     """
     fmap = _base_map(family)
-    wa, wb = (fmap.inverse(to_complex(np.asarray(p, float))) for p in (a, b))
+    wa, wb = GreenFunction(fmap).pole_preimages(a, b)
     pieces = _tensor_route(family, fmap, wa, wb, metric, velocity)
     return lambda z: _contract(*pieces(z))
 
@@ -319,11 +310,10 @@ def volume_variation(family, a, b, metric: Optional[MetricField] = None,
     never quadratured: the ambient velocity at the two poles against the
     Green gradients at the pole preimages the rule is built on.
     """
-    _check_distinct(a, b)
     fmap = _base_map(family)
     v = _velocity(family, velocity)
     green = GreenFunction(fmap)
-    wa, wb = (green.pole_preimage(p) for p in (a, b))
+    wa, wb = green.pole_preimages(a, b)
     integrand = _closed_form_integrand(family, fmap, wa, wb, metric, velocity)
     rule = disk_rule(n_r, n_theta, poles=[wa, wb], n_patch=n_patch)
     quad = integrate(rule, integrand, check=check)
@@ -376,9 +366,9 @@ def fd_oracle(family: DomainFamily, a, b, dt: Optional[float] = None) -> float:
     they must remain inside both perturbed domains.  O(dt^2) accurate;
     the default step is ``DEFAULT_FD_FACTOR * t_max``.
     """
-    _check_distinct(a, b)
     if not isinstance(family, DomainFamily):
         raise ConfigError("fd_oracle needs a DomainFamily, not a bare map")
+    GreenFunction(family.base).pole_preimages(a, b)
     if dt is None:
         dt = DEFAULT_FD_FACTOR * family.t_max
     dt = float(dt)
@@ -476,13 +466,19 @@ def variation_report(family: DomainFamily, a, b, m: Optional[int] = None,
     recorded as skipped instead of raising; the report then cannot pass.
     The FD oracle is evaluated at ``dt`` and ``dt/2`` and the Richardson
     gap recorded, as a self-estimate of its own discretization error.
-    ``m`` defaults to :func:`boundary_nodes` of the two poles.  A metric
-    that is not conformal at the poles raises :class:`ConfigError` before
-    any estimator runs, whatever ``strict``.
+    ``m`` defaults to :func:`boundary_nodes` of the two poles.  Before any
+    estimator runs, whatever ``strict``, coincident poles raise
+    :class:`CoincidentPoleError`, a pole outside the open domain
+    :class:`DomainError` (both checked by
+    :meth:`GreenFunction.pole_preimages`), and a metric that is not
+    conformal at the poles :class:`ConfigError`: bad input is not an
+    estimator failure.
     """
+    fmap = _base_map(family)
+    ws = GreenFunction(fmap).pole_preimages(a, b)
     _require_conformal(metric, np.asarray([a, b], dtype=float))
     if m is None:
-        m = boundary_nodes(_base_map(family), a, b)
+        m = _boundary_nodes(fmap, ws)
     if dt is None:
         dt = DEFAULT_FD_FACTOR * family.t_max
     estimates: Dict[str, Optional[float]] = {}

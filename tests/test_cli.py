@@ -200,6 +200,24 @@ def test_converge_table(capsys, tmp_path):
     assert err[(3, "fd_oracle")] < err[(0, "fd_oracle")]
 
 
+def test_converge_rejects_an_unbuildable_ladder_before_any_work(capsys, tmp_path,
+                                                               monkeypatch):
+    # levels 4 doubles n_patch to 256 on the last rung, whose innermost patch
+    # ring (rho = 0.1) is 7.67e-11 from pole a: no estimator may run first
+    from greenvar import cli
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an estimator ran before the ladder was checked")
+
+    for name in ("boundary_variation", "fd_oracle", "flux_variation", "volume_variation"):
+        monkeypatch.setattr(cli, name, forbidden)
+    doc = default_config()
+    doc["levels"] = 4
+    code, out, err = run(capsys, "converge", "--config", write_config(tmp_path, doc))
+    assert (code, out) == (2, "")
+    assert err == "config error: node within 7.67e-11 of pole 0+0j\n"
+
+
 def test_converge_deterministic(capsys, tmp_path):
     doc = default_config()
     doc["quadrature"] = {"n_r": 8, "n_theta": 16, "n_patch": 8,

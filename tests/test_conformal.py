@@ -227,6 +227,14 @@ def test_boundary_grid_unit_circle():
     assert np.allclose(grid.weights, np.pi / 2)
 
 
+def test_boundary_grid_of_a_family_is_on_its_base_map():
+    # the t = 0 map is the family's base, not the base zero-padded to the
+    # perturbation's degree
+    for factory in BUILTIN_FAMILIES.values():
+        fam = factory()
+        assert boundary_grid(fam).map is fam.base
+
+
 def test_boundary_grid_min_nodes():
     with pytest.raises(ConfigError):
         boundary_grid(ConformalMap.identity(), m=3)

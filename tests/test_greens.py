@@ -18,6 +18,7 @@ from greenvar.conformal import (
 from greenvar.errors import CoincidentPoleError, DomainError
 from greenvar.greens import (
     GreenFunction,
+    _normal_derivative,
     disk_green,
     disk_green_gradient,
     green_gradient_field,
@@ -156,6 +157,32 @@ def test_normal_derivative_matches_gradient_dot_normal():
             ref = np.real(green.gradient_z(grid.params, green.pole_preimage(a)) * np.conj(n))
             got = green.normal_derivative(grid, a)
             assert np.max(np.abs(got / ref - 1.0)) < 1e-13
+
+
+def test_normal_derivative_kernel_is_the_checked_wrapper_bit_for_bit():
+    # _normal_derivative calls the unchecked Poisson kernel; the public
+    # poisson_normal_derivative stays as its reference
+    cubic = cubic_mix_family()
+    for fmap in (ConformalMap([1.0, 0.1]), cubic.base, cubic.map_at(0.5 * cubic.t_max)):
+        grid = boundary_grid(fmap, m=256)
+        green = GreenFunction(fmap)
+        for a in ((0.1, 0.05), (-0.3, 0.2), (0.5, -0.4)):
+            w, e = green.pole_preimage(a), grid.params
+            ref = poisson_normal_derivative(e, w) / np.abs(fmap.derivative(e))
+            assert np.array_equal(_normal_derivative(fmap, e, w), ref)
+            assert np.array_equal(green.normal_derivative(grid, a), ref)
+
+
+def test_pole_preimages_checks_coincidence_and_the_open_disk():
+    fmap = ConformalMap([1.0, 0.1])
+    green = GreenFunction(fmap)
+    poles = [(0.1, 0.05), -0.3 + 0.2j, np.array([0.25, -0.35])]
+    assert green.pole_preimages(*poles) == [green.pole_preimage(p) for p in poles]
+    assert green.pole_preimages() == []
+    with pytest.raises(CoincidentPoleError, match="arguments 0 and 2"):
+        green.pole_preimages((0.1, 0.05), (0.2, 0.0), 0.1 + 0.05j)
+    with pytest.raises(DomainError):
+        green.pole_preimages((0.1, 0.05), (1.1, 0.0))
 
 
 @given(small, small, small, small)

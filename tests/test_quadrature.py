@@ -282,6 +282,22 @@ def test_cold_build_peaks_near_twice_the_rule():
         tracemalloc.stop()
     assert peak <= 3.0 * (rule.nodes.nbytes + rule.weights.nbytes)
 
+
+def test_unbuildable_patch_fails_before_the_background_grid():
+    # at n_patch 256 the innermost patch ring sits rho * 7.67e-10 from its
+    # pole, inside the 1e-10 node guard: the build raises before it
+    # allocates the 3 MB background grid of a 256x512 rule
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match="node within 6.68e-11 of pole 0.0992552"):
+            disk_rule(256, 512, poles=CURVED_POLES, n_patch=256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.3e6
+    assert quadrature._recent == []
+
+
 # _fsum must return the double math.fsum returns, on both sides of the size
 # at which it switches to the extraction sum, and raise where fsum raises.
 FSUM_MAX_N = 3 * quadrature.FSUM_EXTRACT_MIN

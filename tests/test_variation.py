@@ -228,6 +228,51 @@ def test_triple_rejects_coincident_points():
         triple_variation(None, A0, A0, (0.0, 0.5))
 
 
+POLE_ENTRY_POINTS = {
+    "boundary_nodes": lambda fam, a, b: boundary_nodes(fam.base, a, b),
+    "volume_integrand": lambda fam, a, b: volume_integrand(fam, a, b),
+    "interior_rule": lambda fam, a, b: interior_rule(fam.base, poles=[a, b], n_r=16,
+                                                     n_theta=32, n_patch=8),
+    "mutual_energy": lambda fam, a, b: mutual_energy(fam.base, a, b),
+    "boundary_variation": lambda fam, a, b: boundary_variation(fam, a, b),
+    "volume_variation": lambda fam, a, b: volume_variation(fam, a, b, n_r=16, n_theta=32,
+                                                           n_patch=8),
+    "flux_variation": lambda fam, a, b: flux_variation(fam, a, b),
+    "fd_oracle": lambda fam, a, b: fd_oracle(fam, a, b),
+    "triple_variation": lambda fam, a, b: triple_variation(fam, a, b, (-0.3, 0.2)),
+    "variation_report": lambda fam, a, b: variation_report(fam, a, b, n_r=16, n_theta=32,
+                                                           n_patch=8),
+    "variation_report_lenient": lambda fam, a, b: variation_report(
+        fam, a, b, m=256, n_r=16, n_theta=32, n_patch=8, strict=False),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(POLE_ENTRY_POINTS))
+def test_every_entry_point_rejects_bad_poles(entry):
+    # bad poles are bad input, not an estimator failure: every entry point
+    # raises, variation_report whatever strict, and boundary_nodes no longer
+    # returns a resolution for them
+    run, fam = POLE_ENTRY_POINTS[entry], cubic_mix_family()
+    with pytest.raises(CoincidentPoleError):
+        run(fam, (0.2, 0.1), (0.2, 0.1))
+    with pytest.raises(DomainError):
+        run(fam, (1.0, 0.0), (0.2, 0.1))
+
+
+def test_boundary_variation_runs_no_newton_sweep(monkeypatch):
+    # the t = 0 map of cubic_mix is its identity base, not the base padded
+    # to the perturbation's degree, so the poles invert in closed form
+    sweeps = []
+    newton = ConformalMap._newton
+    monkeypatch.setattr(ConformalMap, "_newton",
+                        lambda self, x, z: sweeps.append(x.size) or newton(self, x, z))
+    fam = cubic_mix_family()
+    boundary_variation(fam, (0.2, 0.1), (-0.3, 0.2))
+    assert sweeps == []
+    boundary_variation(curved_family(), CURVED_A, CURVED_B)
+    assert sweeps == [1, 1]
+
+
 def test_report_requires_all_estimators():
     with pytest.raises(ConfigError):
         VariationReport(estimates={"boundary": 1.0, "volume": 1.0})
