@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
@@ -30,7 +31,7 @@ from .errors import (
     DomainError,
     InjectivityError,
 )
-from .quadrature import require_integers
+from .quadrature import held, require_integers
 from .tensors import MetricField, VectorField
 
 __all__ = [
@@ -65,6 +66,12 @@ _GATE_POINTS = np.concatenate([
 
 NEWTON_MAXITER = 50
 NEWTON_TOL = 1e-14
+
+# A map holds its last RECENT_POLES pole preimages (a config's three poles,
+# or a few pole sets) and its last RECENT_GRIDS boundary grids (`converge`
+# asks for two at each m, `triple` seven times at one m).
+RECENT_POLES = 8
+RECENT_GRIDS = 2
 
 # Families constructed without an explicit t_max scan |t| up to this cap.
 T_SCAN_CAP = 4.0
@@ -113,7 +120,7 @@ def _horner(coeffs, z):
 
 
 def _as_coeffs(coeffs) -> np.ndarray:
-    c = np.atleast_1d(np.asarray(coeffs, dtype=complex))
+    c = np.atleast_1d(np.array(coeffs, dtype=complex))
     if c.ndim != 1 or c.size == 0:
         raise ConfigError("coefficient list must be a non-empty 1-d sequence")
     return c
@@ -125,6 +132,8 @@ class ConformalMap:
     ``coeffs[k]`` is ``c_{k+1}``; the constant term is absent so ``f(0) = 0``.
     Construction runs the injectivity gate (``c_1 != 0`` and ``|f'| > 0`` on
     the fixed boundary/interior check grids) unless ``check=False``.
+    A map holds its pole preimages, boundary grids and the zeros of ``f'``,
+    so ``coeffs`` (a copy of the argument) is not writeable.
     """
 
     def __init__(self, coeffs, check: bool = True):
@@ -133,6 +142,9 @@ class ConformalMap:
         k = np.arange(1, self.coeffs.size + 1)
         self._dcoeffs = self.coeffs * k
         self._ddcoeffs = (self.coeffs * k * (k - 1))[1:]
+        for arr in (self.coeffs, self._dcoeffs, self._ddcoeffs):
+            arr.flags.writeable = False
+        self._preimages, self._grids = [], []
         if check:
             if self.coeffs[0] == 0:
                 raise InjectivityError("leading coefficient c_1 must be nonzero")
@@ -171,6 +183,10 @@ class ConformalMap:
     def passes_gate(self) -> bool:
         return self.coeffs[0] != 0 and self.gate_min_derivative() > GATE_FLOOR
 
+    @cached_property
+    def _critical_points(self) -> np.ndarray:
+        return np.roots(self._dcoeffs[::-1])
+
     def inverse(self, x):
         """Preimage ``z = f^{-1}(x)`` for ``x`` in the image of the closed disk.
 
@@ -178,11 +194,14 @@ class ConformalMap:
         residual ``|f(z) - x|`` is at most ``NEWTON_TOL max(1, |x|)``, then one
         more step.  A point left non-finite or outside the disk is solved by
         :meth:`_least_root`.  Raises :class:`DomainError` for a non-finite
-        ``x`` or a preimage of modulus above ``1 + 1e-9``.
+        ``x`` or a preimage of modulus above ``1 + 1e-9``.  The identity's
+        inverse of a point in the closed disk is a copy of it.
         """
         x = np.asarray(x, dtype=complex)
         if not np.all(np.isfinite(x)):
             raise DomainError("cannot invert a non-finite point")
+        if self.is_identity and np.all(np.abs(x) <= 1.0 + 1e-9):
+            return x.copy()[()]
         xf = x.ravel()
         with np.errstate(all="ignore"):
             z = xf / self.coeffs[0]
@@ -365,11 +384,19 @@ class BoundaryGrid:
 
 
 def boundary_grid(family, m: int = 256) -> BoundaryGrid:
-    """The M-node periodic trapezoid rule on ``d f(D)`` (a family's ``t = 0``)."""
+    """The M-node periodic trapezoid rule on ``d f(D)`` (a family's ``t = 0``),
+    its arrays held by the map for its last ``RECENT_GRIDS`` ``m``: read-only."""
     require_integers(m=m)
     if m < 4:
         raise ConfigError(f"boundary grid needs at least 4 nodes, got {m}")
     fmap = family.base if isinstance(family, DomainFamily) else family
+    return BoundaryGrid(*held(fmap._grids, m, RECENT_GRIDS, lambda: _grid_arrays(fmap, m)),
+                        map=fmap)
+
+
+def _grid_arrays(fmap: ConformalMap, m: int):
+    """``(nodes, normals, weights, params)`` of :func:`boundary_grid`, frozen
+    (the map holds these, not the grid, which refers back to the map)."""
     th = 2.0 * np.pi * np.arange(m) / m
     e = np.exp(1j * th)
     fp = fmap.derivative(e)
@@ -378,13 +405,10 @@ def boundary_grid(family, m: int = 256) -> BoundaryGrid:
         raise InjectivityError("boundary parametrization degenerate: |f'| ~ 0")
     # tangent is i e f'; outward normal is the tangent rotated by -90 degrees
     normal = e * fp / speed
-    return BoundaryGrid(
-        nodes=to_points(fmap(e)),
-        normals=to_points(normal),
-        weights=speed * (2.0 * np.pi / m),
-        params=e,
-        map=fmap,
-    )
+    arrays = (to_points(fmap(e)), to_points(normal), speed * (2.0 * np.pi / m), e)
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
 
 
 def normal_speed(grid: BoundaryGrid, v: VectorField) -> np.ndarray:

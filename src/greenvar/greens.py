@@ -18,10 +18,10 @@ from typing import Optional
 
 import numpy as np
 
-from .conformal import (BoundaryGrid, ConformalMap, _multiplication_matrix,
+from .conformal import (RECENT_POLES, BoundaryGrid, ConformalMap, _multiplication_matrix,
                         pullback_metric, to_complex, to_points)
-from .errors import CoincidentPoleError, DomainError
-from .quadrature import QuadratureRule, disk_rule, integrate
+from .errors import CoincidentPoleError, ConfigError, DomainError
+from .quadrature import QuadratureRule, disk_rule, held, integrate
 from .tensors import MetricField, VectorField, volume_density
 
 __all__ = [
@@ -54,6 +54,7 @@ def _cx(p):
 def _check_pole(w):
     if np.any(np.abs(w) >= 1.0 - COINCIDENCE_TOL):
         raise DomainError("source point must lie in the open domain")
+    return w
 
 
 def _check_eval(z):
@@ -121,10 +122,15 @@ class GreenFunction:
         self.map = fmap if fmap is not None else ConformalMap.identity()
 
     def pole_preimage(self, a):
-        """``f^{-1}(a)``; :class:`DomainError` unless it lies in the open disk."""
-        w = self.map.inverse(_cx(a))
-        _check_pole(w)
-        return w
+        """``f^{-1}(a)``; :class:`DomainError` unless it lies in the open disk.
+
+        The map holds the checked preimages of its last ``RECENT_POLES``
+        poles, keyed on their exact bits; every call returns a copy.
+        """
+        x = _cx(a)
+        w = held(self.map._preimages, (x.shape, x.tobytes()), RECENT_POLES,
+                 lambda: _check_pole(self.map.inverse(x)))
+        return _check_pole(np.copy(w)[()])
 
     def pole_preimages(self, *poles):
         """:meth:`pole_preimage` of each pole, inverted once, after checking
@@ -231,12 +237,15 @@ def mutual_energy(fmap: Optional[ConformalMap], a, b,
     and, given a ``metric``, ``alpha_i beta_j g^{ij} sqrt(det g)`` for the
     pulled-back ``g = f^* metric``.  Its value is metric-independent in two
     dimensions (conformal invariance of the Dirichlet pairing); this is
-    exercised by tests rather than assumed.
+    exercised by tests rather than assumed.  A given ``rule`` must have pole
+    patches at both preimages (:class:`ConfigError` otherwise).
     """
     green = GreenFunction(fmap)
     wa, wb = green.pole_preimages(a, b)
     if rule is None:
         rule = disk_rule(poles=[wa, wb])
+    elif not all(np.any(rule.poles == w) for w in (wa, wb)):
+        raise ConfigError("rule has no pole patches at the preimages of a and b")
     met = pullback_metric(green.map, metric) if metric is not None else None
 
     def integrand(points):

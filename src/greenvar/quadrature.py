@@ -256,14 +256,21 @@ def disk_rule(n_r: int = 64, n_theta: int = 128, poles: Sequence = (),
     if pole_arr.ndim != 1:
         raise ConfigError(f"poles must be a sequence of complex numbers, got {poles!r}")
     key = (n_r, n_theta, n_patch, pole_arr.shape, pole_arr.tobytes())
-    for i, (held, rule) in enumerate(_recent):
-        if held == key:
-            _recent.append(_recent.pop(i))
-            return rule
-    rule = _build_rule(n_r, n_theta, pole_arr, n_patch)
-    _recent.append((key, rule))
-    del _recent[:-RECENT_RULES]
-    return rule
+    return held(_recent, key, RECENT_RULES,
+                lambda: _build_rule(n_r, n_theta, pole_arr, n_patch))
+
+
+def held(store: list, key, keep: int, build: Callable):
+    """The value held under ``key`` in ``store``, a list of at most ``keep``
+    ``(key, value)`` pairs, least recently used first; else ``build()``, held."""
+    for i, (k, value) in enumerate(store):
+        if k == key:
+            store.append(store.pop(i))
+            return value
+    value = build()
+    store.append((key, value))
+    del store[:-keep]
+    return value
 
 
 def _frozen_rule(z, w, poles, rho, n_r, n_theta, n_patch) -> QuadratureRule:

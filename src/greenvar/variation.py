@@ -146,14 +146,10 @@ def boundary_nodes(fmap: ConformalMap, *poles) -> int:
     min(|s|, 1/|s|)`` for the singularity ``s`` of the integrand nearest the
     circle: a pole preimage, or a zero of ``f'`` (the integrand carries
     ``h/f'`` and ``1/|f'|``).  The poles are checked as by
-    :meth:`GreenFunction.pole_preimages`."""
-    return _boundary_nodes(fmap, GreenFunction(fmap).pole_preimages(*poles))
-
-
-def _boundary_nodes(fmap: ConformalMap, preimages) -> int:
-    """:func:`boundary_nodes` from the pole preimages."""
-    crit = np.abs(np.roots(fmap.coeffs[::-1] * np.arange(fmap.degree, 0, -1)))
-    r = max([abs(w) for w in preimages] + [min(c, 1.0 / c) for c in crit])
+    :meth:`GreenFunction.pole_preimages`, whose preimages the map holds."""
+    ws = GreenFunction(fmap).pole_preimages(*poles)
+    crit = np.abs(fmap._critical_points)
+    r = max([abs(w) for w in ws] + [min(c, 1.0 / c) for c in crit])
     m = DEFAULT_BOUNDARY_NODES
     while m < MAX_BOUNDARY_NODES and r**m > BOUNDARY_RATE_TARGET:
         m *= 2
@@ -165,7 +161,7 @@ def _boundary_grid(family, m: Optional[int], *poles):
     boundary grid, ``boundary_nodes`` nodes unless ``m`` is given."""
     fmap = _base_map(family)
     ws = GreenFunction(fmap).pole_preimages(*poles)
-    grid = boundary_grid(fmap, m=m if m is not None else _boundary_nodes(fmap, ws))
+    grid = boundary_grid(fmap, m=m if m is not None else boundary_nodes(fmap, *poles))
     return fmap, ws, grid
 
 
@@ -307,8 +303,10 @@ def volume_variation(family, a, b, metric: Optional[MetricField] = None,
     resolution whose pole patches sit at the preimages of ``a`` and ``b``.
     ``metric`` must be conformal (:class:`ConfigError` otherwise).  The
     pairing term ``v(b) . alpha(b) + v(a) . beta(a)`` is evaluated exactly,
-    never quadratured: the ambient velocity at the two poles against the
-    Green gradients at the pole preimages the rule is built on.
+    never quadratured: the velocity at the two poles against the Green
+    gradients at the pole preimages the rule is built on.  The family
+    velocity at a pole is ``h`` at its preimage; a given ``velocity`` is
+    evaluated at the ambient pole.
     """
     fmap = _base_map(family)
     v = _velocity(family, velocity)
@@ -318,7 +316,9 @@ def volume_variation(family, a, b, metric: Optional[MetricField] = None,
     rule = disk_rule(n_r, n_theta, poles=[wa, wb], n_patch=n_patch)
     quad = integrate(rule, integrand, check=check)
     # numpy scalars, so the value is PolarizedEMT.source_pairing's to the bit
-    va, vb = (v(np.asarray(p, dtype=float).reshape(2)) for p in (a, b))
+    va, vb = (v(np.asarray(p, dtype=float).reshape(2)) if velocity is not None
+              else to_points(ConformalMap(family.perturbation, check=False)(w))
+              for p, w in ((a, wa), (b, wb)))
     pairing = float(np.dot(vb, to_points(green.gradient_z(wb, wa)))
                     + np.dot(va, to_points(green.gradient_z(wa, wb))))
     return VolumeEstimate(value=float(quad) - pairing, pairing=pairing,
@@ -475,10 +475,10 @@ def variation_report(family: DomainFamily, a, b, m: Optional[int] = None,
     estimator failure.
     """
     fmap = _base_map(family)
-    ws = GreenFunction(fmap).pole_preimages(a, b)
+    GreenFunction(fmap).pole_preimages(a, b)
     _require_conformal(metric, np.asarray([a, b], dtype=float))
     if m is None:
-        m = _boundary_nodes(fmap, ws)
+        m = boundary_nodes(fmap, a, b)
     if dt is None:
         dt = DEFAULT_FD_FACTOR * family.t_max
     estimates: Dict[str, Optional[float]] = {}

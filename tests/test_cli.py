@@ -218,6 +218,30 @@ def test_converge_rejects_an_unbuildable_ladder_before_any_work(capsys, tmp_path
     assert err == "config error: node within 7.67e-11 of pole 0+0j\n"
 
 
+def test_converge_inverts_each_pole_once(capsys, tmp_path, monkeypatch):
+    # the config check inverts a and b on the base map; the default m, the
+    # ladder check and every estimator at every rung take the held preimages
+    from greenvar.conformal import ConformalMap
+
+    doc = {"family": {"base": [[1.0, 0.0], [0.1, 0.0]],
+                      "perturbation": [[0.0, 0.0], [0.05, 0.0], [0.03, 0.0]]},
+           "metric": {"conformal_phi": [[1, 0, 0.2], [0, 2, 0.1]]},
+           "poles": {"a": [0.1, 0.05], "b": [-0.3, 0.2]},
+           "quadrature": {"n_r": 16, "n_theta": 32, "n_patch": 8}, "levels": 2}
+    calls = []
+    inverse = ConformalMap.inverse
+
+    def counted(self, x):
+        if np.array_equal(self.coeffs, [1.0, 0.1]):
+            calls.append(np.size(x))
+        return inverse(self, x)
+
+    monkeypatch.setattr(ConformalMap, "inverse", counted)
+    code, out, _ = run(capsys, "converge", "--config", write_config(tmp_path, doc))
+    assert code == 0 and len(out.strip().split("\n")) == 9
+    assert calls == [1, 1]
+
+
 def test_converge_deterministic(capsys, tmp_path):
     doc = default_config()
     doc["quadrature"] = {"n_r": 8, "n_theta": 16, "n_patch": 8,

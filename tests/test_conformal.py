@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from greenvar.conformal import (BUILTIN_FAMILIES, ConformalMap, DomainFamily,
+from greenvar.conformal import (BUILTIN_FAMILIES, RECENT_GRIDS, ConformalMap, DomainFamily,
                                 boundary_grid, cubic_mix_family,
                                 dilation_family, enclosed_area, normal_speed,
                                 quadratic_bump_family, rotation_family,
@@ -50,6 +50,28 @@ def test_identity_fast_paths():
     assert np.array_equal(ident(z), z)
     assert np.array_equal(ident.inverse(z), z)
     assert np.array_equal(ident.second_derivative(z), np.zeros_like(z))
+
+
+def test_identity_inverse_is_a_checked_copy(monkeypatch):
+    # no Newton sweep and no root fallback in the closed disk, the input's
+    # bits (signed zeros included), and the same two errors as any other map
+    def forbidden(*args):
+        raise AssertionError("the identity ran the Newton machinery")
+
+    monkeypatch.setattr(ConformalMap, "_newton", forbidden)
+    monkeypatch.setattr(ConformalMap, "_least_root", forbidden)
+    monkeypatch.setattr(np, "errstate", forbidden)
+    ident = ConformalMap.identity()
+    z = np.array([complex(-0.0, 0.0), 0.3 - 0.2j, 1.0 + 5e-10])
+    out = ident.inverse(z)
+    assert out is not z and np.array_equal(out, z)
+    assert np.signbit(out[0].real)
+    assert ident.inverse(0.5j) == 0.5j and np.ndim(ident.inverse(0.5j)) == 0
+    monkeypatch.undo()
+    with pytest.raises(DomainError, match="preimage modulus 1.5$"):
+        ident.inverse(np.array([0.2, 1.5, 2.0]))
+    with pytest.raises(DomainError, match="non-finite"):
+        ident.inverse(np.array([0.2, complex(np.nan, 0.0)]))
 
 
 def test_injectivity_gate():
@@ -233,6 +255,33 @@ def test_boundary_grid_of_a_family_is_on_its_base_map():
     for factory in BUILTIN_FAMILIES.values():
         fam = factory()
         assert boundary_grid(fam).map is fam.base
+
+
+def test_boundary_grid_is_held_per_map_and_read_only():
+    fmap = ConformalMap([1.0, 0.1])
+    first = boundary_grid(fmap, m=64)
+    again = boundary_grid(fmap, m=64)
+    assert again.nodes is first.nodes and again.params is first.params
+    for m in range(8, 18):
+        boundary_grid(fmap, m=m)
+    assert len(fmap._grids) == RECENT_GRIDS
+    # a grid built again after it was dropped has the same bits
+    assert boundary_grid(fmap, m=64).nodes is not first.nodes
+    assert np.array_equal(boundary_grid(fmap, m=64).weights, first.weights)
+    assert boundary_grid(ConformalMap([1.0, 0.1]), m=64).map is not fmap
+    for arr in (first.nodes, first.normals, first.weights, first.params):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+def test_coefficients_are_a_read_only_copy():
+    coeffs = np.array([1.0, 0.1 + 0.0j])
+    fmap = ConformalMap(coeffs)
+    for arr in (fmap.coeffs, fmap._dcoeffs, fmap._ddcoeffs):
+        with pytest.raises(ValueError):
+            arr[0] = 2.0
+    coeffs[1] = 0.2
+    assert fmap.coeffs[1] == 0.1
 
 
 def test_boundary_grid_min_nodes():

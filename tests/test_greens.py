@@ -9,13 +9,14 @@ from hypothesis import strategies as st
 
 from greenvar.conformal import (
     BUILTIN_FAMILIES,
+    RECENT_POLES,
     ConformalMap,
     boundary_grid,
     cubic_mix_family,
     to_complex,
     to_points,
 )
-from greenvar.errors import CoincidentPoleError, DomainError
+from greenvar.errors import CoincidentPoleError, ConfigError, DomainError
 from greenvar.greens import (
     GreenFunction,
     _normal_derivative,
@@ -183,6 +184,52 @@ def test_pole_preimages_checks_coincidence_and_the_open_disk():
         green.pole_preimages((0.1, 0.05), (0.2, 0.0), 0.1 + 0.05j)
     with pytest.raises(DomainError):
         green.pole_preimages((0.1, 0.05), (1.1, 0.0))
+
+
+def test_pole_preimages_are_held_per_map_on_exact_bits(monkeypatch):
+    inverted = []
+    inverse = ConformalMap.inverse
+    monkeypatch.setattr(ConformalMap, "inverse",
+                        lambda self, x: inverted.append(self) or inverse(self, x))
+    fmap = ConformalMap([1.0, 0.1])
+    green = GreenFunction(fmap)
+    fresh = lambda p: GreenFunction(ConformalMap([1.0, 0.1])).pole_preimage(p)
+    w = green.pole_preimage((0.1, 0.05))
+    # the same pole as a complex number, through another GreenFunction of the map
+    assert GreenFunction(fmap).pole_preimage(0.1 + 0.05j) == w
+    assert inverted == [fmap]
+    assert fresh((0.1, 0.05)) == w
+    # 0.0 and -0.0 are two keys
+    green.pole_preimage(complex(0.0, 0.0))
+    green.pole_preimage(complex(-0.0, 0.0))
+    assert len(fmap._preimages) == 3
+    # every call returns a copy of what the map holds
+    pair = green.pole_preimage(np.array([[0.2, 0.0], [0.0, 0.3]]))
+    pair[0] = 0.0
+    assert np.array_equal(green.pole_preimage(np.array([[0.2, 0.0], [0.0, 0.3]])),
+                          fresh(np.array([[0.2, 0.0], [0.0, 0.3]])))
+    for k in range(100):
+        p = 0.5 * np.exp(2j * np.pi * k / 100)
+        assert green.pole_preimage(p) == fresh(p)
+    assert len(fmap._preimages) == RECENT_POLES
+    # outside the image, and on its boundary (preimage modulus 1): raised on
+    # every call, never held
+    held = list(fmap._preimages)
+    inverted.clear()
+    for bad in ((1.5, 0.0), fmap(1.0 + 0.0j)):
+        for _ in range(2):
+            with pytest.raises(DomainError):
+                green.pole_preimage(bad)
+    assert inverted == [fmap] * 4 and fmap._preimages == held
+
+
+def test_mutual_energy_rejects_a_rule_without_patches_at_the_preimages():
+    # without the patches the value is 0.112768 against G(a, b) = 0.109409
+    a, b = (0.2, 0.1), (-0.3, 0.25)
+    for rule in (disk_rule(64, 128), disk_rule(64, 128, poles=[0.2 + 0.1j, 0.5j]),
+                 interior_rule(None, poles=[(0.1, 0.1), (-0.3, 0.0)])):
+        with pytest.raises(ConfigError, match="pole patches"):
+            mutual_energy(None, a, b, rule=rule)
 
 
 @given(small, small, small, small)

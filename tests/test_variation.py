@@ -477,34 +477,17 @@ def test_non_conformal_metric_is_rejected():
             volume_variation(fam, CURVED_A, CURVED_B, metric=bad, **kw)
 
 
-def test_boundary_routes_invert_each_pole_once(monkeypatch):
-    # the family velocity is h at the node preimages, and the default m and
-    # the normal derivatives share one inversion per pole
-    calls = []
-    inverse = ConformalMap.inverse
-    monkeypatch.setattr(ConformalMap, "inverse",
-                        lambda self, x: calls.append(np.size(x)) or inverse(self, x))
-    fam = curved_family()
-    value = boundary_variation(fam, CURVED_A, CURVED_B)
-    assert calls == [1, 1]
-    calls.clear()
-    triple_variation(fam, CURVED_A, CURVED_B, (0.25, -0.35))
-    assert calls == [1, 1, 1]
-    monkeypatch.undo()
-    assert value == pytest.approx(boundary_variation(fam, CURVED_A, CURVED_B,
-                                                     velocity=fam.velocity_field()),
-                                  rel=1e-15, abs=0.0)
+CURVED_C = (0.25, -0.35)
+SMALL_RULE = dict(n_r=16, n_theta=32, n_patch=8)
 
 
-def count_inversions(monkeypatch):
-    """Record the size of every point batch inverted by a map other than the
-    identity (the disk Green gradients live on the identity map, whose
-    inverse is the division by ``c_1 = 1``)."""
+def count_inversions(monkeypatch, fmap):
+    """Record the size of every point batch ``fmap`` inverts."""
     calls = []
     inverse = ConformalMap.inverse
 
     def counted(self, x):
-        if not self.is_identity:
+        if self is fmap:
             calls.append(np.size(x))
         return inverse(self, x)
 
@@ -512,33 +495,102 @@ def count_inversions(monkeypatch):
     return calls
 
 
-def test_flux_inverts_each_pole_once(monkeypatch):
-    # the flux is evaluated on the circle: the default m and the disk EMT
-    # share one inversion per pole, and no node is inverted
-    calls = count_inversions(monkeypatch)
+def every_route(fam):
+    """Each entry point that takes the poles ``CURVED_A`` and ``CURVED_B``."""
+    a, b, met = CURVED_A, CURVED_B, curved_metric()
+    boundary_nodes(fam.base, a, b)
+    boundary_variation(fam, a, b)
+    boundary_variation(fam, b, a, m=512)
+    flux_variation(fam, a, b, metric=met)
+    flux_variation(fam, b, a, m=512, velocity=square_velocity())
+    for velocity in (None, square_velocity()):
+        volume_variation(fam, a, b, metric=met, velocity=velocity, **SMALL_RULE)
+    volume_integrand(fam, a, b)
+    fd_oracle(fam, a, b)
+    mutual_energy(fam.base, a, b, rule=interior_rule(fam.base, poles=[a, b], **SMALL_RULE))
+    variation_report(fam, a, b, metric=met, **SMALL_RULE)
+
+
+def test_boundary_routes_invert_each_pole_once(monkeypatch):
+    # the family velocity is h at the node preimages, and the default m and
+    # the normal derivatives take the preimages the base map holds: the first
+    # call inverts each pole once, a second call by any route none
     fam = curved_family()
+    calls = count_inversions(monkeypatch, fam.base)
+    value = boundary_variation(fam, CURVED_A, CURVED_B)
+    assert calls == [1, 1]
+    triple_variation(fam, CURVED_A, CURVED_B, CURVED_C)
+    assert calls == [1, 1, 1]
+    triple_variation(fam, CURVED_C, CURVED_A, CURVED_B, m=512)
+    every_route(fam)
+    assert calls == [1, 1, 1]
+    monkeypatch.undo()
+    assert value == pytest.approx(boundary_variation(fam, CURVED_A, CURVED_B,
+                                                     velocity=fam.velocity_field()),
+                                  rel=1e-15, abs=0.0)
+
+
+def test_flux_inverts_each_pole_once(monkeypatch):
+    # the flux is evaluated on the circle, so no node is inverted; the default
+    # m and the disk EMT take the preimages the base map holds
     for metric in (None, curved_metric()):
+        fam = curved_family()
+        calls = count_inversions(monkeypatch, fam.base)
         flux_variation(fam, CURVED_A, CURVED_B, metric=metric)
         assert calls == [1, 1]
-        calls.clear()
-        flux_variation(fam, CURVED_A, CURVED_B, m=512, metric=metric,
-                       velocity=square_velocity())
+        every_route(fam)
         assert calls == [1, 1]
-        calls.clear()
+        monkeypatch.undo()
 
 
 def test_volume_inverts_each_pole_once(monkeypatch):
-    # the pole preimages, then the ambient family velocity at the two poles;
-    # the pairing reuses the preimages
-    calls = count_inversions(monkeypatch)
+    # the preimages the base map holds serve the rule, the Green gradients of
+    # the pairing and the family velocity at the poles, h at the preimage
+    for velocity in (None, square_velocity()):
+        fam = curved_family()
+        calls = count_inversions(monkeypatch, fam.base)
+        volume_variation(fam, CURVED_A, CURVED_B, metric=curved_metric(), velocity=velocity,
+                         **SMALL_RULE)
+        assert calls == [1, 1]
+        every_route(fam)
+        assert calls == [1, 1]
+        monkeypatch.undo()
+
+
+def test_report_inverts_each_pole_once(monkeypatch):
+    # the report's own check, boundary_nodes, the four estimators and the FD
+    # oracle's check at dt and dt/2 take the preimages the base map holds
     fam = curved_family()
-    volume_variation(fam, CURVED_A, CURVED_B, metric=curved_metric(), n_r=32,
-                     n_theta=64, n_patch=16)
-    assert len(calls) <= 4 and set(calls) == {1}
-    calls.clear()
-    volume_variation(fam, CURVED_A, CURVED_B, velocity=square_velocity(), n_r=32,
-                     n_theta=64, n_patch=16)
+    calls = count_inversions(monkeypatch, fam.base)
+    variation_report(fam, CURVED_A, CURVED_B, **SMALL_RULE)
     assert calls == [1, 1]
+
+
+def estimate_bits(family):
+    """Every estimator, each on the family ``family()`` returns, as exact bits."""
+    a, b, met = CURVED_A, CURVED_B, curved_metric()
+
+    def volume(velocity):
+        est = volume_variation(family(), a, b, metric=met, velocity=velocity, **SMALL_RULE)
+        return [est.value, est.pairing, est.quadrature.value, est.quadrature.coarse_value]
+
+    return [
+        boundary_variation(family(), a, b).hex(),
+        flux_variation(family(), a, b, metric=met).hex(),
+        triple_variation(family(), a, b, CURVED_C).hex(),
+        [v.hex() for v in volume(None) + volume(square_velocity())],
+        fd_oracle(family(), a, b).hex(),
+        repr(variation_report(family(), a, b, metric=met, **SMALL_RULE).to_json()),
+    ]
+
+
+@pytest.mark.parametrize("factory", [curved_family, cubic_mix_family])
+def test_held_preimages_and_grids_give_the_bits_of_a_fresh_map(factory):
+    # cold: each estimator on a fresh family; warm: all on one family, twice
+    fam = factory()
+    estimate_bits(lambda: fam)
+    assert len(fam.base._preimages) == 3 and len(fam.base._grids) == 1
+    assert estimate_bits(lambda: fam) == estimate_bits(factory)
 
 
 def test_flux_evaluates_the_scale_once(monkeypatch):
