@@ -242,6 +242,43 @@ def test_converge_inverts_each_pole_once(capsys, tmp_path, monkeypatch):
     assert calls == [1, 1]
 
 
+CURVED_LADDER = {"family": {"base": [[1.0, 0.0], [0.1, 0.0]],
+                            "perturbation": [[0.0, 0.0], [0.05, 0.0], [0.03, 0.0]]},
+                 "metric": {"conformal_phi": [[1, 0, 0.2], [0, 2, 0.1]]},
+                 "poles": {"a": [0.1, 0.05], "b": [-0.3, 0.2]}}
+
+
+@pytest.mark.parametrize("doc", [CURVED_LADDER, default_config()],
+                         ids=["curved", "flat_dilation"])
+def test_converge_builds_the_level_zero_rule_alone(capsys, tmp_path, monkeypatch, doc):
+    # the family velocity's interior integrand is exactly 0 on every rule, so
+    # each level's volume row is the level-0 estimate: the bits the rung's
+    # own rule gives, which is what a rung-by-rung ladder wrote
+    from greenvar import quadrature
+    from greenvar.conformal import DomainFamily
+    from greenvar.variation import volume_variation
+
+    doc = dict(doc, levels=3, quadrature={"n_r": 16, "n_theta": 32, "n_patch": 8})
+    built = []
+    build = quadrature._build_rule
+    monkeypatch.setattr(quadrature, "_build_rule",
+                        lambda *args: built.append(args[:2]) or build(*args))
+    code, out, _ = run(capsys, "converge", "--config", write_config(tmp_path, doc))
+    assert code == 0
+    assert built == [(16, 32)]
+    rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+    volume = {int(r[0]): float(r[2]) for r in rows if r[1] == "volume"}
+    assert sorted(volume) == [0, 1, 2]
+    fam = DomainFamily.from_json(doc["family"])
+    metric = _parse_metric(doc["metric"])[1]
+    a, b = (tuple(doc["poles"][k]) for k in "ab")
+    for level, value in volume.items():
+        s = 2**level
+        rung = volume_variation(fam, a, b, metric=metric, n_r=16 * s, n_theta=32 * s,
+                                n_patch=8 * s, check=False)
+        assert value.hex() == float(rung).hex()
+
+
 def test_converge_deterministic(capsys, tmp_path):
     doc = default_config()
     doc["quadrature"] = {"n_r": 8, "n_theta": 16, "n_patch": 8,

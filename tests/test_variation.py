@@ -606,6 +606,23 @@ def test_flux_evaluates_the_scale_once(monkeypatch):
 LADDER = [(32, 64, 16), (64, 128, 32), (128, 256, 64), (256, 512, 128)]
 
 
+def test_family_velocity_estimate_has_the_same_bits_on_every_rung():
+    # dbar v = 0 for the family velocity: the closed form writes exact zeros,
+    # the quadrature is +0.0 on every rule and the estimate is the pairing,
+    # which depends only on the pole preimages; (x^2, x y) moves with the rule
+    fam = curved_family()
+    for met in (curved_metric(), None):
+        def rungs(velocity):
+            return [volume_variation(fam, CURVED_A, CURVED_B, metric=met, velocity=velocity,
+                                     n_r=n_r, n_theta=n_theta, n_patch=n_patch, check=False)
+                    for n_r, n_theta, n_patch in LADDER]
+
+        family = rungs(None)
+        bits = {(e.value.hex(), e.pairing.hex(), e.quadrature.value.hex()) for e in family}
+        assert bits == {(family[0].value.hex(), family[0].pairing.hex(), (0.0).hex())}
+        assert len({e.value for e in rungs(square_velocity())}) == len(LADDER)
+
+
 def checked_ladder(clear=False):
     """``volume_variation`` with its convergence check on four doubling
     rungs, the family velocity and ``(x^2, x y)`` at each, as exact bits."""
