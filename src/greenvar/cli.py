@@ -31,6 +31,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, permutations
 from typing import Dict, Optional, Tuple
 
@@ -192,26 +193,21 @@ def _parse_metric(raw):
         _require(ok, f"conformal_phi term {k} must be [i >= 0, j >= 0, coeff]")
         parsed.append((term[0], term[1], float(term[2])))
 
-    def phi(p):
-        x, y = p[..., 0], p[..., 1]
-        out = np.zeros(np.shape(x))
-        for i, j, coef in parsed:
-            out = out + coef * x**i * y**j
-        return out
-
-    def grad_phi(p):
-        x, y = p[..., 0], p[..., 1]
-        gx = np.zeros(np.shape(x))
-        gy = np.zeros(np.shape(x))
-        for i, j, coef in parsed:
-            if i > 0:
-                gx = gx + coef * i * x ** (i - 1) * y**j
-            if j > 0:
-                gy = gy + coef * j * x**i * y ** (j - 1)
-        return np.stack([gx, gy], axis=-1)
-
+    d_x = [(i - 1, j, i * c) for i, j, c in parsed if i > 0]
+    d_y = [(i, j - 1, j * c) for i, j, c in parsed if j > 0]
     spec = {"conformal_phi": [[i, j, c] for i, j, c in parsed]}
-    return spec, conformal_metric(phi, grad_phi)
+    return spec, conformal_metric(
+        lambda p: _monomials(parsed, p),
+        lambda p: np.stack([_monomials(d_x, p), _monomials(d_y, p)], axis=-1))
+
+
+def _monomials(terms, p):
+    """``sum c x^i y^j`` over the ``(i, j, c)`` terms at the points ``p``."""
+    x, y = p[..., 0], p[..., 1]
+    out = np.zeros(np.shape(x))
+    for i, j, c in terms:
+        out = out + c * x**i * y**j
+    return out
 
 
 def _check_margin(green: GreenFunction, point, name: str):
@@ -304,20 +300,20 @@ def load_experiment(args) -> Experiment:
         _require(args.tol_volume > 0, "--tol-volume must be positive")
         tols["volume"] = args.tol_volume
 
-    fd_dt = raw.get("fd_dt")
-    if args.fd_dt is not None:
-        fd_dt = args.fd_dt
-    if fd_dt is None:
-        fd_dt = DEFAULT_FD_FACTOR * family.t_max
-    _require(_is_number(fd_dt) and 0.0 < float(fd_dt) <= family.t_max,
-             f"fd_dt must lie in (0, t_max = {family.t_max:g}]")
+    # the config's own value is checked even where the flag overrides it
+    fd_dt = DEFAULT_FD_FACTOR * family.t_max
+    for value in (raw.get("fd_dt"), args.fd_dt):
+        fd_dt = value if value is not None else fd_dt
+        _require(_is_number(fd_dt) and 0.0 < float(fd_dt) <= family.t_max,
+                 f"fd_dt must lie in (0, t_max = {family.t_max:g}]")
 
     levels = raw.get("levels", DEFAULT_LEVELS)
     _require(isinstance(levels, int) and not isinstance(levels, bool)
              and 1 <= levels <= 8, "levels must be an integer in [1, 8]")
 
-    out = args.out if args.out is not None else raw.get("out")
+    out = raw.get("out")
     _require(out is None or isinstance(out, str), "'out' must be a path string")
+    out = args.out if args.out is not None else out
 
     return Experiment(family=family, metric_spec=metric_spec, metric=metric,
                       a=a, b=b, c=c, quad=quad, fd_dt=float(fd_dt),
@@ -356,6 +352,8 @@ def run_verify(exp: Experiment, only: Optional[Tuple[str, ...]] = None):
     fmap = exp.family.base
     green = GreenFunction(fmap)
     za, zb = to_complex(np.asarray(exp.a)), to_complex(np.asarray(exp.b))
+    # the polarized EMT of the two poles, built once for the checks that use it
+    emt = cache(lambda: PolarizedEMT.from_map(fmap, exp.a, exp.b, metric=exp.metric))
 
     def samples(seed, lo, hi, n):
         """``f(z)`` for random ``lo < |z| < hi``, farther than 0.05 from both poles."""
@@ -393,19 +391,17 @@ def run_verify(exp: Experiment, only: Optional[Tuple[str, ...]] = None):
             "observed": worst, "threshold": BOUNDARY_VALUE_TOL}
 
     def trace_identity():
-        emt = PolarizedEMT.from_map(fmap, exp.a, exp.b, metric=exp.metric)
         pts = samples(0, 0.05, 0.9, 1000)
-        T = emt.emt_cov(pts)
+        T = emt().emt_cov(pts)
         scale = np.linalg.norm(T, axis=(-2, -1))
-        ratio = float(np.max(np.abs(trace_tensor(emt.metric, pts, T)) / scale))
+        ratio = float(np.max(np.abs(trace_tensor(emt().metric, pts, T)) / scale))
         return ratio < TRACE_TOL, {"observed": ratio, "threshold": TRACE_TOL}
 
     def divergence_residual():
-        emt = PolarizedEMT.from_map(fmap, exp.a, exp.b, metric=exp.metric)
         h = 1e-4
         pts = samples(1, 0.1, 0.85, 64)
-        div = emt.divergence(pts, h=h)
-        T = emt.emt_contra(pts)
+        div = emt().divergence(pts, h=h)
+        T = emt().emt_contra(pts)
         dist = np.minimum(np.abs(to_complex(pts) - za), np.abs(to_complex(pts) - zb))
         scale = np.linalg.norm(T, axis=(-2, -1)) / dist
         ratio = float(np.max(np.linalg.norm(div, axis=-1) / scale))

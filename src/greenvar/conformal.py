@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Optional, Union
 
 import numpy as np
@@ -154,9 +154,11 @@ class ConformalMap:
                     f"injectivity gate failed: min |f'| = {m:.3e} on check grids"
                 )
 
-    @classmethod
-    def identity(cls) -> "ConformalMap":
-        return cls([1.0 + 0.0j], check=False)
+    @staticmethod
+    @cache
+    def identity() -> "ConformalMap":
+        """The unit disk's map: one instance, so what it holds serves every caller."""
+        return ConformalMap([1.0 + 0.0j], check=False)
 
     @property
     def degree(self) -> int:
@@ -232,14 +234,6 @@ class ConformalMap:
         d = self.derivative(z)
         return z - (self(z) - xi) / d if d != 0 else z
 
-    def contains(self, x) -> bool:
-        """Whether the point lies in the closed image ``f(cl D)``."""
-        try:
-            self.inverse(x)
-        except DomainError:
-            return False
-        return True
-
     def __repr__(self):
         return f"ConformalMap({np.array2string(self.coeffs, precision=4)})"
 
@@ -247,14 +241,16 @@ class ConformalMap:
 class DomainFamily:
     """One-parameter family ``Omega(t) = (base + t * perturbation)(D)``.
 
-    ``t_max`` bounds the admissible parameter range.  When omitted it is set
-    to half the smallest ``|t|`` at which the injectivity gate first fails on
-    a coarse scan (cap ``T_SCAN_CAP`` when the gate never fails).
+    ``h`` is the perturbation map, built once; ``perturbation`` is its
+    read-only ``coeffs``.  ``t_max`` bounds the admissible parameter range.
+    When omitted it is set to half the smallest ``|t|`` at which the
+    injectivity gate first fails on a coarse scan (cap ``T_SCAN_CAP`` when the
+    gate never fails).
     """
 
     def __init__(self, base, perturbation, t_max: Optional[float] = None):
         self.base = base if isinstance(base, ConformalMap) else ConformalMap(base)
-        self.perturbation = _as_coeffs(perturbation)
+        self.h = ConformalMap(perturbation, check=False)
         if t_max is None:
             t_max = self._scan_t_max()
         if (not isinstance(t_max, (int, float)) or isinstance(t_max, bool)
@@ -263,11 +259,13 @@ class DomainFamily:
         self.t_max = float(t_max)
         self._check_range()
 
+    perturbation = property(lambda self: self.h.coeffs)
+
     def _gate_ok(self, ts) -> np.ndarray:
         """Per ``t``, whether ``base + t * perturbation`` passes the gate
         (``f' + t h'`` is affine in ``t``: ``f'``, ``h'`` are evaluated once)."""
         fp = self.base.derivative(_GATE_POINTS)
-        hp = ConformalMap(self.perturbation, check=False).derivative(_GATE_POINTS)
+        hp = self.h.derivative(_GATE_POINTS)
         c1 = self.base.coeffs[0] + ts * self.perturbation[0]
         return (c1 != 0) & np.array([np.min(np.abs(fp + t * hp)) > GATE_FLOOR for t in ts])
 
@@ -298,7 +296,7 @@ class DomainFamily:
         comes from the complex derivative ``h'(z) / f'(z)`` (Cauchy-Riemann
         structure), so no finite differencing is involved.
         """
-        base, pert = self.base, ConformalMap(self.perturbation, check=False)
+        base, pert = self.base, self.h
         return _holomorphic_field(lambda x: base.inverse(to_complex(x)), pert,
                                   lambda z: pert.derivative(z) / base.derivative(z),
                                   "family velocity")
@@ -309,7 +307,7 @@ class DomainFamily:
         Holomorphic, so its Jacobian is multiplication by the complex
         derivative ``(h' f' - h f'') / f'^2``; nothing is inverted.
         """
-        base, pert = self.base, ConformalMap(self.perturbation, check=False)
+        base, pert = self.base, self.h
 
         def slope(z):
             fp = base.derivative(z)
@@ -372,14 +370,16 @@ class BoundaryGrid:
     """Trapezoidal boundary rule on ``d Omega(t)``.
 
     ``nodes`` are the boundary points, ``normals`` the outward unit normals,
-    ``weights`` the arclength weights ``|gamma'(theta)| * 2 pi / M``, and
-    ``params`` the unit-circle parameters ``exp(i theta_m)``.
+    ``weights`` the arclength weights ``|gamma'(theta)| * 2 pi / M``,
+    ``params`` the unit-circle parameters ``exp(i theta_m)``, and ``speed``
+    the stretch ``|f'(params)|`` of the grid's ``map``.
     """
 
     nodes: np.ndarray
     normals: np.ndarray
     weights: np.ndarray
     params: np.ndarray
+    speed: np.ndarray
     map: ConformalMap
 
 
@@ -395,8 +395,8 @@ def boundary_grid(family, m: int = 256) -> BoundaryGrid:
 
 
 def _grid_arrays(fmap: ConformalMap, m: int):
-    """``(nodes, normals, weights, params)`` of :func:`boundary_grid`, frozen
-    (the map holds these, not the grid, which refers back to the map)."""
+    """``(nodes, normals, weights, params, speed)`` of :func:`boundary_grid`,
+    frozen (the map holds these, not the grid, which refers back to the map)."""
     th = 2.0 * np.pi * np.arange(m) / m
     e = np.exp(1j * th)
     fp = fmap.derivative(e)
@@ -405,7 +405,7 @@ def _grid_arrays(fmap: ConformalMap, m: int):
         raise InjectivityError("boundary parametrization degenerate: |f'| ~ 0")
     # tangent is i e f'; outward normal is the tangent rotated by -90 degrees
     normal = e * fp / speed
-    arrays = (to_points(fmap(e)), to_points(normal), speed * (2.0 * np.pi / m), e)
+    arrays = (to_points(fmap(e)), to_points(normal), speed * (2.0 * np.pi / m), e, speed)
     for arr in arrays:
         arr.flags.writeable = False
     return arrays

@@ -171,18 +171,21 @@ class GreenFunction:
         return g * np.conj(1.0 / self.map.derivative(z))
 
     def normal_derivative(self, grid: BoundaryGrid, a):
-        """Outward normal derivative at the nodes of a boundary grid.
+        """Outward normal derivative at the nodes of a boundary grid of this
+        function's map (:class:`ConfigError` for another map's grid).
 
         Conformal transport: the disk's Poisson kernel at the node's
         preimage ``e^{i theta}``, divided by ``|f'(e^{i theta})|``.
         """
-        return _normal_derivative(self.map, grid.params, self.pole_preimage(a))
+        if grid.map is not self.map:
+            raise ConfigError("boundary grid belongs to another conformal map")
+        return _normal_derivative(grid, self.pole_preimage(a))
 
 
-def _normal_derivative(fmap: ConformalMap, params, w):
-    """:meth:`GreenFunction.normal_derivative` at the boundary points
-    ``f(params)``, ``|params| = 1``, for the pole preimage ``w``."""
-    return _poisson(params, w) / np.abs(fmap.derivative(params))
+def _normal_derivative(grid: BoundaryGrid, w):
+    """:meth:`GreenFunction.normal_derivative` on ``grid`` for the pole
+    preimage ``w`` on ``grid.map``."""
+    return _poisson(grid.params, w) / grid.speed
 
 
 def green_gradient_field(fmap: ConformalMap, c) -> VectorField:

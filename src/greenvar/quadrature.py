@@ -269,7 +269,7 @@ def held(store: list, key, keep: int, build: Callable):
             return value
     value = build()
     store.append((key, value))
-    del store[:-keep]
+    del store[:max(len(store) - keep, 0)]
     return value
 
 

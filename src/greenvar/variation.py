@@ -157,12 +157,11 @@ def boundary_nodes(fmap: ConformalMap, *poles) -> int:
 
 
 def _boundary_grid(family, m: Optional[int], *poles):
-    """The base map, the pole preimages (each pole inverted once) and the
-    boundary grid, ``boundary_nodes`` nodes unless ``m`` is given."""
+    """The pole preimages (each pole inverted once) and the boundary grid on
+    the base map, ``boundary_nodes`` nodes unless ``m`` is given."""
     fmap = _base_map(family)
     ws = GreenFunction(fmap).pole_preimages(*poles)
-    grid = boundary_grid(fmap, m=m if m is not None else boundary_nodes(fmap, *poles))
-    return fmap, ws, grid
+    return ws, boundary_grid(fmap, m=m if m is not None else boundary_nodes(fmap, *poles))
 
 
 def boundary_variation(family, a, b, m: Optional[int] = None,
@@ -175,10 +174,10 @@ def boundary_variation(family, a, b, m: Optional[int] = None,
     metric the three boundary factors pick up conformal weights that cancel
     exactly.
     """
-    fmap, ws, grid = _boundary_grid(family, m, a, b)
-    pa, pb = (_normal_derivative(fmap, grid.params, w) for w in ws)
+    ws, grid = _boundary_grid(family, m, a, b)
+    pa, pb = (_normal_derivative(grid, w) for w in ws)
     if velocity is None and isinstance(family, DomainFamily):
-        v = to_points(ConformalMap(family.perturbation, check=False)(grid.params))
+        v = to_points(family.h(grid.params))
     else:
         v = _velocity(family, velocity)(grid.nodes)
     dn = np.einsum("mi,mi->m", v, grid.normals)
@@ -317,7 +316,7 @@ def volume_variation(family, a, b, metric: Optional[MetricField] = None,
     quad = integrate(rule, integrand, check=check)
     # numpy scalars, so the value is PolarizedEMT.source_pairing's to the bit
     va, vb = (v(np.asarray(p, dtype=float).reshape(2)) if velocity is not None
-              else to_points(ConformalMap(family.perturbation, check=False)(w))
+              else to_points(family.h(w))
               for p, w in ((a, wa), (b, wb)))
     pairing = float(np.dot(vb, to_points(green.gradient_z(wb, wa)))
                     + np.dot(va, to_points(green.gradient_z(wa, wb))))
@@ -336,11 +335,11 @@ def flux_variation(family, a, b, m: Optional[int] = None,
     circle against ``f^* g``, with the disk EMT and velocity of
     :func:`volume_integrand`: at ``e^{i theta}`` the flat outward unit
     normal is the point itself and the arclength weight ``2 pi / m`` is
-    ``grid.weights / |f'|``, so no node is inverted.  ``metric`` must be
+    ``grid.weights / grid.speed``, so no node is inverted.  ``metric`` must be
     conformal (:class:`ConfigError` otherwise).
     """
-    fmap, (wa, wb), grid = _boundary_grid(family, m, a, b)
-    emt, v = _disk_fields(family, fmap, wa, wb, metric, velocity)
+    (wa, wb), grid = _boundary_grid(family, m, a, b)
+    emt, v = _disk_fields(family, grid.map, wa, wb, metric, velocity)
     met = emt.metric
 
     x = n = to_points(grid.params)
@@ -356,7 +355,7 @@ def flux_variation(family, a, b, m: Optional[int] = None,
     t = np.stack([-n[:, 1], n[:, 0]], axis=-1)
     stretch = np.sqrt(np.einsum("mij,mi,mj->m", g, t, t))
     vals = np.einsum("mij,mi,mj->m", T, v_low, nu) * stretch
-    return boundary_integrate(grid, vals / np.abs(fmap.derivative(grid.params)))
+    return boundary_integrate(grid, vals / grid.speed)
 
 
 def fd_oracle(family: DomainFamily, a, b, dt: Optional[float] = None) -> float:
@@ -387,8 +386,8 @@ def triple_variation(family, a, b, c, m: Optional[int] = None) -> float:
     Invariant under all six orderings of ``(a, b, c)``; strictly negative,
     since each factor is negative where the kernel is positive.
     """
-    fmap, ws, grid = _boundary_grid(family, m, a, b, c)
-    pa, pb, pc = (_normal_derivative(fmap, grid.params, w) for w in ws)
+    ws, grid = _boundary_grid(family, m, a, b, c)
+    pa, pb, pc = (_normal_derivative(grid, w) for w in ws)
     return boundary_integrate(grid, pa * pb * pc)
 
 

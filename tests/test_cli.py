@@ -177,6 +177,24 @@ def test_conformal_phi_gradient_matches_differences():
     assert np.allclose(metric.conformal_gradient(p), fd, rtol=0, atol=1e-10)
 
 
+def test_conformal_phi_evaluates_the_bits_of_the_term_by_term_formulas():
+    # phi and both partials, against the loops that summed each term of phi
+    # and of its two partial derivatives, with constant, pure and mixed terms
+    terms = [(0, 0, 0.3), (1, 0, 0.2), (0, 2, 0.1), (2, 1, -0.07), (1, 3, 0.05), (3, 0, 1.3)]
+    _, metric = _parse_metric({"conformal_phi": [list(t) for t in terms]})
+    p = np.random.default_rng(5).uniform(-0.9, 0.9, size=(200, 2))
+    x, y = p[..., 0], p[..., 1]
+    phi, gx, gy = np.zeros(200), np.zeros(200), np.zeros(200)
+    for i, j, coef in terms:
+        phi = phi + coef * x**i * y**j
+        if i > 0:
+            gx = gx + coef * i * x ** (i - 1) * y**j
+        if j > 0:
+            gy = gy + coef * j * x**i * y ** (j - 1)
+    assert np.array_equal(metric.conformal_factor(p), phi)
+    assert np.array_equal(metric.conformal_gradient(p), np.stack([gx, gy], axis=-1))
+
+
 # ----------------------------------------------------------------- converge
 
 def test_converge_table(capsys, tmp_path):
@@ -383,6 +401,22 @@ def test_rejects_bad_fd_step(capsys, tmp_path):
     code, _, err = run(capsys, "verify", "--config", write_config(tmp_path, doc))
     assert code == 2
     assert "fd_dt must lie in (0, t_max" in err
+
+
+@pytest.mark.parametrize("field, value, flags, message", [
+    ("fd_dt", "abc", ["--fd-dt", "1e-3"], "fd_dt must lie in (0, t_max"),
+    ("fd_dt", 100.0, ["--fd-dt", "1e-3"], "fd_dt must lie in (0, t_max"),
+    ("out", 5, ["--out", "report.json"], "'out' must be a path string"),
+])
+def test_rejects_a_bad_config_value_a_flag_overrides(capsys, tmp_path, monkeypatch,
+                                                     field, value, flags, message):
+    monkeypatch.chdir(tmp_path)
+    doc = default_config()
+    doc[field] = value
+    code, _, err = run(capsys, "vary", "--config", write_config(tmp_path, doc), *flags)
+    assert code == 2
+    assert message in err
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_rejects_bad_tolerance(capsys):

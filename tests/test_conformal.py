@@ -110,8 +110,9 @@ def test_inverse_outside_image():
     fmap = ConformalMap([1.0, 0.1])
     with pytest.raises(DomainError):
         fmap.inverse(2.5 + 0.0j)
-    assert not fmap.contains(2.5 + 0.0j)
-    assert fmap.contains(0.2 + 0.2j)
+    with pytest.raises(DomainError):
+        fmap.inverse(np.array([0.2 + 0.2j, 2.5 + 0.0j]))
+    assert abs(fmap(fmap.inverse(0.2 + 0.2j)) - (0.2 + 0.2j)) < 1e-15
 
 
 # z + (0.01-0.22i) z^2 + (-0.11-0.01i) z^3 - 0.17 z^4 is univalent (the zeros
@@ -272,6 +273,25 @@ def test_boundary_grid_is_held_per_map_and_read_only():
     for arr in (first.nodes, first.normals, first.weights, first.params):
         with pytest.raises(ValueError):
             arr[0] = 0.0
+
+
+def test_boundary_grid_speed_is_the_read_only_stretch():
+    fmap = ConformalMap([1.0, 0.1, 0.05j])
+    grid = boundary_grid(fmap, m=64)
+    assert np.array_equal(grid.speed, np.abs(fmap.derivative(grid.params)))
+    assert np.array_equal(grid.weights, grid.speed * (2.0 * np.pi / 64))
+    with pytest.raises(ValueError):
+        grid.speed[0] = 0.0
+
+
+def test_family_perturbation_is_the_read_only_coefficients_of_h():
+    fam = DomainFamily([1.0, 0.1], [0.0, 0.05, 0.03])
+    assert fam.perturbation is fam.h.coeffs
+    assert np.array_equal(fam.h(np.array([0.5j])), [0.05 * (0.5j) ** 2 + 0.03 * (0.5j) ** 3])
+    with pytest.raises(ValueError):
+        fam.perturbation[1] = 0.0
+    with pytest.raises(AttributeError):
+        fam.perturbation = [0.0, 1.0]
 
 
 def test_coefficients_are_a_read_only_copy():

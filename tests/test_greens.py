@@ -170,8 +170,20 @@ def test_normal_derivative_kernel_is_the_checked_wrapper_bit_for_bit():
         for a in ((0.1, 0.05), (-0.3, 0.2), (0.5, -0.4)):
             w, e = green.pole_preimage(a), grid.params
             ref = poisson_normal_derivative(e, w) / np.abs(fmap.derivative(e))
-            assert np.array_equal(_normal_derivative(fmap, e, w), ref)
+            assert np.array_equal(_normal_derivative(grid, w), ref)
             assert np.array_equal(green.normal_derivative(grid, a), ref)
+
+
+def test_normal_derivative_rejects_a_grid_of_another_map():
+    # the kernel divides by the grid's |f'|: a grid of another map, even one
+    # with the same coefficients, is not paired with this map's preimage
+    green = GreenFunction(ConformalMap([1.0, 0.1]))
+    for other in (ConformalMap([1.0, 0.2]), ConformalMap([1.0, 0.1]), ConformalMap.identity()):
+        with pytest.raises(ConfigError, match="another conformal map"):
+            green.normal_derivative(boundary_grid(other, m=64), (0.1, 0.05))
+    grid = boundary_grid(green.map, m=64)
+    assert np.array_equal(green.normal_derivative(grid, (0.1, 0.05)),
+                          _normal_derivative(grid, green.pole_preimage((0.1, 0.05))))
 
 
 def test_pole_preimages_checks_coincidence_and_the_open_disk():

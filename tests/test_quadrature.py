@@ -269,6 +269,19 @@ def test_failed_builds_raise_again_and_are_not_held():
     assert quadrature._recent == []
 
 
+def test_held_keeps_at_most_keep_values():
+    # keep = 0 holds nothing: every call builds and returns its own value
+    store = []
+    for key in range(5):
+        value = object()
+        assert quadrature.held(store, key, 0, lambda value=value: value) is value
+    assert store == []
+    values = {key: object() for key in range(5)}
+    for key in range(5):
+        quadrature.held(store, key, 2, lambda key=key: values[key])
+    assert store == [(3, values[3]), (4, values[4])]
+
+
 def test_cold_build_peaks_near_twice_the_rule():
     # the background grid's temporaries are released before the patches,
     # the concatenation and the node guards (4.3x the rule's bytes otherwise)

@@ -8,6 +8,7 @@ import pytest
 from greenvar.conformal import (
     ConformalMap,
     DomainFamily,
+    boundary_grid,
     pullback_metric,
     to_complex,
     to_points,
@@ -564,6 +565,78 @@ def test_report_inverts_each_pole_once(monkeypatch):
     calls = count_inversions(monkeypatch, fam.base)
     variation_report(fam, CURVED_A, CURVED_B, **SMALL_RULE)
     assert calls == [1, 1]
+
+
+def test_warm_boundary_routes_read_the_grid_speed(monkeypatch):
+    # |f'| on the circle is grid.speed, computed with the grid: warm, the
+    # boundary and triple routes and the normal derivative evaluate f' at no
+    # node, and the flux only for the pulled-back metric's log |f'| and the
+    # disk velocity h / f', on arrays of its own
+    fam, m = curved_family(), 256
+    grid = boundary_grid(fam, m=m)
+    green = GreenFunction(fam.base)
+    routes = {
+        "boundary": lambda: boundary_variation(fam, CURVED_A, CURVED_B, m=m),
+        "triple": lambda: triple_variation(fam, CURVED_A, CURVED_B, CURVED_C, m=m),
+        "normal_derivative": lambda: green.normal_derivative(grid, CURVED_A),
+        "flux": lambda: flux_variation(fam, CURVED_A, CURVED_B, m=m, metric=curved_metric()),
+    }
+    for route in routes.values():
+        route()
+    calls = []
+    derivative = ConformalMap.derivative
+    monkeypatch.setattr(ConformalMap, "derivative",
+                        lambda self, z: calls.append(z) or derivative(self, z))
+    for name, route in routes.items():
+        calls.clear()
+        route()
+        assert not any(z is grid.params for z in calls), name
+        assert sum(np.size(z) == m for z in calls) == (2 if name == "flux" else 0), name
+
+
+def test_a_family_builds_its_perturbation_map_once(monkeypatch):
+    built = []
+    init = ConformalMap.__init__
+
+    def recorded(self, coeffs, check=True):
+        built.append(np.array(coeffs, dtype=complex))
+        init(self, coeffs, check)
+
+    monkeypatch.setattr(ConformalMap, "__init__", recorded)
+    fam = curved_family()
+    is_h = [c.size == 3 and np.array_equal(c, [0.0, 0.05, 0.03]) for c in built]
+    assert sum(is_h) == 1
+    built.clear()
+    fam.velocity_field()
+    fam.disk_velocity_field()
+    every_route(fam)
+    triple_variation(fam, CURVED_A, CURVED_B, CURVED_C)
+    # the only maps built are the FD oracle's at t = +-dt (z^3 coefficient 0.03 t)
+    assert built and all(c.size == 3 and 0.0 < abs(c[2]) < 0.03 for c in built)
+
+
+def test_the_identity_map_is_shared():
+    assert ConformalMap.identity() is ConformalMap.identity()
+    assert GreenFunction().map is ConformalMap.identity()
+    assert variation._base_map(None) is ConformalMap.identity()
+
+
+def test_disk_emt_inverts_each_disk_pole_at_most_once(monkeypatch):
+    # every disk EMT is built on the one identity map, which holds the poles
+    fam = curved_family()
+    ws = GreenFunction(fam.base).pole_preimages(CURVED_A, CURVED_B)
+    poles = []
+    inverse = ConformalMap.inverse
+
+    def counted(self, x):
+        if self.is_identity and np.size(x) == 1:
+            poles.append(complex(x))
+        return inverse(self, x)
+
+    monkeypatch.setattr(ConformalMap, "inverse", counted)
+    for _ in range(2):
+        flux_variation(fam, CURVED_A, CURVED_B, metric=curved_metric())
+    assert all(poles.count(w) <= 1 for w in ws)
 
 
 def estimate_bits(family):
