@@ -12,6 +12,7 @@ from greenvar.conformal import cubic_mix_family, dilation_family, rotation_famil
 from greenvar.tensors import conformal_metric
 from greenvar.variation import (
     fd_oracle,
+    flux_variation,
     triple_variation,
     variation_report,
     volume_variation,
@@ -53,6 +54,9 @@ flat_fd = fd_oracle(dilation_family(), A, B)
 curved = volume_variation(dilation_family(), A, B, metric=met)
 print("\nvolume route with metric e^{2 * 0.2 x^1}:", float(curved))
 print("flat FD oracle:                          ", flat_fd)
+print("flux route with the metric, and flat:    ",
+      flux_variation(dilation_family(), A, B, metric=met),
+      flux_variation(dilation_family(), A, B))
 
 # --- 5. deforming along grad G(., c): one integral, three-way symmetric
 

@@ -103,10 +103,7 @@ class PolarizedEMT:
 
     def emt_contra(self, x):
         """``T^{ij}``: both indices raised with the inverse metric."""
-        return self._emt_contra(x, self.metric.inverse(x))
-
-    def _emt_contra(self, x, ginv):
-        """:meth:`emt_contra` with ``g^{-1}`` at ``x`` already evaluated."""
+        ginv = self.metric.inverse(x)
         al = np.asarray(self.alpha(x), dtype=float)
         be = np.asarray(self.beta(x), dtype=float)
         alu = np.einsum("...ij,...j->...i", ginv, al)

@@ -22,9 +22,10 @@ Four independent routes to the same number:
   paper's formula stays checked inside every estimate.
 * ``flux_variation``: the boundary flux ``T^{ij} v_i nu_j`` against the
   induced boundary measure; equals the Hadamard integrand pointwise on
-  the boundary, where both gradients are normal.  It is evaluated on the
-  unit circle against ``f^* g``, with the disk EMT and velocity of the
-  tensor route, so no boundary node is inverted.
+  the boundary, where both gradients are normal.  The density is
+  conformally invariant and is evaluated on the unit circle as ``Re(conj(g_a
+  g_b) v~ e) dtheta``, ``e = e^{i theta}``, with the disk velocity ``v~``:
+  the boundary twin of the volume closed form.
 * ``fd_oracle``: a central difference of Green values across the family,
   with the poles held fixed in ambient coordinates.
 
@@ -204,23 +205,22 @@ class VolumeEstimate:
         return self.value
 
 
-def _disk_fields(family, fmap: ConformalMap, wa, wb, metric: Optional[MetricField],
-                 velocity: Optional[VectorField]):
-    """The polarized EMT of the poles with preimages ``wa`` and ``wb``
-    against ``f^* g`` (``g`` flat by default), and the velocity pulled back
-    by ``f``, both on the disk."""
-    v = _velocity(family, velocity, disk=True)
-    g = pullback_metric(fmap, metric if metric is not None else euclidean_metric(2))
-    return PolarizedEMT.from_map(None, to_points(wa), to_points(wb), metric=g), v
-
-
 def _tensor_route(family, fmap: ConformalMap, wa, wb, metric: Optional[MetricField],
                   velocity: Optional[VectorField]):
-    """``z -> (T^{ij}, D_ij, sqrt(det g))`` at disk points, against ``f^* g``,
-    for the poles with preimages ``wa`` and ``wb``."""
-    disk, v = _disk_fields(family, fmap, wa, wb, metric, velocity)
-    return lambda z: (disk.emt_contra(z), strain_tensor(disk.metric, v, z),
-                      volume_density(disk.metric, z))
+    """``z -> (T^{ij}, D_ij, sqrt(det g))`` at disk points, against ``f^* g``
+    (``g`` flat by default), for the poles with preimages ``wa`` and ``wb``
+    and the velocity pulled back by ``f``."""
+    v = _velocity(family, velocity, disk=True)
+    g = pullback_metric(fmap, metric if metric is not None else euclidean_metric(2))
+    disk = PolarizedEMT.from_map(None, to_points(wa), to_points(wb), metric=g)
+    return lambda z: (disk.emt_contra(z), strain_tensor(g, v, z), volume_density(g, z))
+
+
+def _complex_emt(z, wa, wb):
+    """``conj(g_a g_b) = T_11 - i T_12`` of the flat disk EMT of the poles with
+    preimages ``wa`` and ``wb``; ``T`` is symmetric and trace-free, so ``T(u,
+    n) = Re(conj(g_a g_b) u n)`` for complex-packed ``u`` and ``n``."""
+    return np.conj(_disk_gradient(z, wa) * _disk_gradient(z, wb))
 
 
 def _contract(T, D, vol):
@@ -249,10 +249,10 @@ def _closed_form_integrand(family, fmap: ConformalMap, wa, wb,
                            metric: Optional[MetricField],
                            velocity: Optional[VectorField]):
     """``2 Re(A B (dbar v)(f(z)) conj(f'(z)) / f'(z))`` at disk points, with
-    ``A = conj(g_a)``, ``B = conj(g_b)`` the conjugated disk Green gradients
-    and ``dbar v = ((J_11 - J_22) + i (J_21 + J_12)) / 2`` from the ambient
-    Jacobian of the velocity; 0 for the (holomorphic) family velocity.  The
-    metric is evaluated at every image node ``f(z)`` and must be conformal.
+    ``A B`` the :func:`_complex_emt` kernel and ``dbar v = ((J_11 - J_22) +
+    i (J_21 + J_12)) / 2`` from the ambient Jacobian of the velocity; 0 for
+    the (holomorphic) family velocity.  The metric is evaluated at every
+    image node ``f(z)`` and must be conformal.
     Each call also evaluates :func:`_tensor_route` at ``CROSS_CHECK_NODES``
     nodes and raises :class:`EvaluationError` where the two disagree."""
     pieces = _tensor_route(family, fmap, wa, wb, metric, velocity)
@@ -268,8 +268,8 @@ def _closed_form_integrand(family, fmap: ConformalMap, wa, wb,
             J = velocity.jacobian(x)
             dbar = 0.5 * ((J[:, 0, 0] - J[:, 1, 1]) + 1j * (J[:, 1, 0] + J[:, 0, 1]))
             fp = fmap.derivative(zb)
-            ab = np.conj(_disk_gradient(zb, wa) * _disk_gradient(zb, wb))
-            out[lo:lo + zb.size] = 2.0 * np.real(ab * dbar * np.conj(fp) / fp)
+            out[lo:lo + zb.size] = 2.0 * np.real(_complex_emt(zb, wa, wb) * dbar
+                                                 * np.conj(fp) / fp)
         return out
 
     def integrand(points):
@@ -330,31 +330,19 @@ def flux_variation(family, a, b, m: Optional[int] = None,
     """Boundary flux ``∮ T^{ij} v_i nu_j dsigma_g``.
 
     ``nu`` is the outward unit conormal of ``g`` and ``dsigma_g`` the
-    induced length element; for the flat metric both reduce to the
-    Euclidean normal and arclength.  The density is evaluated on the unit
-    circle against ``f^* g``, with the disk EMT and velocity of
-    :func:`volume_integrand`: at ``e^{i theta}`` the flat outward unit
-    normal is the point itself and the arclength weight ``2 pi / m`` is
-    ``grid.weights / grid.speed``, so no node is inverted.  ``metric`` must be
-    conformal (:class:`ConfigError` otherwise).
+    induced length element.  The density is conformally invariant, so it is
+    evaluated on the unit circle as ``Re(conj(g_a g_b) v~ e) dtheta`` at ``e
+    = e^{i theta}``: the :func:`_complex_emt` kernel, the disk velocity ``v~``
+    (``h / f'`` for the family) and the flat outward normal ``e``.  The
+    arclength weight ``2 pi / m`` is ``grid.weights / grid.speed``; no node
+    is inverted.  ``metric`` is only validated, at the grid nodes: it must
+    be conformal (:class:`ConfigError` otherwise).
     """
     (wa, wb), grid = _boundary_grid(family, m, a, b)
-    emt, v = _disk_fields(family, grid.map, wa, wb, metric, velocity)
-    met = emt.metric
-
-    x = n = to_points(grid.params)
-    # f^* g is conformal: g and g^{-1} from one evaluation of its scale
-    s = met._scale(x)
-    g = s[..., None, None] * np.eye(2)
-    ginv = (1.0 / s)[..., None, None] * np.eye(2)
-    T = emt._emt_contra(x, ginv)
-    v_low = np.einsum("mij,mj->mi", g, v(x))
-    # unit conormal: the flat normal covector, normalized in g^{-1}
-    nu = n / np.sqrt(np.einsum("mij,mi,mj->m", ginv, n, n))[:, None]
-    # induced length element: g-length of the flat unit tangent
-    t = np.stack([-n[:, 1], n[:, 0]], axis=-1)
-    stretch = np.sqrt(np.einsum("mij,mi,mj->m", g, t, t))
-    vals = np.einsum("mij,mi,mj->m", T, v_low, nu) * stretch
+    v = _velocity(family, velocity, disk=True)
+    _require_conformal(metric, grid.nodes)
+    e = grid.params
+    vals = np.real(_complex_emt(e, wa, wb) * to_complex(v(to_points(e))) * e)
     return boundary_integrate(grid, vals / grid.speed)
 
 

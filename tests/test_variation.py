@@ -10,6 +10,7 @@ from greenvar.conformal import (
     DomainFamily,
     boundary_grid,
     pullback_metric,
+    pullback_vector_field,
     to_complex,
     to_points,
     cubic_mix_family,
@@ -17,13 +18,13 @@ from greenvar.conformal import (
     rotation_family,
 )
 from greenvar.energy_momentum import PolarizedEMT
-from greenvar import quadrature, variation
+from greenvar import energy_momentum, greens, quadrature, variation
 from greenvar.errors import (CoincidentPoleError, ConfigError, DegenerateMetricError,
                              DomainError, EvaluationError)
 from greenvar.greens import GreenFunction, green_gradient_field, interior_rule, mutual_energy
 from greenvar.quadrature import integrate
 from greenvar.tensors import (MetricField, VectorField, conformal_metric,
-                              strain_tensor, volume_density)
+                              euclidean_metric, strain_tensor, volume_density)
 from greenvar.variation import (
     REL_FLOOR,
     VariationReport,
@@ -174,6 +175,55 @@ def test_flux_is_metric_independent():
     flat = flux_variation(fam, a, b)
     curved = flux_variation(fam, a, b, metric=linear_phi())
     assert curved == pytest.approx(flat, rel=1e-12)
+
+
+def riemannian_flux_density(fam, a, b, m, metric, velocity):
+    """``T^{ij} v_i nu_j dsigma_g / dtheta`` at the nodes of the ``m``-node
+    grid, assembled as tensors on the unit circle against ``f^* g``: the
+    disk EMT, the lowered velocity, the ``g``-unit conormal of the flat
+    normal ``e^{i theta}`` and the ``g``-length of the flat unit tangent."""
+    fmap = fam.base
+    wa, wb = GreenFunction(fmap).pole_preimages(a, b)
+    g = pullback_metric(fmap, metric if metric is not None else euclidean_metric(2))
+    emt = PolarizedEMT.from_map(None, to_points(wa), to_points(wb), metric=g)
+    v = (fam.disk_velocity_field() if velocity is None
+         else pullback_vector_field(fmap, velocity))
+    x = n = to_points(boundary_grid(fam, m=m).params)
+    gx, ginv = g(x), g.inverse(x)
+    v_low = np.einsum("mij,mj->mi", gx, v(x))
+    nu = n / np.sqrt(np.einsum("mij,mi,mj->m", ginv, n, n))[:, None]
+    t = np.stack([-n[:, 1], n[:, 0]], axis=-1)
+    stretch = np.sqrt(np.einsum("mij,mi,mj->m", gx, t, t))
+    return np.einsum("mij,mi,mj->m", emt.emt_contra(x), v_low, nu) * stretch
+
+
+FLUX_CASES = ([(curved_family, CURVED_A, CURVED_B, m, metric, velocity)
+               for m in (256, 1024)
+               for metric in (None, curved_metric())
+               for velocity in (None, square_velocity())]
+              + [(dilation_family, A0, B0, 256, metric, None)
+                 for metric in (None, linear_phi())])
+
+
+@pytest.mark.parametrize("factory, a, b, m, metric, velocity", FLUX_CASES)
+def test_flux_closed_form_is_the_riemannian_boundary_form(factory, a, b, m, metric,
+                                                          velocity):
+    # the paper's boundary form, with g, g^{-1}, T^{ij}, the conormal and the
+    # induced length as tensors, against Re(conj(g_a g_b) v~ e) node by node;
+    # the metric cancels in the first and is never evaluated in the second
+    fam = factory()
+    want = riemannian_flux_density(fam, a, b, m, metric, velocity)
+    grid = boundary_grid(fam, m=m)
+    e = grid.params
+    wa, wb = GreenFunction(fam.base).pole_preimages(a, b)
+    vt = to_complex(variation._velocity(fam, velocity, disk=True)(to_points(e)))
+    got = np.real(variation._complex_emt(e, wa, wb) * vt * e)
+    scale = np.abs(greens._disk_gradient(e, wa) * greens._disk_gradient(e, wb) * vt)
+    assert np.all(np.abs(got - want) <= 1e-14 * scale)
+    assert np.max(np.abs(want)) > 0.0
+    value = flux_variation(fam, a, b, m=m, metric=metric, velocity=velocity)
+    oracle = math.fsum(grid.weights * want / grid.speed)
+    assert value == pytest.approx(oracle, rel=1e-14, abs=0.0)
 
 
 def test_volume_estimate_structure():
@@ -470,12 +520,26 @@ def test_non_conformal_metric_is_rejected():
     for strict in (True, False):
         with pytest.raises(ConfigError, match="not conformal"):
             variation_report(fam, CURVED_A, CURVED_B, metric=g, strict=strict, **kw)
-    # the metric is evaluated at every image node, so its own gates still run
-    # where the closed form needs no metric value
+    # the metric is evaluated at every image node and boundary node, so its
+    # own gates still run where neither closed form needs a metric value
     overflow = conformal_metric(lambda p: np.where(p[..., 0] > 0.5, 400.0, 0.0))
     for bad in (constant_metric(-np.eye(2)), overflow):
         with pytest.raises(DegenerateMetricError):
             volume_variation(fam, CURVED_A, CURVED_B, metric=bad, **kw)
+        with pytest.raises(DegenerateMetricError):
+            flux_variation(fam, CURVED_A, CURVED_B, metric=bad)
+    # diag(1, 2) only where x > 0.9, near the boundary and away from the poles
+    def partly(p):
+        g = np.broadcast_to(np.eye(2), p.shape[:-1] + (2, 2)).copy()
+        g[p[..., 0] > 0.9, 1, 1] = 2.0
+        return g
+
+    part = MetricField(2, partly, lambda p: np.zeros(p.shape[:-1] + (2, 2, 2)))
+    with pytest.raises(ConfigError, match="not conformal"):
+        flux_variation(fam, CURVED_A, CURVED_B, metric=part)
+    for velocity in (None, square_velocity()):
+        with pytest.raises(ConfigError, match="not conformal"):
+            volume_variation(fam, CURVED_A, CURVED_B, metric=part, velocity=velocity, **kw)
 
 
 CURVED_C = (0.25, -0.35)
@@ -568,10 +632,10 @@ def test_report_inverts_each_pole_once(monkeypatch):
 
 
 def test_warm_boundary_routes_read_the_grid_speed(monkeypatch):
-    # |f'| on the circle is grid.speed, computed with the grid: warm, the
-    # boundary and triple routes and the normal derivative evaluate f' at no
-    # node, and the flux only for the pulled-back metric's log |f'| and the
-    # disk velocity h / f', on arrays of its own
+    # |f'| on the circle is grid.speed and f there is grid.nodes, both computed
+    # with the grid: warm, the boundary and triple routes and the normal
+    # derivative evaluate f' at no node, the flux only once, for the disk
+    # velocity h / f' on an array of its own, and no route evaluates f
     fam, m = curved_family(), 256
     grid = boundary_grid(fam, m=m)
     green = GreenFunction(fam.base)
@@ -583,15 +647,45 @@ def test_warm_boundary_routes_read_the_grid_speed(monkeypatch):
     }
     for route in routes.values():
         route()
-    calls = []
-    derivative = ConformalMap.derivative
+    calls, images = [], []
+    derivative, image = ConformalMap.derivative, ConformalMap.__call__
     monkeypatch.setattr(ConformalMap, "derivative",
                         lambda self, z: calls.append(z) or derivative(self, z))
+    monkeypatch.setattr(ConformalMap, "__call__",
+                        lambda self, z: (self is fam.base and images.append(z))
+                        or image(self, z))
     for name, route in routes.items():
         calls.clear()
+        images.clear()
         route()
         assert not any(z is grid.params for z in calls), name
-        assert sum(np.size(z) == m for z in calls) == (2 if name == "flux" else 0), name
+        assert sum(np.size(z) == m for z in calls) == (1 if name == "flux" else 0), name
+        assert not any(np.size(z) == m for z in images), name
+
+
+def test_flux_builds_no_disk_emt(monkeypatch):
+    # the flux reads the complex EMT kernel at the circle points: no
+    # PolarizedEMT, no Green gradient field; the volume route's tensor
+    # cross-check builds both, so the counters see what they count
+    built = []
+    init, field = PolarizedEMT.__init__, greens.green_gradient_field
+
+    def counted_field(*args):
+        built.append("green_gradient_field")
+        return field(*args)
+
+    monkeypatch.setattr(PolarizedEMT, "__init__",
+                        lambda self, *args, **kw: built.append("PolarizedEMT")
+                        or init(self, *args, **kw))
+    monkeypatch.setattr(greens, "green_gradient_field", counted_field)
+    monkeypatch.setattr(energy_momentum, "green_gradient_field", counted_field)
+    fam = curved_family()
+    for metric in (None, curved_metric()):
+        for velocity in (None, square_velocity()):
+            flux_variation(fam, CURVED_A, CURVED_B, metric=metric, velocity=velocity)
+    assert built == []
+    volume_variation(fam, CURVED_A, CURVED_B, velocity=square_velocity(), **SMALL_RULE)
+    assert sorted(built) == ["PolarizedEMT", "green_gradient_field", "green_gradient_field"]
 
 
 def test_a_family_builds_its_perturbation_map_once(monkeypatch):
@@ -622,9 +716,11 @@ def test_the_identity_map_is_shared():
 
 
 def test_disk_emt_inverts_each_disk_pole_at_most_once(monkeypatch):
-    # every disk EMT is built on the one identity map, which holds the poles
+    # every disk EMT (the volume route's tensor cross-check) is built on the
+    # one identity map, which holds the poles; it starts out holding none
     fam = curved_family()
     ws = GreenFunction(fam.base).pole_preimages(CURVED_A, CURVED_B)
+    monkeypatch.setattr(ConformalMap.identity(), "_preimages", [])
     poles = []
     inverse = ConformalMap.inverse
 
@@ -635,8 +731,9 @@ def test_disk_emt_inverts_each_disk_pole_at_most_once(monkeypatch):
 
     monkeypatch.setattr(ConformalMap, "inverse", counted)
     for _ in range(2):
-        flux_variation(fam, CURVED_A, CURVED_B, metric=curved_metric())
-    assert all(poles.count(w) <= 1 for w in ws)
+        volume_variation(fam, CURVED_A, CURVED_B, metric=curved_metric(),
+                         velocity=square_velocity(), **SMALL_RULE)
+    assert [poles.count(w) for w in ws] == [1, 1]
 
 
 def estimate_bits(family):
@@ -667,7 +764,7 @@ def test_held_preimages_and_grids_give_the_bits_of_a_fresh_map(factory):
 
 
 def test_flux_evaluates_the_scale_once(monkeypatch):
-    # g, g^{-1} and T^{ij} on the circle share one evaluation of exp(2 phi)
+    # the metric is only validated, at the m image nodes of the grid
     calls = []
     scale = MetricField._scale
     monkeypatch.setattr(MetricField, "_scale",
