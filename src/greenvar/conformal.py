@@ -245,7 +245,9 @@ class DomainFamily:
     read-only ``coeffs``.  ``t_max`` bounds the admissible parameter range.
     When omitted it is set to half the smallest ``|t|`` at which the
     injectivity gate first fails on a coarse scan (cap ``T_SCAN_CAP`` when the
-    gate never fails).
+    gate never fails).  Per scan, a point where ``|f'| - T |h'|`` clears
+    ``GATE_FLOOR`` beyond the rounding of ``|f' + t h'|`` passes at every
+    ``|t| <= T`` by the triangle inequality: no decision changes.
     """
 
     def __init__(self, base, perturbation, t_max: Optional[float] = None):
@@ -262,16 +264,23 @@ class DomainFamily:
     perturbation = property(lambda self: self.h.coeffs)
 
     def _gate_ok(self, ts) -> np.ndarray:
-        """Per ``t``, whether ``base + t * perturbation`` passes the gate
-        (``f' + t h'`` is affine in ``t``: ``f'``, ``h'`` are evaluated once)."""
+        """Per ``t``, whether ``base + t * perturbation`` passes the gate.
+        ``f'``, ``h'`` are evaluated once; a point with ``|f'| - T |h'| >
+        GATE_FLOOR + 1e-12 (|f'| + T |h'|)``, ``T = max |ts|``, passes at every
+        ``t`` (see the class docstring), and only the others, NaN or inf
+        included, are tested per ``t``."""
         fp = self.base.derivative(_GATE_POINTS)
         hp = self.h.derivative(_GATE_POINTS)
+        lo, hi = np.abs(fp), np.max(np.abs(ts)) * np.abs(hp)
+        keep = ~(lo - hi > GATE_FLOOR + 1e-12 * (lo + hi))
+        fp, hp = fp[keep], hp[keep]
         c1 = self.base.coeffs[0] + ts * self.perturbation[0]
-        return (c1 != 0) & np.array([np.min(np.abs(fp + t * hp)) > GATE_FLOOR for t in ts])
+        return (c1 != 0) & np.array([not fp.size or np.min(np.abs(fp + t * hp)) > GATE_FLOOR
+                                     for t in ts])
 
     def _scan_t_max(self) -> float:
         ts = T_SCAN_CAP * np.arange(1, T_SCAN_STEPS + 1) / T_SCAN_STEPS
-        ok = self._gate_ok(ts) & self._gate_ok(-ts)
+        ok = self._gate_ok(np.concatenate([ts, -ts])).reshape(2, -1).all(axis=0)
         return 0.5 * (T_SCAN_CAP if ok.all() else float(ts[np.argmin(ok)]))
 
     def _check_range(self):

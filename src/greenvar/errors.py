@@ -11,6 +11,7 @@ __all__ = [
     "CoincidentPoleError",
     "EvaluationError",
     "ConfigError",
+    "NonConformalMetricError",
 ]
 
 
@@ -44,3 +45,7 @@ class EvaluationError(GreenvarError, ValueError):
 
 class ConfigError(GreenvarError, ValueError):
     """Run configuration is structurally invalid."""
+
+
+class NonConformalMetricError(ConfigError):
+    """A matrix-built metric has no conformal factor at a point it is read."""

@@ -27,7 +27,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateMetricError, DimensionMismatchError
+from .errors import DegenerateMetricError, DimensionMismatchError, NonConformalMetricError
 
 __all__ = [
     "MetricField",
@@ -148,7 +148,7 @@ class MetricField:
 
     def _conformal_g11(self, x):
         """``g_11`` of a matrix-built metric at ``x``, which must be positive
-        (:class:`DegenerateMetricError`) and conformal (:class:`ConfigError`)."""
+        (:class:`DegenerateMetricError`) and conformal (:class:`NonConformalMetricError`)."""
         g = self(x)
         g11 = g[..., 0, 0]
         if not np.all(g11 > 0.0):
@@ -156,8 +156,8 @@ class MetricField:
         diag = np.abs(np.diagonal(g, axis1=-2, axis2=-1))
         tol = CONFORMAL_TOL * (g11[..., None, None] + diag[..., None, :])
         if np.any(np.triu(~(np.abs(g - g11[..., None, None] * np.eye(self.dim)) <= tol))):
-            raise ConfigError(f"metric {self.name!r} is not conformal (g_12 = 0, "
-                              "g_11 = g_22): it has no conformal factor")
+            raise NonConformalMetricError(f"metric {self.name!r} is not conformal (g_12 = 0, "
+                                          "g_11 = g_22): it has no conformal factor")
         return g11
 
     def _scale(self, x):

@@ -54,7 +54,7 @@ import numpy as np
 from .conformal import (ConformalMap, DomainFamily, boundary_grid, pullback_metric,
                         pullback_vector_field, to_complex, to_points)
 from .energy_momentum import PolarizedEMT
-from .errors import ConfigError, EvaluationError, GreenvarError
+from .errors import ConfigError, EvaluationError, GreenvarError, NonConformalMetricError
 from .greens import GreenFunction, _disk_gradient, _normal_derivative
 from .quadrature import IntegrationResult, boundary_integrate, disk_rule, integrate
 from .tensors import (MetricField, VectorField, euclidean_metric, strain_tensor,
@@ -459,7 +459,8 @@ def variation_report(family: DomainFamily, a, b, m: Optional[int] = None,
     :class:`DomainError` (both checked by
     :meth:`GreenFunction.pole_preimages`), and a metric that is not
     conformal at the poles :class:`ConfigError`: bad input is not an
-    estimator failure.
+    estimator failure, nor is a metric an estimator finds not conformal
+    (:class:`~greenvar.errors.NonConformalMetricError`).
     """
     fmap = _base_map(family)
     GreenFunction(fmap).pole_preimages(a, b)
@@ -479,7 +480,7 @@ def variation_report(family: DomainFamily, a, b, m: Optional[int] = None,
         try:
             estimates[name] = float(thunk())
         except GreenvarError as exc:
-            if strict:
+            if strict or isinstance(exc, NonConformalMetricError):
                 raise
             estimates[name] = None
             skips[name] = f"{type(exc).__name__}: {exc}"

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from greenvar.conformal import (BUILTIN_FAMILIES, RECENT_GRIDS, ConformalMap, DomainFamily,
+from greenvar.conformal import (_GATE_POINTS, BUILTIN_FAMILIES, GATE_FLOOR, RECENT_GRIDS,
+                                ConformalMap, DomainFamily,
                                 boundary_grid, cubic_mix_family,
                                 dilation_family, enclosed_area, normal_speed,
                                 quadratic_bump_family, rotation_family,
@@ -172,28 +173,62 @@ def test_family_t_max_declared_and_range_checked():
 
 
 def test_family_gate_matches_maps_built_per_t():
-    # the family decides every t from f' and h' evaluated once; each decision
-    # must equal the gate of the map f + t h itself
+    # the family decides every t from f' and h' evaluated once, and each check
+    # point once for all |t| <= max |ts|; each decision must equal the gate of
+    # the map f + t h itself, and the test of every point at every t
     def gate(base, pert, t):
         c = np.zeros(max(len(base), len(pert)), dtype=complex)
         c[: len(base)] += base
         c[: len(pert)] += t * np.asarray(pert)
         return ConformalMap(c, check=False).passes_gate()
 
+    def every_point(fam, ts):
+        fp, hp = fam.base.derivative(_GATE_POINTS), fam.h.derivative(_GATE_POINTS)
+        return [fam.base.coeffs[0] + t * fam.perturbation[0] != 0
+                and np.min(np.abs(fp + t * hp)) > GATE_FLOOR for t in ts]
+
     ts = np.linspace(-4.0, 4.0, 129)
-    cases = [([1.0], [1.0]), ([1.0], [0.0, 1.0]), ([1.0, 0.1], [0.0, 0.05, 0.03]),
+    # f' = 1 + 2 t q z vanishes at z = w for t = t0 when q = -1 / (2 t0 w): at
+    # the check point -0.83 itself and 1e-10 relative off it, for t0 = +-0.75
+    z0 = _GATE_POINTS[np.argmin(np.abs(_GATE_POINTS + 0.83))]
+    zeros = [([1.0], [0.0, -1.0 / (2.0 * t0 * w)])
+             for t0 in (0.75, -0.75) for w in (z0, z0 * (1.0 + 1e-10))]
+    cleared = ([1.0, 0.1], [0.0, 0.05, 0.03])  # |f'| >= 0.8 > 4 |h'| everywhere
+    kept = ([1.0, 0.1], [10.0, 0.5, 0.3])  # |f'| <= 1.2 < 4 |h'| everywhere
+    cases = [([1.0], [1.0]), ([1.0], [0.0, 1.0]), cleared, kept,
              # f' = 1 + 2 t q z vanishes at the grid node -0.83 for t = 0.75
-             ([1.0], [0.0, 1.0 / (2.0 * 0.75 * 0.83)]), ([1.0, 0.2j], [0.3, -0.4, 0.1j])]
+             ([1.0], [0.0, 1.0 / (2.0 * 0.75 * 0.83)]), ([1.0, 0.2j], [0.3, -0.4, 0.1j]),
+             *zeros]
     for base, pert in cases:
         fam = DomainFamily(base, pert, t_max=1e-3)
         assert list(fam._gate_ok(ts)) == [gate(base, pert, t) for t in ts]
-    assert not gate(*cases[3], 0.75)
+        assert list(fam._gate_ok(ts)) == every_point(fam, ts)
+    assert not gate(*cases[4], 0.75)
+    for (base, pert), t0 in zip(zeros, (0.75, 0.75, -0.75, -0.75)):
+        assert not gate(base, pert, t0)
+    for (base, pert), all_cleared in ((cleared, True), (kept, False)):
+        fp = np.abs(ConformalMap(base).derivative(_GATE_POINTS))
+        hp = 4.0 * np.abs(ConformalMap(pert, check=False).derivative(_GATE_POINTS))
+        assert np.all(fp - hp > 0.04) if all_cleared else np.all(fp < hp)
+
+
+def test_family_gate_tests_every_non_finite_point():
+    # a NaN h' never clears a check point, so every t fails, scanned or declared
+    for t_max in (None, 1e-3):
+        with pytest.raises(InjectivityError):
+            DomainFamily([1.0], [0.0, np.nan], t_max=t_max)
 
 
 def test_family_t_max_autoscan():
     fam = DomainFamily([1.0], [0.0, 1.0])
     assert 0.0 < fam.t_max <= 0.5
     fam.map_at(fam.t_max)
+    # the FD step follows t_max: pin the scanned values
+    assert DomainFamily([1.0, 0.1], [0.0, 0.05, 0.03]).t_max == 2.0
+    scanned = {name: DomainFamily(f().base, f().perturbation).t_max
+               for name, f in BUILTIN_FAMILIES.items()}
+    assert scanned == {"dilation": 0.5, "rotation": 2.0, "quadratic_bump": 2.0,
+                       "cubic_mix": 2.0}
 
 
 def test_family_rejects_bad_t_max():
@@ -344,6 +379,8 @@ def test_builtin_families_registry():
         fam = factory()
         assert fam.t_max > 0
         fam.map_at(fam.t_max / 2)
+    assert {name: f().t_max for name, f in BUILTIN_FAMILIES.items()} == {
+        "dilation": 0.5, "rotation": 1.0, "quadratic_bump": 2.0, "cubic_mix": 2.5}
 
 
 def test_rotation_velocity_is_rigid():

@@ -20,7 +20,7 @@ from greenvar.conformal import (
 from greenvar.energy_momentum import PolarizedEMT
 from greenvar import energy_momentum, greens, quadrature, variation
 from greenvar.errors import (CoincidentPoleError, ConfigError, DegenerateMetricError,
-                             DomainError, EvaluationError)
+                             DomainError, EvaluationError, NonConformalMetricError)
 from greenvar.greens import GreenFunction, green_gradient_field, interior_rule, mutual_energy
 from greenvar.quadrature import integrate
 from greenvar.tensors import (MetricField, VectorField, conformal_metric,
@@ -540,6 +540,33 @@ def test_non_conformal_metric_is_rejected():
     for velocity in (None, square_velocity()):
         with pytest.raises(ConfigError, match="not conformal"):
             volume_variation(fam, CURVED_A, CURVED_B, metric=part, velocity=velocity, **kw)
+    # an estimator that finds the metric not conformal raises out of the
+    # report whatever strict: bad input is not a skip
+    for strict in (True, False):
+        with pytest.raises(ConfigError, match="not conformal"):
+            variation_report(fam, CURVED_A, CURVED_B, metric=part, strict=strict, **kw)
+
+
+def test_metric_non_conformal_on_a_small_interior_disc_is_rejected():
+    # diag(1, 2) only on a disc of radius 0.04 about f(0.5625 e^{i pi/64}),
+    # between the circles |z| = 1/2 and 5/8, away from the poles and the
+    # boundary: only the volume route's image nodes see it, and the report
+    # raises its error whatever strict, before the flux or the FD oracle run
+    fam, kw = curved_family(), dict(n_r=32, n_theta=64, n_patch=16)
+    c = to_points(fam.base(0.5625 * np.exp(1j * np.pi / 64)))
+
+    def disc(p):
+        g = np.broadcast_to(np.eye(2), p.shape[:-1] + (2, 2)).copy()
+        g[np.linalg.norm(p - c, axis=-1) < 0.04, 1, 1] = 2.0
+        return g
+
+    g = MetricField(2, disc, lambda p: np.zeros(p.shape[:-1] + (2, 2, 2)))
+    assert np.isfinite(flux_variation(fam, CURVED_A, CURVED_B, metric=g))
+    with pytest.raises(NonConformalMetricError):
+        volume_variation(fam, CURVED_A, CURVED_B, metric=g, **kw)
+    for strict in (True, False):
+        with pytest.raises(NonConformalMetricError):
+            variation_report(fam, CURVED_A, CURVED_B, metric=g, strict=strict, **kw)
 
 
 CURVED_C = (0.25, -0.35)
