@@ -13,14 +13,18 @@ converge  emit a CSV error table across doubling resolutions, measured
 triple    evaluate the fully symmetric three-pole variation over all six
           pole orderings.
 
-Configs are strict JSON: unknown fields are rejected, poles must sit
-inside the domain with margin, tolerances must be positive.  All floats
-are printed with 17 significant digits and outputs carry no timestamps,
-so identical configs produce byte-identical artifacts.
+Options may come before or after the subcommand; each flag overrides one
+config setting and is checked by that setting's rule.  Configs are strict
+JSON: unknown fields are rejected, poles must sit inside the domain with
+margin, the level-0 quadrature rule must be buildable, tolerances must be
+positive and finite.  All floats are printed with 17 significant digits
+and outputs carry no timestamps, so identical configs produce
+byte-identical artifacts.
 
 Exit status: 0 all checks pass; 1 some check failed; 2 invalid
 configuration ("config error: <msg>" on stderr: anything
-``load_experiment`` rejects, or a ``ConfigError`` from a subcommand); 3 a
+``load_experiment`` rejects, a ``ConfigError`` from a subcommand, or an
+output file that cannot be written, "cannot write output: <msg>"); 3 a
 subcommand failed at run time ("run error: <subcommand>: <ErrorClass>:
 <msg>" on stderr, e.g. an FD step that moves a pole out of the domain).
 """
@@ -67,7 +71,10 @@ AREA_TOL = 1e-8
 
 _CONFIG_FIELDS = {"family", "metric", "poles", "quadrature", "fd_dt",
                   "tolerances", "levels", "out"}
-_QUAD_FIELDS = {"n_r": 4, "n_theta": 8, "n_patch": 8, "m_boundary": 4}
+# quadrature field: (floor, default, the flag that overrides it); the default
+# m_boundary (None) is worked out from the poles
+_QUAD_FIELDS = {"n_r": (4, 64, "--quad-nr"), "n_theta": (8, 128, "--quad-ntheta"),
+                "n_patch": (8, 32, None), "m_boundary": (4, None, None)}
 CSV_HEADER = "level,estimator,value,abs_error"
 
 
@@ -166,6 +173,15 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _section(raw: dict, key: str, fields, name: str) -> dict:
+    """The object ``raw[key]`` (empty where absent), with no unknown fields."""
+    section = raw.get(key, {})
+    _require(isinstance(section, dict), f"'{key}' must be an object")
+    unknown = set(section) - set(fields)
+    _require(not unknown, f"unknown {name} fields: {sorted(unknown)}")
+    return section
+
+
 def _parse_point(raw, name: str) -> Tuple[float, float]:
     _require(isinstance(raw, (list, tuple)) and len(raw) == 2
              and all(_is_number(v) for v in raw),
@@ -187,8 +203,7 @@ def _parse_metric(raw):
     parsed = []
     for k, term in enumerate(terms):
         ok = (isinstance(term, (list, tuple)) and len(term) == 3
-              and isinstance(term[0], int) and not isinstance(term[0], bool)
-              and isinstance(term[1], int) and not isinstance(term[1], bool)
+              and type(term[0]) is int and type(term[1]) is int  # not bool
               and term[0] >= 0 and term[1] >= 0 and _is_number(term[2]))
         _require(ok, f"conformal_phi term {k} must be [i >= 0, j >= 0, coeff]")
         parsed.append((term[0], term[1], float(term[2])))
@@ -246,10 +261,7 @@ def load_experiment(args) -> Experiment:
     family = DomainFamily.from_json(raw["family"])
     metric_spec, metric = _parse_metric(raw.get("metric", "flat"))
 
-    poles = raw["poles"]
-    _require(isinstance(poles, dict), "'poles' must be an object")
-    unknown = set(poles) - {"a", "b", "c"}
-    _require(not unknown, f"unknown pole fields: {sorted(unknown)}")
+    poles = _section(raw, "poles", "abc", "pole")
     _require("a" in poles and "b" in poles, "'poles' needs both 'a' and 'b'")
     a = _parse_point(poles["a"], "a")
     b = _parse_point(poles["b"], "b")
@@ -263,61 +275,44 @@ def load_experiment(args) -> Experiment:
     for name, point in named:
         _check_margin(green, point, name)
 
-    quad = {"n_r": 64, "n_theta": 128, "n_patch": 32, "m_boundary": None}
-    raw_quad = raw.get("quadrature", {})
-    _require(isinstance(raw_quad, dict), "'quadrature' must be an object")
-    unknown = set(raw_quad) - set(_QUAD_FIELDS)
-    _require(not unknown, f"unknown quadrature fields: {sorted(unknown)}")
-    for key, floor in _QUAD_FIELDS.items():
-        if key in raw_quad:
-            v = raw_quad[key]
-            _require(isinstance(v, int) and not isinstance(v, bool) and v >= floor,
-                     f"quadrature '{key}' must be an integer >= {floor}")
-            quad[key] = v
-    if args.quad_nr is not None:
-        _require(args.quad_nr >= _QUAD_FIELDS["n_r"], "--quad-nr too small")
-        quad["n_r"] = args.quad_nr
-    if args.quad_ntheta is not None:
-        _require(args.quad_ntheta >= _QUAD_FIELDS["n_theta"], "--quad-ntheta too small")
-        quad["n_theta"] = args.quad_ntheta
+    def setting(section, key, name, flag, valid, rule, default=None):
+        """``section[key]`` (else ``default``), or the flag's value where given.
+        Each given value, the config's even where the flag overrides it, must
+        pass ``valid`` or is rejected with ``rule`` under its own name."""
+        value = section.get(key, default)
+        flag_value = getattr(args, flag[2:].replace("-", "_")) if flag else None
+        _require(key not in section or valid(value), f"{name} {rule}")
+        _require(flag_value is None or valid(flag_value), f"{flag} {rule}")
+        return value if flag_value is None else flag_value
+
+    raw_quad = _section(raw, "quadrature", _QUAD_FIELDS, "quadrature")
+    quad = {key: setting(raw_quad, key, f"quadrature '{key}'", flag,
+                         lambda v, floor=floor: type(v) is int and v >= floor,
+                         f"must be an integer >= {floor}", default)
+            for key, (floor, default, flag) in _QUAD_FIELDS.items()}
+    # the level-0 rule every volume route builds (run_convergence checks the rest)
+    _patch_layout(np.array(green.pole_preimages(a, b)), quad["n_patch"])
     if quad["m_boundary"] is None:
         quad["m_boundary"] = boundary_nodes(family.base, *(point for _, point in named))
 
-    tols = {"boundary": TOL_MUTUAL, "volume": TOL_VOLUME}
-    raw_tols = raw.get("tolerances", {})
-    _require(isinstance(raw_tols, dict), "'tolerances' must be an object")
-    unknown = set(raw_tols) - set(tols)
-    _require(not unknown, f"unknown tolerance fields: {sorted(unknown)}")
-    for key in tols:
-        if key in raw_tols:
-            _require(_is_number(raw_tols[key]) and raw_tols[key] > 0,
-                     f"tolerance '{key}' must be positive")
-            tols[key] = float(raw_tols[key])
-    if args.tol_boundary is not None:
-        _require(args.tol_boundary > 0, "--tol-boundary must be positive")
-        tols["boundary"] = args.tol_boundary
-    if args.tol_volume is not None:
-        _require(args.tol_volume > 0, "--tol-volume must be positive")
-        tols["volume"] = args.tol_volume
-
-    # the config's own value is checked even where the flag overrides it
-    fd_dt = DEFAULT_FD_FACTOR * family.t_max
-    for value in (raw.get("fd_dt"), args.fd_dt):
-        fd_dt = value if value is not None else fd_dt
-        _require(_is_number(fd_dt) and 0.0 < float(fd_dt) <= family.t_max,
-                 f"fd_dt must lie in (0, t_max = {family.t_max:g}]")
-
-    levels = raw.get("levels", DEFAULT_LEVELS)
-    _require(isinstance(levels, int) and not isinstance(levels, bool)
-             and 1 <= levels <= 8, "levels must be an integer in [1, 8]")
-
-    out = raw.get("out")
-    _require(out is None or isinstance(out, str), "'out' must be a path string")
-    out = args.out if args.out is not None else out
+    raw_tols = _section(raw, "tolerances", ("boundary", "volume"), "tolerance")
+    tol_mutual, tol_volume = (
+        float(setting(raw_tols, key, f"tolerance '{key}'", f"--tol-{key}",
+                      lambda v: _is_number(v) and 0.0 < v < np.inf,
+                      "must be positive and finite", default))
+        for key, default in (("boundary", TOL_MUTUAL), ("volume", TOL_VOLUME)))
+    fd_dt = setting(raw, "fd_dt", "fd_dt", "--fd-dt",
+                    lambda v: _is_number(v) and 0.0 < v <= family.t_max,
+                    f"must lie in (0, t_max = {family.t_max:g}]",
+                    DEFAULT_FD_FACTOR * family.t_max)
+    levels = setting(raw, "levels", "levels", None, lambda v: type(v) is int and 1 <= v <= 8,
+                     "must be an integer in [1, 8]", DEFAULT_LEVELS)
+    out = setting(raw, "out", "'out'", "--out", lambda v: v is None or isinstance(v, str),
+                  "must be a path string")
 
     return Experiment(family=family, metric_spec=metric_spec, metric=metric,
                       a=a, b=b, c=c, quad=quad, fd_dt=float(fd_dt),
-                      tol_mutual=tols["boundary"], tol_volume=tols["volume"],
+                      tol_mutual=tol_mutual, tol_volume=tol_volume,
                       levels=levels, out=out)
 
 
@@ -457,11 +452,12 @@ def run_convergence(exp: Experiment):
     """CSV error table against a Richardson-extrapolated FD reference.
 
     Every rung's rule is checked buildable before any work (the ``levels``
-    contract), though only the level-0 rule is built (module docstring)."""
+    contract; ``load_experiment`` checks level 0), though only the level-0
+    rule is built (module docstring)."""
     fam, a, b = exp.family, exp.a, exp.b
     scales = [2**level for level in range(exp.levels)]
     ws = np.array(GreenFunction(fam.base).pole_preimages(a, b))
-    for s in scales:
+    for s in scales[1:]:
         _patch_layout(ws, exp.quad["n_patch"] * s)
     fd = {s: fd_oracle(fam, a, b, dt=exp.fd_dt / s) for s in sorted({1, 2, *scales})}
     ref = (4.0 * fd[2] - fd[1]) / 3.0
@@ -514,54 +510,42 @@ def run_triple(exp: Experiment):
 
 # -------------------------------------------------------------- entrypoint
 
-def _emit(text: str, out: Optional[str]):
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+RUNNERS = {"verify": run_verify, "vary": run_vary,
+           "converge": run_convergence, "triple": run_triple}
+
+# (flag, type, metavar, help); every flag but --config overrides the config
+# setting ``load_experiment`` reads with it
+_OPTIONS = [
+    ("--config", str, "PATH", "JSON config file"),
+    ("--out", str, "PATH", "write output here instead of stdout"),
+    ("--quad-nr", int, "N", "radial background resolution override"),
+    ("--quad-ntheta", int, "N", "angular background resolution override"),
+    ("--fd-dt", float, "DT", "finite-difference step override"),
+    ("--tol-boundary", float, "TOL", "boundary/flux/fd mutual agreement tolerance"),
+    ("--tol-volume", float, "TOL", "volume-estimator agreement tolerance"),
+]
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="greenvar",
-        description="Green-function domain-variation experiments",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    specs = [
-        ("verify", "run the invariant suite and emit a JSON report"),
-        ("vary", "run the four variation estimators once"),
-        ("converge", "emit a CSV convergence table across resolutions"),
-        ("triple", "evaluate the symmetric three-pole variation"),
-    ]
-    for name, help_text in specs:
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", metavar="PATH", help="JSON config file")
-        p.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
-        p.add_argument("--quad-nr", type=int, metavar="N",
-                       help="radial background resolution override")
-        p.add_argument("--quad-ntheta", type=int, metavar="N",
-                       help="angular background resolution override")
-        p.add_argument("--fd-dt", type=float, metavar="DT",
-                       help="finite-difference step override")
-        p.add_argument("--tol-boundary", type=float, metavar="TOL",
-                       help="boundary/flux/fd mutual agreement tolerance")
-        p.add_argument("--tol-volume", type=float, metavar="TOL",
-                       help="volume-estimator agreement tolerance")
+        prog="greenvar", description="Green-function domain-variation experiments")
+    parser.add_argument("command", choices=RUNNERS, help=(
+        "verify: the invariant suite, as JSON; vary: the four variation estimators once; "
+        "converge: a CSV table across resolutions; triple: the three-pole variation"))
+    for flag, kind, metavar, help_text in _OPTIONS:
+        parser.add_argument(flag, type=kind, metavar=metavar, help=help_text)
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    runners = {"verify": run_verify, "vary": run_vary,
-               "converge": run_convergence, "triple": run_triple}
     try:
         exp = load_experiment(args)
     except GreenvarError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
-        payload, code = runners[args.command](exp)
+        payload, code = RUNNERS[args.command](exp)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -569,7 +553,15 @@ def main(argv=None) -> int:
         print(f"run error: {args.command}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     text = payload if isinstance(payload, str) else render_json(payload) + "\n"
-    _emit(text, exp.out)
+    if exp.out is None:
+        sys.stdout.write(text)
+        return code
+    try:
+        with open(exp.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"config error: cannot write output: {exc}", file=sys.stderr)
+        return 2
     return code
 
 

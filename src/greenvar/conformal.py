@@ -149,7 +149,7 @@ class ConformalMap:
             if self.coeffs[0] == 0:
                 raise InjectivityError("leading coefficient c_1 must be nonzero")
             m = self.gate_min_derivative()
-            if m <= GATE_FLOOR:
+            if not m > GATE_FLOOR:  # NaN-safe: passes_gate's test
                 raise InjectivityError(
                     f"injectivity gate failed: min |f'| = {m:.3e} on check grids"
                 )

@@ -7,6 +7,7 @@ import pytest
 
 from greenvar.cli import (
     CSV_HEADER,
+    _build_parser,
     _parse_metric,
     default_config,
     main,
@@ -28,6 +29,68 @@ def run(capsys, *argv):
     code = main(list(argv))
     cap = capsys.readouterr()
     return code, cap.out, cap.err
+
+
+# ------------------------------------------------------------------ parsing
+
+NO_OPTIONS = {"config": None, "out": None, "quad_nr": None, "quad_ntheta": None,
+              "fd_dt": None, "tol_boundary": None, "tol_volume": None}
+
+
+ARGVS = [
+    # the README's examples
+    ("verify", {"command": "verify"}),
+    ("vary --config exp.json", {"command": "vary", "config": "exp.json"}),
+    ("converge --config exp.json --out table.csv",
+     {"command": "converge", "config": "exp.json", "out": "table.csv"}),
+    ("triple --config exp.json", {"command": "triple", "config": "exp.json"}),
+    # the argvs of the tests below, with P for a path
+    ("verify --config P", {"command": "verify", "config": "P"}),
+    ("verify --tol-boundary 1e-16", {"command": "verify", "tol_boundary": 1e-16}),
+    ("vary", {"command": "vary"}),
+    ("vary --fd-dt 1e-3 --quad-nr 32 --quad-ntheta 64",
+     {"command": "vary", "fd_dt": 1e-3, "quad_nr": 32, "quad_ntheta": 64}),
+    ("vary --config P", {"command": "vary", "config": "P"}),
+    ("vary --tol-volume 0.01", {"command": "vary", "tol_volume": 0.01}),
+    ("vary --tol-boundary -1", {"command": "vary", "tol_boundary": -1.0}),
+    ("vary --out P", {"command": "vary", "out": "P"}),
+    ("vary --config P --fd-dt 0.1", {"command": "vary", "config": "P", "fd_dt": 0.1}),
+    ("vary --config P --fd-dt 1e-3", {"command": "vary", "config": "P", "fd_dt": 1e-3}),
+    ("vary --config P --out report.json",
+     {"command": "vary", "config": "P", "out": "report.json"}),
+    ("converge", {"command": "converge"}),
+    ("converge --config P", {"command": "converge", "config": "P"}),
+    ("converge --config P --fd-dt 0.1", {"command": "converge", "config": "P", "fd_dt": 0.1}),
+    ("triple", {"command": "triple"}),
+    ("triple --config P", {"command": "triple", "config": "P"}),
+    # options may also come before the command
+    ("--config P --fd-dt 0.1 converge", {"command": "converge", "config": "P", "fd_dt": 0.1}),
+]
+
+
+@pytest.mark.parametrize("argv, expected", ARGVS, ids=[argv for argv, _ in ARGVS])
+def test_argv_parses_to_the_documented_namespace(argv, expected):
+    ns = vars(_build_parser().parse_args(argv.split()))
+    typed = lambda d: sorted((k, type(v).__name__, v) for k, v in d.items())
+    assert typed(ns) == typed(dict(NO_OPTIONS, **expected))
+
+
+@pytest.mark.parametrize("argv", [[], ["bogus"]])
+def test_a_missing_or_unknown_command_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: greenvar")
+
+
+def test_help_is_one_text_with_every_command_and_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["-h"])
+    text = capsys.readouterr().out
+    assert exc.value.code == 0
+    assert "{verify,vary,converge,triple}" in text
+    for flag in NO_OPTIONS:
+        assert "--" + flag.replace("_", "-") in text
 
 
 # ---------------------------------------------------------------- rendering
@@ -419,6 +482,41 @@ def test_rejects_a_bad_config_value_a_flag_overrides(capsys, tmp_path, monkeypat
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("patch, name, flag, bad, good, rule", [
+    ({"quadrature": {"n_r": 3}}, "quadrature 'n_r'", "--quad-nr", "2", "16",
+     "must be an integer >= 4"),
+    ({"quadrature": {"n_theta": 64.0}}, "quadrature 'n_theta'", "--quad-ntheta", "4", "32",
+     "must be an integer >= 8"),
+    ({"tolerances": {"boundary": float("inf")}}, "tolerance 'boundary'", "--tol-boundary",
+     "inf", "1e-5", "must be positive and finite"),
+    ({"tolerances": {"volume": 0}}, "tolerance 'volume'", "--tol-volume", "nan", "0.01",
+     "must be positive and finite"),
+    ({"fd_dt": None}, "fd_dt", "--fd-dt", "0.6", "1e-4", "must lie in (0, t_max = 0.5]"),
+    ({"out": ["r.json"]}, "'out'", "--out", None, "report.json", "must be a path string"),
+], ids=["n_r", "n_theta", "tol_boundary", "tol_volume", "fd_dt", "out"])
+def test_a_config_setting_and_its_flag_share_one_rule(capsys, tmp_path, monkeypatch,
+                                                      patch, name, flag, bad, good, rule):
+    # every string is a path, so --out has no bad value
+    monkeypatch.chdir(tmp_path)
+    doc = dict(default_config(), **patch)
+    code, out, err = run(capsys, "vary", "--config", write_config(tmp_path, doc), flag, good)
+    assert (code, out, err) == (2, "", f"config error: {name} {rule}\n")
+    if bad is not None:
+        code, out, err = run(capsys, "vary", flag, bad)
+        assert (code, out, err) == (2, "", f"config error: {flag} {rule}\n")
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("command", ["verify", "vary", "converge", "triple"])
+def test_every_command_rejects_an_unbuildable_level_zero_rule(capsys, tmp_path, command):
+    # n_patch 256 puts the innermost patch ring 7.67e-11 from pole a at 0
+    doc = default_config()
+    doc["poles"]["c"] = [0.0, 0.5]
+    doc["quadrature"] = {"n_patch": 256}
+    code, out, err = run(capsys, command, "--config", write_config(tmp_path, doc))
+    assert (code, out, err) == (2, "", "config error: node within 7.67e-11 of pole 0+0j\n")
+
+
 def test_rejects_bad_tolerance(capsys):
     code, _, err = run(capsys, "vary", "--tol-boundary", "-1")
     assert code == 2
@@ -459,3 +557,11 @@ def test_out_in_config(capsys, tmp_path):
     code, out, _ = run(capsys, "vary", "--config", write_config(tmp_path, doc))
     assert code == 0 and out == ""
     assert json.loads(target.read_text())["status"] == "pass"
+
+
+def test_unwritable_out_is_a_config_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = run(capsys, "vary", "--out", str(target))
+    assert (code, out) == (2, "")
+    assert err == ("config error: cannot write output: [Errno 2] No such file or "
+                   f"directory: '{target}'\n")

@@ -90,6 +90,16 @@ def test_injectivity_gate():
     assert ConformalMap([1.0, 0.6], check=False).passes_gate()
 
 
+@pytest.mark.parametrize("coeffs", [[np.nan], [1.0, np.inf], [complex(1.0, np.nan)]],
+                         ids=["nan", "inf_c2", "nan_imag"])
+def test_injectivity_gate_rejects_non_finite_coefficients(coeffs):
+    # min |f'| is NaN on such maps: construction decides as passes_gate does
+    with np.errstate(invalid="ignore"):
+        assert not ConformalMap(coeffs, check=False).passes_gate()
+        with pytest.raises(InjectivityError):
+            ConformalMap(coeffs)
+
+
 @given(small, small)
 def test_inverse_round_trip(c2, c3):
     fmap = ConformalMap([1.0, complex(c2, c3 / 2), complex(c3, 0)], check=False)
