@@ -15,12 +15,19 @@ from greenvar.conformal import (
     enclosed_area,
     normal_speed,
 )
+from greenvar.errors import InjectivityError
 
 # --- 1. a cubic map and its derivative gate
 
 fmap = ConformalMap([1.0, 0.0, 0.2])          # f(z) = z + 0.2 z^3
 print("f(0.5) =", fmap(0.5), " f'(0.5) =", fmap.derivative(0.5))
-print("gate min |f'| over check grids:", fmap.gate_min_derivative())
+print("certified lower bound of |f'| on the closed disk:", fmap.gate_min_derivative())
+
+# f(z) = z + 0.6 z^2 folds: f' = 1 + 1.2 z vanishes at -0.833, inside the disk
+try:
+    ConformalMap([1.0, 0.6])
+except InjectivityError as exc:
+    print("z + 0.6 z^2 rejected:", exc)
 
 # the inverse comes from Newton on the polynomial
 w = fmap.inverse(fmap(0.3 + 0.4j))

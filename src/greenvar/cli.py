@@ -41,7 +41,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .conformal import (DomainFamily, boundary_grid,
+from .conformal import (DomainFamily, _is_number, boundary_grid,
                         dilation_family, to_complex, to_points)
 from .energy_momentum import PolarizedEMT
 from .errors import ConfigError, GreenvarError
@@ -167,10 +167,6 @@ def default_config() -> dict:
 def _require(cond: bool, message: str):
     if not cond:
         raise ConfigError(message)
-
-
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 def _section(raw: dict, key: str, fields, name: str) -> dict:

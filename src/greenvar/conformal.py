@@ -52,17 +52,8 @@ __all__ = [
     "BUILTIN_FAMILIES",
 ]
 
-# Injectivity gate resolution: |f'| is checked on a 720-node boundary grid
-# and a 50 x 72 interior polar grid; the gate fails if min |f'| <= GATE_FLOOR.
-GATE_BOUNDARY_NODES = 720
-GATE_RADIAL = 50
-GATE_ANGULAR = 72
+# A boundary node where |f'| <= GATE_FLOOR makes the parametrization degenerate.
 GATE_FLOOR = 1e-9
-_GATE_POINTS = np.concatenate([
-    np.exp(1j * np.linspace(0.0, 2.0 * np.pi, GATE_BOUNDARY_NODES, endpoint=False)),
-    (((np.arange(GATE_RADIAL) + 0.5) / GATE_RADIAL)[:, None]
-     * np.exp(1j * np.linspace(0.0, 2.0 * np.pi, GATE_ANGULAR, endpoint=False))).ravel(),
-])
 
 NEWTON_MAXITER = 50
 NEWTON_TOL = 1e-14
@@ -126,33 +117,52 @@ def _as_coeffs(coeffs) -> np.ndarray:
     return c
 
 
+def _derivative(coeffs) -> np.ndarray:
+    """``d/dz sum_k a_k z^k`` from ``(a_1, a_2, ...)`` on the last axis."""
+    return coeffs * np.arange(1, coeffs.shape[-1] + 1)
+
+
+def _derivative_certificate(d):
+    """``(bound, mu)`` per row ``(c_1, 2 c_2, ...)`` of ``f' = c_1 prod_j (1 - mu_j z)``.
+    ``mu`` are the eigenvalues of the reversed companion matrix (backward stable:
+    Edelman and Murakami, Math. Comp. 1995): 0 for a vanishing leading coefficient,
+    inf where the matrix is not finite (``c_1 = 0``).  ``bound = |c_1| prod_j max(1 -
+    |mu_j|, 0) <= |f'|`` on the closed disk, positive iff ``f'`` has no zero there;
+    NaN for a non-finite coefficient."""
+    n = d.shape[1] - 1
+    with np.errstate(all="ignore"):
+        companion = np.zeros((len(d), n, n), dtype=complex) + np.eye(n, k=-1)
+        companion[:, :1] = (-d[:, 1:] / d[:, :1])[:, None]
+        ok = np.isfinite(companion).all(axis=(1, 2))
+        mu = np.full((len(d), n), np.inf, dtype=complex)
+        mu[ok] = np.linalg.eigvals(companion[ok])
+        bound = np.abs(d[:, 0]) * np.prod(np.maximum(1.0 - np.abs(mu), 0.0), axis=1)
+    return np.where(np.isfinite(d).all(axis=1), bound, np.nan), mu
+
+
 class ConformalMap:
     """Polynomial map ``f(z) = c_1 z + ... + c_K z^K`` of the unit disk.
 
     ``coeffs[k]`` is ``c_{k+1}``; the constant term is absent so ``f(0) = 0``.
-    Construction runs the injectivity gate (``c_1 != 0`` and ``|f'| > 0`` on
-    the fixed boundary/interior check grids) unless ``check=False``.
+    Construction runs the injectivity gate (``f'`` has no zero on the closed
+    disk, certified by :meth:`gate_min_derivative`) unless ``check=False``.
     A map holds its pole preimages, boundary grids and the zeros of ``f'``,
     so ``coeffs`` (a copy of the argument) is not writeable.
     """
 
     def __init__(self, coeffs, check: bool = True):
         self.coeffs = _as_coeffs(coeffs)
-        # derivative coefficients of f'(z) = c_1 + 2 c_2 z + ...
-        k = np.arange(1, self.coeffs.size + 1)
-        self._dcoeffs = self.coeffs * k
-        self._ddcoeffs = (self.coeffs * k * (k - 1))[1:]
+        with np.errstate(over="ignore", invalid="ignore"):  # the gate refuses inf, NaN
+            self._dcoeffs = _derivative(self.coeffs)  # f'(z) = c_1 + 2 c_2 z + ...
+            self._ddcoeffs = _derivative(self._dcoeffs[1:])
         for arr in (self.coeffs, self._dcoeffs, self._ddcoeffs):
             arr.flags.writeable = False
         self._preimages, self._grids = [], []
-        if check:
-            if self.coeffs[0] == 0:
-                raise InjectivityError("leading coefficient c_1 must be nonzero")
-            m = self.gate_min_derivative()
-            if not m > GATE_FLOOR:  # NaN-safe: passes_gate's test
-                raise InjectivityError(
-                    f"injectivity gate failed: min |f'| = {m:.3e} on check grids"
-                )
+        if check and not self.passes_gate():
+            cause = ("non-finite coefficients" if np.isnan(self.gate_min_derivative())
+                     else "c_1 = 0" if self.coeffs[0] == 0 else
+                     f"a zero of f' of modulus {min(abs(self._critical_points)):.6g} <= 1")
+            raise InjectivityError(f"injectivity gate failed: {cause}")
 
     @staticmethod
     @cache
@@ -179,15 +189,22 @@ class ConformalMap:
         return _horner(self._ddcoeffs, np.asarray(z, dtype=complex))
 
     def gate_min_derivative(self) -> float:
-        """Min of ``|f'|`` over the boundary and interior check grids."""
-        return float(np.min(np.abs(self.derivative(_GATE_POINTS))))
+        """Certified lower bound of ``|f'|`` on the closed disk: positive iff ``f'``
+        has no zero there, NaN for a non-finite coefficient."""
+        return self._certificate[0]
 
     def passes_gate(self) -> bool:
-        return self.coeffs[0] != 0 and self.gate_min_derivative() > GATE_FLOOR
+        return self.gate_min_derivative() > 0  # NaN fails
 
     @cached_property
-    def _critical_points(self) -> np.ndarray:
-        return np.roots(self._dcoeffs[::-1])
+    def _certificate(self):
+        """The gate's bound and the zeros of ``f'``: the finite ``1 / mu``."""
+        bound, mu = _derivative_certificate(self._dcoeffs[None])
+        with np.errstate(all="ignore"):  # mu = 0 or subnormal: no finite zero
+            zeros = 1.0 / mu[0]
+        return float(bound[0]), zeros[np.isfinite(zeros)]
+
+    _critical_points = property(lambda self: self._certificate[1])
 
     def inverse(self, x):
         """Preimage ``z = f^{-1}(x)`` for ``x`` in the image of the closed disk.
@@ -245,9 +262,7 @@ class DomainFamily:
     read-only ``coeffs``.  ``t_max`` bounds the admissible parameter range.
     When omitted it is set to half the smallest ``|t|`` at which the
     injectivity gate first fails on a coarse scan (cap ``T_SCAN_CAP`` when the
-    gate never fails).  Per scan, a point where ``|f'| - T |h'|`` clears
-    ``GATE_FLOOR`` beyond the rounding of ``|f' + t h'|`` passes at every
-    ``|t| <= T`` by the triangle inequality: no decision changes.
+    gate never fails).
     """
 
     def __init__(self, base, perturbation, t_max: Optional[float] = None):
@@ -255,28 +270,24 @@ class DomainFamily:
         self.h = ConformalMap(perturbation, check=False)
         if t_max is None:
             t_max = self._scan_t_max()
-        if (not isinstance(t_max, (int, float)) or isinstance(t_max, bool)
-                or not (t_max > 0 and np.isfinite(t_max))):
+        if not (_is_number(t_max) and 0 < t_max < np.inf):
             raise ConfigError(f"t_max must be positive and finite, got {t_max!r}")
         self.t_max = float(t_max)
         self._check_range()
 
     perturbation = property(lambda self: self.h.coeffs)
 
+    def _coeffs_at(self, ts) -> np.ndarray:
+        """The coefficients of ``base + t * perturbation``, one row per ``t``."""
+        c = np.zeros((len(ts), max(self.base.degree, self.perturbation.size)), dtype=complex)
+        c[:, : self.base.degree] += self.base.coeffs
+        c[:, : self.perturbation.size] += np.asarray(ts, dtype=float)[:, None] * self.perturbation
+        return c
+
     def _gate_ok(self, ts) -> np.ndarray:
-        """Per ``t``, whether ``base + t * perturbation`` passes the gate.
-        ``f'``, ``h'`` are evaluated once; a point with ``|f'| - T |h'| >
-        GATE_FLOOR + 1e-12 (|f'| + T |h'|)``, ``T = max |ts|``, passes at every
-        ``t`` (see the class docstring), and only the others, NaN or inf
-        included, are tested per ``t``."""
-        fp = self.base.derivative(_GATE_POINTS)
-        hp = self.h.derivative(_GATE_POINTS)
-        lo, hi = np.abs(fp), np.max(np.abs(ts)) * np.abs(hp)
-        keep = ~(lo - hi > GATE_FLOOR + 1e-12 * (lo + hi))
-        fp, hp = fp[keep], hp[keep]
-        c1 = self.base.coeffs[0] + ts * self.perturbation[0]
-        return (c1 != 0) & np.array([not fp.size or np.min(np.abs(fp + t * hp)) > GATE_FLOOR
-                                     for t in ts])
+        """Per ``t``, ``map_at(t).passes_gate()``: the same rows, certified at once."""
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite row fails
+            return _derivative_certificate(_derivative(self._coeffs_at(ts)))[0] > 0
 
     def _scan_t_max(self) -> float:
         ts = T_SCAN_CAP * np.arange(1, T_SCAN_STEPS + 1) / T_SCAN_STEPS
@@ -293,10 +304,7 @@ class DomainFamily:
     def map_at(self, t: float) -> ConformalMap:
         if abs(t) > self.t_max * (1.0 + 1e-12):
             raise DomainError(f"|t| = {abs(t):.6g} exceeds t_max = {self.t_max:.6g}")
-        c = np.zeros(max(self.base.degree, self.perturbation.size), dtype=complex)
-        c[: self.base.degree] += self.base.coeffs
-        c[: self.perturbation.size] += float(t) * self.perturbation
-        return ConformalMap(c, check=False)
+        return ConformalMap(self._coeffs_at([t])[0], check=False)
 
     def velocity_field(self) -> VectorField:
         """Deformation velocity on ``Omega(0)`` with analytic Jacobian.
@@ -360,13 +368,19 @@ class DomainFamily:
                 f"t_max={self.t_max:g})")
 
 
+def _is_number(v) -> bool:
+    """A number, not a bool, that converts to a double (ints from 2^1024 - 2^970 up
+    overflow); inf and NaN pass, for each field's own rule to refuse."""
+    return isinstance(v, float) or (type(v) is int and abs(v) < 2**1024 - 2**970)
+
+
 def _unpack_coeffs(raw, field: str) -> np.ndarray:
     if not isinstance(raw, list) or not raw:
         raise ConfigError(f"family field '{field}' must be a non-empty list")
     out = np.empty(len(raw), dtype=complex)
     for k, pair in enumerate(raw):
         if (not isinstance(pair, (list, tuple)) or len(pair) != 2
-                or not all(isinstance(v, (int, float)) for v in pair)):
+                or not all(_is_number(v) for v in pair)):
             raise ConfigError(
                 f"family field '{field}' entry {k} must be a [re, im] pair"
             )

@@ -28,7 +28,7 @@ class DegenerateMetricError(GreenvarError, ValueError):
 
 
 class InjectivityError(GreenvarError, ValueError):
-    """Conformal map fails the injectivity gate (|f'| vanishes on the grid)."""
+    """Conformal map fails the injectivity gate (|f'| vanishes on the closed disk)."""
 
 
 class DomainError(GreenvarError, ValueError):

@@ -517,6 +517,33 @@ def test_every_command_rejects_an_unbuildable_level_zero_rule(capsys, tmp_path, 
     assert (code, out, err) == (2, "", "config error: node within 7.67e-11 of pole 0+0j\n")
 
 
+HUGE = 10**400  # a JSON integer beyond the double range
+NON_FINITE = "injectivity gate failed: non-finite coefficients"
+
+
+@pytest.mark.parametrize("patch, message", [
+    ({"tolerances": {"boundary": HUGE}}, "tolerance 'boundary' must be positive and finite"),
+    ({"poles": {"a": [HUGE, 0], "b": [0.5, 0]}}, "pole 'a' must be an [x, y] pair of numbers"),
+    ({"family": {"base": [[HUGE, 0]], "perturbation": [[1, 0]]}},
+     "family field 'base' entry 0 must be a [re, im] pair"),
+    ({"metric": {"conformal_phi": [[1, 0, HUGE]]}},
+     "conformal_phi term 0 must be [i >= 0, j >= 0, coeff]"),
+    ({"family": {"base": [[True, False]], "perturbation": [[1, 0]]}},
+     "family field 'base' entry 0 must be a [re, im] pair"),
+    ({"family": {"base": [[float("inf"), 0]], "perturbation": [[1, 0]]}}, NON_FINITE),
+    ({"family": {"base": [[1, 0], [1e308, 0]], "perturbation": [[1, 0]]}}, NON_FINITE),
+    # f' = 1 + 1.2 z vanishes at -0.833, inside the disk
+    ({"family": {"base": [[1, 0], [0.6, 0]], "perturbation": [[0, 0], [0.01, 0]],
+                 "t_max": 0.1}, "poles": {"a": [0, 0], "b": [0.3, 0]}},
+     "injectivity gate failed: a zero of f' of modulus 0.833333 <= 1"),
+], ids=["huge_tolerance", "huge_pole", "huge_coefficient", "huge_phi", "bool_coefficient",
+        "inf_coefficient", "overflowing_f_prime", "zero_of_f_prime_inside"])
+def test_rejects_numbers_the_program_cannot_handle(capsys, tmp_path, patch, message):
+    doc = dict(default_config(), **patch)
+    code, out, err = run(capsys, "vary", "--config", write_config(tmp_path, doc))
+    assert (code, out, err) == (2, "", f"config error: {message}\n")
+
+
 def test_rejects_bad_tolerance(capsys):
     code, _, err = run(capsys, "vary", "--tol-boundary", "-1")
     assert code == 2

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from greenvar.conformal import (_GATE_POINTS, BUILTIN_FAMILIES, GATE_FLOOR, RECENT_GRIDS,
-                                ConformalMap, DomainFamily,
+from greenvar.conformal import (BUILTIN_FAMILIES, RECENT_GRIDS, ConformalMap, DomainFamily,
                                 boundary_grid, cubic_mix_family,
                                 dilation_family, enclosed_area, normal_speed,
                                 quadratic_bump_family, rotation_family,
@@ -76,28 +75,71 @@ def test_identity_inverse_is_a_checked_copy(monkeypatch):
 
 
 def test_injectivity_gate():
-    # f' = 1 + z vanishes at z = -1, which sits on the boundary check grid
-    with pytest.raises(InjectivityError):
+    # f' = 1 + z vanishes at z = -1, on the circle
+    with pytest.raises(InjectivityError, match="a zero of f' of modulus 1 <= 1"):
         ConformalMap([1.0, 0.5])
-    # f' = 1 + z/0.83 vanishes at -0.83, a node of the interior polar grid
-    with pytest.raises(InjectivityError):
+    # f' = 1 + z/0.83 vanishes at -0.83, inside the disk
+    with pytest.raises(InjectivityError, match="modulus 0.83 <= 1"):
         ConformalMap([1.0, 1.0 / 1.66])
-    with pytest.raises(InjectivityError):
+    with pytest.raises(InjectivityError, match="c_1 = 0"):
         ConformalMap([0.0, 0.3])
     assert ConformalMap([1.0, 0.3]).passes_gate()
-    # the gate samples fixed grids: a derivative zero strictly between nodes
-    # is not detected, so callers must keep perturbations inside t_max
-    assert ConformalMap([1.0, 0.6], check=False).passes_gate()
+    # f' = 1 + 1.2 z vanishes at -0.833
+    with pytest.raises(InjectivityError, match="modulus 0.833333 <= 1"):
+        ConformalMap([1.0, 0.6])
+    assert not ConformalMap([1.0, 0.6], check=False).passes_gate()
+    # z + z^16/32 is univalent (min |f'| = 0.5) though its bound is ~6.6e-21:
+    # no floor on the bound
+    fmap = ConformalMap([1.0] + [0.0] * 14 + [1.0 / 32.0])
+    assert 0.0 < fmap.gate_min_derivative() < 1e-20
+    # a subnormal mu puts the zero of f' beyond the doubles: none is listed
+    assert ConformalMap([1.0, 2.2250738585e-313, 0.0])._critical_points.size == 0
 
 
-@pytest.mark.parametrize("coeffs", [[np.nan], [1.0, np.inf], [complex(1.0, np.nan)]],
-                         ids=["nan", "inf_c2", "nan_imag"])
+@pytest.mark.parametrize("coeffs", [[np.nan], [1.0, np.inf], [complex(1.0, np.nan)],
+                                    [np.inf], [np.inf, 1.0], [1.0, 1e308]],
+                         ids=["nan", "inf_c2", "nan_imag", "inf", "inf_c1", "f_prime_overflows"])
 def test_injectivity_gate_rejects_non_finite_coefficients(coeffs):
-    # min |f'| is NaN on such maps: construction decides as passes_gate does
-    with np.errstate(invalid="ignore"):
-        assert not ConformalMap(coeffs, check=False).passes_gate()
-        with pytest.raises(InjectivityError):
-            ConformalMap(coeffs)
+    # the bound is NaN on such maps: construction decides as passes_gate does,
+    # and no numpy warning leaks (pytest turns RuntimeWarning into an error)
+    fmap = ConformalMap(coeffs, check=False)
+    assert np.isnan(fmap.gate_min_derivative()) and not fmap.passes_gate()
+    with pytest.raises(InjectivityError, match="non-finite coefficients"):
+        ConformalMap(coeffs)
+
+
+@pytest.mark.parametrize("scale", [0.25, 0.5])
+def test_gate_agrees_with_the_zeros_of_f_prime(scale):
+    # seeded quartics z + c_2 z^2 + c_3 z^3 + c_4 z^4 against the np.roots
+    # oracle: accepted iff every zero of f' lies outside the closed disk
+    rng = np.random.default_rng(3)
+    cs = scale * (rng.standard_normal((3000, 3)) + 1j * rng.standard_normal((3000, 3)))
+    decided = []
+    for c in cs:
+        coeffs = np.concatenate([[1.0], c])
+        least = np.min(np.abs(np.roots((coeffs * np.arange(1, 5))[::-1])))
+        if abs(least - 1.0) > 1e-9:
+            decided.append(ConformalMap(coeffs, check=False).passes_gate() == (least > 1.0))
+    assert len(decided) == 3000 and all(decided)
+
+
+def test_gate_bound_is_below_min_abs_f_prime():
+    # a lower bound of |f'| on the closed disk, checked on a polar grid of
+    # accepted random cubics; on degree 2 it is |c_1| - 2 |c_2|
+    rng = np.random.default_rng(11)
+    z = (np.linspace(0.0, 1.0, 100)[:, None]
+         * np.exp(2j * np.pi * np.arange(360) / 360)).ravel()
+    accepted = 0
+    for c in 0.25 * (rng.standard_normal((300, 2)) + 1j * rng.standard_normal((300, 2))):
+        fmap = ConformalMap([1.0, *c], check=False)
+        if fmap.passes_gate():
+            accepted += 1
+            assert fmap.gate_min_derivative() <= np.min(np.abs(fmap.derivative(z)))
+    assert accepted > 50
+    for c1, c2 in 0.5 * (rng.standard_normal((50, 2)) + 1j * rng.standard_normal((50, 2))):
+        fmap = ConformalMap([c1, c2], check=False)
+        want = abs(c1) - 2.0 * abs(c2)
+        assert fmap.gate_min_derivative() == pytest.approx(max(want, 0.0), abs=1e-15)
 
 
 @given(small, small)
@@ -183,47 +225,38 @@ def test_family_t_max_declared_and_range_checked():
 
 
 def test_family_gate_matches_maps_built_per_t():
-    # the family decides every t from f' and h' evaluated once, and each check
-    # point once for all |t| <= max |ts|; each decision must equal the gate of
-    # the map f + t h itself, and the test of every point at every t
+    # the family certifies every t in one call; each decision must equal the
+    # gate of the map f + t h formed as map_at forms it
     def gate(base, pert, t):
         c = np.zeros(max(len(base), len(pert)), dtype=complex)
         c[: len(base)] += base
         c[: len(pert)] += t * np.asarray(pert)
         return ConformalMap(c, check=False).passes_gate()
 
-    def every_point(fam, ts):
-        fp, hp = fam.base.derivative(_GATE_POINTS), fam.h.derivative(_GATE_POINTS)
-        return [fam.base.coeffs[0] + t * fam.perturbation[0] != 0
-                and np.min(np.abs(fp + t * hp)) > GATE_FLOOR for t in ts]
-
     ts = np.linspace(-4.0, 4.0, 129)
-    # f' = 1 + 2 t q z vanishes at z = w for t = t0 when q = -1 / (2 t0 w): at
-    # the check point -0.83 itself and 1e-10 relative off it, for t0 = +-0.75
-    z0 = _GATE_POINTS[np.argmin(np.abs(_GATE_POINTS + 0.83))]
-    zeros = [([1.0], [0.0, -1.0 / (2.0 * t0 * w)])
-             for t0 in (0.75, -0.75) for w in (z0, z0 * (1.0 + 1e-10))]
-    cleared = ([1.0, 0.1], [0.0, 0.05, 0.03])  # |f'| >= 0.8 > 4 |h'| everywhere
-    kept = ([1.0, 0.1], [10.0, 0.5, 0.3])  # |f'| <= 1.2 < 4 |h'| everywhere
-    cases = [([1.0], [1.0]), ([1.0], [0.0, 1.0]), cleared, kept,
-             # f' = 1 + 2 t q z vanishes at the grid node -0.83 for t = 0.75
-             ([1.0], [0.0, 1.0 / (2.0 * 0.75 * 0.83)]), ([1.0, 0.2j], [0.3, -0.4, 0.1j]),
-             *zeros]
+    # f' = 1 + 2 t q z vanishes at z = w for t = t0 when q = -1 / (2 t0 w): on
+    # the circle and 1e-10 relative inside and outside it, for t0 = +-0.75
+    w = np.exp(0.7j)
+    zeros = {(t0, rel): ([1.0], [0.0, -1.0 / (2.0 * t0 * w * rel)])
+             for t0 in (0.75, -0.75) for rel in (1.0, 1.0 - 1e-10, 1.0 + 1e-10)}
+    drop = ([1.0, 0.1, 0.03], [0.0, 0.0, -0.03])  # degree 3 -> 2 at t = 1
+    cases = [([1.0], [1.0]), ([1.0], [0.0, 1.0]), ([1.0, 0.1], [0.0, 0.05, 0.03]),
+             ([1.0, 0.1], [10.0, 0.5, 0.3]), ([1.0, 0.2j], [0.3, -0.4, 0.1j]),
+             drop, *zeros.values()]
     for base, pert in cases:
         fam = DomainFamily(base, pert, t_max=1e-3)
         assert list(fam._gate_ok(ts)) == [gate(base, pert, t) for t in ts]
-        assert list(fam._gate_ok(ts)) == every_point(fam, ts)
-    assert not gate(*cases[4], 0.75)
-    for (base, pert), t0 in zip(zeros, (0.75, 0.75, -0.75, -0.75)):
-        assert not gate(base, pert, t0)
-    for (base, pert), all_cleared in ((cleared, True), (kept, False)):
-        fp = np.abs(ConformalMap(base).derivative(_GATE_POINTS))
-        hp = 4.0 * np.abs(ConformalMap(pert, check=False).derivative(_GATE_POINTS))
-        assert np.all(fp - hp > 0.04) if all_cleared else np.all(fp < hp)
+    # the zero crosses the circle at t0: inside fails, outside passes
+    for (t0, rel), (base, pert) in zeros.items():
+        if rel != 1.0:
+            assert gate(base, pert, t0) == (rel > 1.0)
+            assert not gate(base, pert, 1.01 * t0) and gate(base, pert, 0.99 * t0)
+    assert gate(*drop, 1.0)  # z + 0.1 z^2: the vanishing c_3 is mu = 0
+    assert not gate([1.0], [1.0], -1.0)  # c_1(t) = 0
 
 
 def test_family_gate_tests_every_non_finite_point():
-    # a NaN h' never clears a check point, so every t fails, scanned or declared
+    # a NaN h' makes f' + t h' non-finite, so every t fails, scanned or declared
     for t_max in (None, 1e-3):
         with pytest.raises(InjectivityError):
             DomainFamily([1.0], [0.0, np.nan], t_max=t_max)
