@@ -41,12 +41,12 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .conformal import (DomainFamily, _is_number, boundary_grid,
-                        dilation_family, to_complex, to_points)
+from .conformal import (BOUNDARY_NODES, MAX_DEGREE, DomainFamily, _is_number,
+                        boundary_grid, dilation_family, to_complex, to_points)
 from .energy_momentum import PolarizedEMT
 from .errors import ConfigError, GreenvarError
 from .greens import GreenFunction, green_gradient_field, interior_rule
-from .quadrature import _patch_layout, integrate
+from .quadrature import N_PATCH, N_R, N_THETA, Count, check_rule, integrate
 from .tensors import MetricField, conformal_metric, trace_tensor
 from .variation import (DEFAULT_FD_FACTOR, TOL_MUTUAL, TOL_VOLUME,
                         boundary_nodes, boundary_variation, fd_oracle,
@@ -57,7 +57,7 @@ __all__ = ["main", "load_experiment", "run_verify", "run_vary",
            "run_convergence", "run_triple", "render_json", "render_csv"]
 
 POLE_MARGIN = 0.05
-DEFAULT_LEVELS = 3
+LEVELS = Count(1, 3, 8)
 TRIPLE_SPREAD_TOL = 1e-12
 TRIPLE_MATCH_TOL = 1e-8
 
@@ -71,10 +71,10 @@ AREA_TOL = 1e-8
 
 _CONFIG_FIELDS = {"family", "metric", "poles", "quadrature", "fd_dt",
                   "tolerances", "levels", "out"}
-# quadrature field: (floor, default, the flag that overrides it); the default
-# m_boundary (None) is worked out from the poles
-_QUAD_FIELDS = {"n_r": (4, 64, "--quad-nr"), "n_theta": (8, 128, "--quad-ntheta"),
-                "n_patch": (8, 32, None), "m_boundary": (4, None, None)}
+# quadrature field: (its count, the flag that overrides it); an absent
+# m_boundary is worked out from the poles
+_QUAD_FIELDS = {"n_r": (N_R, "--quad-nr"), "n_theta": (N_THETA, "--quad-ntheta"),
+                "n_patch": (N_PATCH, None), "m_boundary": (BOUNDARY_NODES, None)}
 CSV_HEADER = "level,estimator,value,abs_error"
 
 
@@ -199,9 +199,10 @@ def _parse_metric(raw):
     parsed = []
     for k, term in enumerate(terms):
         ok = (isinstance(term, (list, tuple)) and len(term) == 3
-              and type(term[0]) is int and type(term[1]) is int  # not bool
-              and term[0] >= 0 and term[1] >= 0 and _is_number(term[2]))
-        _require(ok, f"conformal_phi term {k} must be [i >= 0, j >= 0, coeff]")
+              and all(type(e) is int and 0 <= e <= MAX_DEGREE for e in term[:2])  # not bool
+              and _is_number(term[2]))
+        _require(ok, f"conformal_phi term {k} must be [i, j, coeff] with "
+                     f"0 <= i, j <= {MAX_DEGREE}")
         parsed.append((term[0], term[1], float(term[2])))
 
     d_x = [(i - 1, j, i * c) for i, j, c in parsed if i > 0]
@@ -282,13 +283,12 @@ def load_experiment(args) -> Experiment:
         return value if flag_value is None else flag_value
 
     raw_quad = _section(raw, "quadrature", _QUAD_FIELDS, "quadrature")
-    quad = {key: setting(raw_quad, key, f"quadrature '{key}'", flag,
-                         lambda v, floor=floor: type(v) is int and v >= floor,
-                         f"must be an integer >= {floor}", default)
-            for key, (floor, default, flag) in _QUAD_FIELDS.items()}
+    quad = {key: setting(raw_quad, key, f"quadrature '{key}'", flag, count.accepts,
+                         count.rule, count.default)
+            for key, (count, flag) in _QUAD_FIELDS.items()}
     # the level-0 rule every volume route builds (run_convergence checks the rest)
-    _patch_layout(np.array(green.pole_preimages(a, b)), quad["n_patch"])
-    if quad["m_boundary"] is None:
+    check_rule(quad["n_r"], quad["n_theta"], green.pole_preimages(a, b), quad["n_patch"])
+    if "m_boundary" not in raw_quad:
         quad["m_boundary"] = boundary_nodes(family.base, *(point for _, point in named))
 
     raw_tols = _section(raw, "tolerances", ("boundary", "volume"), "tolerance")
@@ -301,8 +301,8 @@ def load_experiment(args) -> Experiment:
                     lambda v: _is_number(v) and 0.0 < v <= family.t_max,
                     f"must lie in (0, t_max = {family.t_max:g}]",
                     DEFAULT_FD_FACTOR * family.t_max)
-    levels = setting(raw, "levels", "levels", None, lambda v: type(v) is int and 1 <= v <= 8,
-                     "must be an integer in [1, 8]", DEFAULT_LEVELS)
+    levels = setting(raw, "levels", "levels", None, LEVELS.accepts, LEVELS.rule,
+                     LEVELS.default)
     out = setting(raw, "out", "'out'", "--out", lambda v: v is None or isinstance(v, str),
                   "must be a path string")
 
@@ -447,14 +447,17 @@ def run_vary(exp: Experiment):
 def run_convergence(exp: Experiment):
     """CSV error table against a Richardson-extrapolated FD reference.
 
-    Every rung's rule is checked buildable before any work (the ``levels``
+    Every rung's rule and grid is checked before any work (the ``levels``
     contract; ``load_experiment`` checks level 0), though only the level-0
     rule is built (module docstring)."""
     fam, a, b = exp.family, exp.a, exp.b
     scales = [2**level for level in range(exp.levels)]
-    ws = np.array(GreenFunction(fam.base).pole_preimages(a, b))
+    for key, count in (("n_patch", N_PATCH), ("m_boundary", BOUNDARY_NODES)):
+        count.check(f"quadrature '{key}' x {scales[-1]} (converge level {exp.levels - 1})",
+                    exp.quad[key] * scales[-1])
+    ws = GreenFunction(fam.base).pole_preimages(a, b)
     for s in scales[1:]:
-        _patch_layout(ws, exp.quad["n_patch"] * s)
+        check_rule(exp.quad["n_r"], exp.quad["n_theta"], ws, exp.quad["n_patch"] * s)
     fd = {s: fd_oracle(fam, a, b, dt=exp.fd_dt / s) for s in sorted({1, 2, *scales})}
     ref = (4.0 * fd[2] - fd[1]) / 3.0
     volume = float(volume_variation(fam, a, b, metric=exp.metric, n_r=exp.quad["n_r"],

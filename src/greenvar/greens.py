@@ -21,7 +21,7 @@ import numpy as np
 from .conformal import (RECENT_POLES, BoundaryGrid, ConformalMap, _multiplication_matrix,
                         pullback_metric, to_complex, to_points)
 from .errors import CoincidentPoleError, ConfigError, DomainError
-from .quadrature import QuadratureRule, disk_rule, held, integrate
+from .quadrature import N_PATCH, N_R, N_THETA, QuadratureRule, disk_rule, held, integrate
 from .tensors import MetricField, VectorField, volume_density
 
 __all__ = [
@@ -218,8 +218,9 @@ def green_gradient_field(fmap: ConformalMap, c) -> VectorField:
     return VectorField(2, func, jac, name="green gradient field")
 
 
-def interior_rule(fmap: Optional[ConformalMap], poles=(), n_r: int = 64,
-                  n_theta: int = 128, n_patch: int = 32) -> QuadratureRule:
+def interior_rule(fmap: Optional[ConformalMap], poles=(), n_r: int = N_R.default,
+                  n_theta: int = N_THETA.default,
+                  n_patch: int = N_PATCH.default) -> QuadratureRule:
     """Disk rule with patches at the preimages of ambient pole points.
 
     The rule always lives on the unit disk; integrands over ``f(D)`` must be

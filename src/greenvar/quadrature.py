@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -46,6 +46,7 @@ __all__ = [
     "QuadratureRule",
     "IntegrationResult",
     "disk_rule",
+    "check_rule",
     "integrate",
     "boundary_integrate",
 ]
@@ -84,9 +85,34 @@ FSUM_EXTRACT_MIN = 2048
 # memory for hits that only repeated identical estimates would find.
 RECENT_RULES = 2
 
-_MIN_NR = 4
-_MIN_NTHETA = 8
-_MIN_NPATCH = 8
+
+class Count(NamedTuple):
+    """An integer's range and default (a resolution count, or ``converge``'s
+    levels), read by every builder, signature and config setting that takes it."""
+
+    floor: int
+    default: int
+    ceiling: int
+    rule = property(lambda self: f"must be an integer in [{self.floor}, {self.ceiling}]")
+
+    def accepts(self, n) -> bool:
+        """An ``int`` or numpy integer, not a ``bool``, in ``[floor, ceiling]``."""
+        return (isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+                and self.floor <= n <= self.ceiling)
+
+    def check(self, name: str, n):
+        if not self.accepts(n):
+            raise ConfigError(f"{name} {self.rule}")
+
+
+# Ceilings.  n_r: leggauss is O(n^3), 0.15 s at 1,024 and 1.0 s at 2,048
+# (2-core x86_64).  n_theta: with n_r's, 2.1M background nodes (120 MB peak).
+# n_patch: 285 is the largest whose innermost ring, rho s_min^2 from its pole,
+# clears the 1e-10 node guard at the largest patch radius rho = RHO_FACTOR (one
+# pole at 0; 286 lands at 9.86e-11): a larger one fails for any poles.
+N_R = Count(4, 64, 1024)
+N_THETA = Count(8, 128, 2048)
+N_PATCH = Count(8, 32, 285)
 
 
 def _smoothstep_coeffs(order: int) -> np.ndarray:
@@ -161,13 +187,6 @@ def _max_abs(x: np.ndarray) -> float:
     return max(float(x.max()), -float(x.min()))
 
 
-def require_integers(**counts):
-    """Raise :class:`ConfigError` unless every count is an integer (not a bool)."""
-    for name, n in counts.items():
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-            raise ConfigError(f"{name} must be an integer, got {n!r}")
-
-
 @lru_cache(maxsize=64)
 def _gauss_legendre(n: int, lo: float, hi: float):
     """Nodes and weights on ``[lo, hi]``; cached, hence read-only."""
@@ -210,10 +229,10 @@ class QuadratureRule:
         """The same rule at half resolution (used for convergence flags)."""
         if self._coarse is None:
             self._coarse = disk_rule(
-                max(_MIN_NR, self.n_r // 2),
-                max(_MIN_NTHETA, self.n_theta // 2),
+                max(N_R.floor, self.n_r // 2),
+                max(N_THETA.floor, self.n_theta // 2),
                 poles=self.poles,
-                n_patch=max(_MIN_NPATCH, self.n_patch // 2),
+                n_patch=max(N_PATCH.floor, self.n_patch // 2),
             )
         return self._coarse
 
@@ -225,8 +244,8 @@ class QuadratureRule:
 _recent = []        # (key, rule) of the rules disk_rule holds, oldest first
 
 
-def disk_rule(n_r: int = 64, n_theta: int = 128, poles: Sequence = (),
-              n_patch: int = 32) -> QuadratureRule:
+def disk_rule(n_r: int = N_R.default, n_theta: int = N_THETA.default,
+              poles: Sequence = (), n_patch: int = N_PATCH.default) -> QuadratureRule:
     """Build the disk rule, optionally refined around pole points.
 
     Parameters
@@ -247,17 +266,27 @@ def disk_rule(n_r: int = 64, n_theta: int = 128, poles: Sequence = (),
     each rung's rule once per velocity and for the previous rung's rule as
     the coarse twin.  So the rule's ``nodes``, ``weights`` and ``poles`` (a
     copy of the argument) are not writeable.  Inputs are validated on every
-    call, and only a rule whose build succeeded is held.
+    call (``n_patch`` against its range also without poles), and only a rule
+    whose build succeeded is held.
     """
-    require_integers(n_r=n_r, n_theta=n_theta, n_patch=n_patch)
-    if n_r < _MIN_NR or n_theta < _MIN_NTHETA:
-        raise ConfigError(f"resolution too small: n_r={n_r}, n_theta={n_theta}")
+    check_rule(n_r, n_theta, (), n_patch)   # the counts; the build lays out the poles
     pole_arr = np.array(poles, dtype=complex)
     if pole_arr.ndim != 1:
         raise ConfigError(f"poles must be a sequence of complex numbers, got {poles!r}")
     key = (n_r, n_theta, n_patch, pole_arr.shape, pole_arr.tobytes())
     return held(_recent, key, RECENT_RULES,
                 lambda: _build_rule(n_r, n_theta, pole_arr, n_patch))
+
+
+def check_rule(n_r: int, n_theta: int, poles: Sequence, n_patch: int):
+    """Raise what :func:`disk_rule` raises for these counts and complex poles
+    before it builds the background grid: a count out of range, by name, or
+    an error of the pole patches."""
+    for name, n, count in (("n_r", n_r, N_R), ("n_theta", n_theta, N_THETA),
+                           ("n_patch", n_patch, N_PATCH)):
+        count.check(name, n)
+    if len(poles):
+        _patch_layout(np.array(poles, dtype=complex), n_patch)
 
 
 def held(store: list, key, keep: int, build: Callable):
@@ -283,13 +312,11 @@ def _frozen_rule(z, w, poles, rho, n_r, n_theta, n_patch) -> QuadratureRule:
 
 def _patch_layout(pole_arr: np.ndarray, n_patch: int):
     """``(rho, rad, wrad, ring)``: the patch radius, graded radial nodes and
-    weights, and angular ring of a rule's pole patches.  Validates the poles
-    and ``n_patch``, and raises the node guard's error before anything of the
-    rule is allocated where the innermost ring, ``rho s_min^2`` from its pole,
-    is within 1e-10 (``s_min^2`` is 1.21e-8 at ``n_patch`` 128, 7.67e-10 at
-    256: at ``rho = 0.1`` no ``n_patch`` above 128 passes)."""
-    if n_patch < _MIN_NPATCH:
-        raise ConfigError(f"n_patch must be at least {_MIN_NPATCH}, got {n_patch}")
+    weights, and angular ring of a rule's pole patches, for an ``n_patch`` in
+    its range.  Validates the poles, and raises the node guard's error before
+    anything of the rule is allocated where the innermost ring, ``rho
+    s_min^2`` from its pole, is within 1e-10 (at ``rho = 0.1`` no ``n_patch``
+    above 239 passes)."""
     mods = np.abs(pole_arr)
     if not np.all(mods < 1.0):
         raise DomainError("quadrature poles must lie inside the unit disk")
@@ -304,14 +331,14 @@ def _patch_layout(pole_arr: np.ndarray, n_patch: int):
     rho = RHO_FACTOR * min(sep, gap)
 
     s_split = math.sqrt(WINDOW_FLAT)
-    n_half = max(4, n_patch // 2)
+    n_half = n_patch // 2
     s1, ws1 = _gauss_legendre(n_half, 0.0, s_split)
-    s2, ws2 = _gauss_legendre(max(4, n_patch - n_half), s_split, 1.0)
+    s2, ws2 = _gauss_legendre(n_patch - n_half, s_split, 1.0)
     s = np.concatenate([s1, s2])
     ws = np.concatenate([ws1, ws2])
     rad = rho * s**2                       # grading r ~ rho (k/N)^2
     wrad = 2.0 * rho**2 * s**3 * ws        # r dr with dr = 2 rho s ds
-    m_t = max(8, PATCH_ANGULAR_FACTOR * n_patch)
+    m_t = PATCH_ANGULAR_FACTOR * n_patch
     phi = 2.0 * np.pi * np.arange(m_t) / m_t
     ring = np.exp(1j * phi)
     for p in pole_arr:
@@ -403,16 +430,17 @@ class IntegrationResult:
         return self.value
 
 
-def _apply(rule: QuadratureRule, f) -> float:
-    vals = np.asarray(f(rule.nodes), dtype=float)
-    if vals.shape != (rule.node_count,):
+def _weighted_sum(rule, f, what: str) -> float:
+    """``sum(weights * values)`` over a rule or grid, ``f`` the values or a callable
+    on the nodes; :class:`EvaluationError` unless they match the weights and are finite."""
+    vals = np.asarray(f(rule.nodes) if callable(f) else f, dtype=float)
+    if vals.shape != rule.weights.shape:
         raise EvaluationError(
-            f"integrand returned shape {vals.shape}, expected ({rule.node_count},)")
+            f"{what} has shape {vals.shape}, expected {rule.weights.shape}")
     bad = np.flatnonzero(~np.isfinite(vals))
     if bad.size:
         i = int(bad[0])
-        raise EvaluationError(
-            f"non-finite integrand value at node {i} = {tuple(rule.nodes[i])}")
+        raise EvaluationError(f"non-finite {what} at node {i} = {tuple(rule.nodes[i])}")
     return _fsum(rule.weights * vals)
 
 
@@ -423,10 +451,10 @@ def integrate(rule: QuadratureRule, f: Callable, check: bool = True) -> Integrat
     it is True when the relative change is below ``CONVERGENCE_TOL``.
     With ``check=False`` the flag is reported True without the comparison.
     """
-    value = _apply(rule, f)
+    value = _weighted_sum(rule, f, "integrand value")
     if not check:
         return IntegrationResult(value, True, value, 0.0)
-    coarse = _apply(rule.coarse(), f)
+    coarse = _weighted_sum(rule.coarse(), f, "integrand value")
     scale = max(abs(value), abs(coarse), 1e-9)
     rel = abs(value - coarse) / scale
     return IntegrationResult(value, rel < CONVERGENCE_TOL, coarse, rel)
@@ -437,13 +465,4 @@ def boundary_integrate(grid, f: Union[Callable, np.ndarray]) -> float:
 
     ``f`` is either per-node values or a vectorized callable on the nodes.
     """
-    vals = np.asarray(f(grid.nodes) if callable(f) else f, dtype=float)
-    if vals.shape != grid.weights.shape:
-        raise EvaluationError(
-            f"boundary data shape {vals.shape} does not match grid "
-            f"({grid.weights.shape})")
-    if not np.all(np.isfinite(vals)):
-        i = int(np.flatnonzero(~np.isfinite(vals))[0])
-        raise EvaluationError(
-            f"non-finite boundary value at node {i} = {tuple(grid.nodes[i])}")
-    return _fsum(grid.weights * vals)
+    return _weighted_sum(grid, f, "boundary value")

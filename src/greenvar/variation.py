@@ -51,12 +51,14 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from .conformal import (ConformalMap, DomainFamily, boundary_grid, pullback_metric,
+from .conformal import (DEFAULT_BOUNDARY_NODES, MAX_BOUNDARY_NODES, ConformalMap,
+                        DomainFamily, boundary_grid, pullback_metric,
                         pullback_vector_field, to_complex, to_points)
 from .energy_momentum import PolarizedEMT
 from .errors import ConfigError, EvaluationError, GreenvarError, NonConformalMetricError
 from .greens import GreenFunction, _disk_gradient, _normal_derivative
-from .quadrature import IntegrationResult, boundary_integrate, disk_rule, integrate
+from .quadrature import (N_PATCH, N_R, N_THETA, IntegrationResult, boundary_integrate,
+                         disk_rule, integrate)
 from .tensors import (MetricField, VectorField, euclidean_metric, strain_tensor,
                       volume_density)
 
@@ -78,9 +80,7 @@ __all__ = [
     "REL_FLOOR",
 ]
 
-# Range and error target of the boundary resolution (see boundary_nodes).
-DEFAULT_BOUNDARY_NODES = 256
-MAX_BOUNDARY_NODES = 2**14
+# Error target of the boundary resolution (see boundary_nodes).
 BOUNDARY_RATE_TARGET = 1e-16
 
 # FD oracle step as a fraction of the family's injectivity range.
@@ -292,8 +292,8 @@ def _closed_form_integrand(family, fmap: ConformalMap, wa, wb,
 
 def volume_variation(family, a, b, metric: Optional[MetricField] = None,
                      velocity: Optional[VectorField] = None,
-                     n_r: int = 64, n_theta: int = 128, n_patch: int = 32,
-                     check: bool = True) -> VolumeEstimate:
+                     n_r: int = N_R.default, n_theta: int = N_THETA.default,
+                     n_patch: int = N_PATCH.default, check: bool = True) -> VolumeEstimate:
     """Interior estimate ``∫ T^{ij} D_ij vol_g  -  source_pairing(v)``.
 
     The integral is taken on the disk, in the closed form ``2 Re(A B dbar
@@ -441,8 +441,8 @@ class VariationReport:
 
 
 def variation_report(family: DomainFamily, a, b, m: Optional[int] = None,
-                     n_r: int = 64, n_theta: int = 128, n_patch: int = 32,
-                     dt: Optional[float] = None,
+                     n_r: int = N_R.default, n_theta: int = N_THETA.default,
+                     n_patch: int = N_PATCH.default, dt: Optional[float] = None,
                      metric: Optional[MetricField] = None,
                      tol_mutual: float = TOL_MUTUAL,
                      tol_volume: float = TOL_VOLUME,

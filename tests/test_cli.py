@@ -1,6 +1,9 @@
 """Experiment runner: config validation, output formats, exit codes."""
 
 import json
+import re
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from greenvar.cli import (
     _build_parser,
     _parse_metric,
     default_config,
+    load_experiment,
     main,
     render_csv,
     render_json,
@@ -455,7 +459,7 @@ def test_rejects_bad_quadrature(capsys, tmp_path):
     doc["quadrature"] = {"n_r": 2}
     code, _, err = run(capsys, "verify", "--config", write_config(tmp_path, doc))
     assert code == 2
-    assert "quadrature 'n_r' must be an integer >= 4" in err
+    assert "quadrature 'n_r' must be an integer in [4, 1024]" in err
 
 
 def test_rejects_bad_fd_step(capsys, tmp_path):
@@ -484,9 +488,9 @@ def test_rejects_a_bad_config_value_a_flag_overrides(capsys, tmp_path, monkeypat
 
 @pytest.mark.parametrize("patch, name, flag, bad, good, rule", [
     ({"quadrature": {"n_r": 3}}, "quadrature 'n_r'", "--quad-nr", "2", "16",
-     "must be an integer >= 4"),
+     "must be an integer in [4, 1024]"),
     ({"quadrature": {"n_theta": 64.0}}, "quadrature 'n_theta'", "--quad-ntheta", "4", "32",
-     "must be an integer >= 8"),
+     "must be an integer in [8, 2048]"),
     ({"tolerances": {"boundary": float("inf")}}, "tolerance 'boundary'", "--tol-boundary",
      "inf", "1e-5", "must be positive and finite"),
     ({"tolerances": {"volume": 0}}, "tolerance 'volume'", "--tol-volume", "nan", "0.01",
@@ -519,29 +523,94 @@ def test_every_command_rejects_an_unbuildable_level_zero_rule(capsys, tmp_path, 
 
 HUGE = 10**400  # a JSON integer beyond the double range
 NON_FINITE = "injectivity gate failed: non-finite coefficients"
+VARY = ("vary",)
 
 
-@pytest.mark.parametrize("patch, message", [
-    ({"tolerances": {"boundary": HUGE}}, "tolerance 'boundary' must be positive and finite"),
-    ({"poles": {"a": [HUGE, 0], "b": [0.5, 0]}}, "pole 'a' must be an [x, y] pair of numbers"),
-    ({"family": {"base": [[HUGE, 0]], "perturbation": [[1, 0]]}},
+def quadrature(**fields):
+    return {"quadrature": fields}
+
+
+@pytest.mark.parametrize("patch, argv, message", [
+    ({"tolerances": {"boundary": HUGE}}, VARY,
+     "tolerance 'boundary' must be positive and finite"),
+    ({"poles": {"a": [HUGE, 0], "b": [0.5, 0]}}, VARY,
+     "pole 'a' must be an [x, y] pair of numbers"),
+    ({"family": {"base": [[HUGE, 0]], "perturbation": [[1, 0]]}}, VARY,
      "family field 'base' entry 0 must be a [re, im] pair"),
-    ({"metric": {"conformal_phi": [[1, 0, HUGE]]}},
-     "conformal_phi term 0 must be [i >= 0, j >= 0, coeff]"),
-    ({"family": {"base": [[True, False]], "perturbation": [[1, 0]]}},
+    ({"metric": {"conformal_phi": [[1, 0, HUGE]]}}, VARY,
+     "conformal_phi term 0 must be [i, j, coeff] with 0 <= i, j <= 64"),
+    ({"family": {"base": [[True, False]], "perturbation": [[1, 0]]}}, VARY,
      "family field 'base' entry 0 must be a [re, im] pair"),
-    ({"family": {"base": [[float("inf"), 0]], "perturbation": [[1, 0]]}}, NON_FINITE),
-    ({"family": {"base": [[1, 0], [1e308, 0]], "perturbation": [[1, 0]]}}, NON_FINITE),
+    ({"family": {"base": [[float("inf"), 0]], "perturbation": [[1, 0]]}}, VARY, NON_FINITE),
+    ({"family": {"base": [[1, 0], [1e308, 0]], "perturbation": [[1, 0]]}}, VARY, NON_FINITE),
     # f' = 1 + 1.2 z vanishes at -0.833, inside the disk
     ({"family": {"base": [[1, 0], [0.6, 0]], "perturbation": [[0, 0], [0.01, 0]],
-                 "t_max": 0.1}, "poles": {"a": [0, 0], "b": [0.3, 0]}},
+                 "t_max": 0.1}, "poles": {"a": [0, 0], "b": [0.3, 0]}}, VARY,
      "injectivity gate failed: a zero of f' of modulus 0.833333 <= 1"),
+    # every count beyond the double range, and just above its ceiling
+    (quadrature(n_r=HUGE), VARY, "quadrature 'n_r' must be an integer in [4, 1024]"),
+    (quadrature(n_theta=HUGE), VARY, "quadrature 'n_theta' must be an integer in [8, 2048]"),
+    (quadrature(n_patch=HUGE), VARY, "quadrature 'n_patch' must be an integer in [8, 285]"),
+    (quadrature(m_boundary=HUGE), VARY,
+     "quadrature 'm_boundary' must be an integer in [4, 2097152]"),
+    ({}, VARY + ("--quad-nr", str(HUGE)), "--quad-nr must be an integer in [4, 1024]"),
+    ({}, VARY + ("--quad-ntheta", str(HUGE)), "--quad-ntheta must be an integer in [8, 2048]"),
+    (quadrature(n_r=1025), VARY, "quadrature 'n_r' must be an integer in [4, 1024]"),
+    ({}, VARY + ("--quad-ntheta", "2049"), "--quad-ntheta must be an integer in [8, 2048]"),
+    (quadrature(n_patch=286), VARY, "quadrature 'n_patch' must be an integer in [8, 285]"),
+    (quadrature(m_boundary=2**21 + 1), VARY,
+     "quadrature 'm_boundary' must be an integer in [4, 2097152]"),
+    # converge doubles n_patch and m at each level
+    (dict(quadrature(m_boundary=2**20), levels=3), ("converge",),
+     "quadrature 'm_boundary' x 4 (converge level 2) must be an integer in [4, 2097152]"),
+    (dict(quadrature(n_patch=160), levels=2), ("converge",),
+     "quadrature 'n_patch' x 2 (converge level 1) must be an integer in [8, 285]"),
+    # polynomial degree: an exponent beyond the double range, 2,000 coefficients
+    # (128 companion matrices of order 1,999 in the t_max scan), one above the ceiling
+    ({"metric": {"conformal_phi": [[HUGE, 0, 1.0]]}}, VARY,
+     "conformal_phi term 0 must be [i, j, coeff] with 0 <= i, j <= 64"),
+    ({"metric": {"conformal_phi": [[0, 65, 1.0]]}}, VARY,
+     "conformal_phi term 0 must be [i, j, coeff] with 0 <= i, j <= 64"),
+    ({"family": {"base": [[1, 0]] + [[0, 0]] * 1999, "perturbation": [[1, 0]]}}, VARY,
+     "family field 'base' must be a list of 1 to 64 pairs"),
+    ({"family": {"base": [[1, 0]], "perturbation": [[0, 0]] * 64 + [[1, 0]]}}, VARY,
+     "family field 'perturbation' must be a list of 1 to 64 pairs"),
 ], ids=["huge_tolerance", "huge_pole", "huge_coefficient", "huge_phi", "bool_coefficient",
-        "inf_coefficient", "overflowing_f_prime", "zero_of_f_prime_inside"])
-def test_rejects_numbers_the_program_cannot_handle(capsys, tmp_path, patch, message):
+        "inf_coefficient", "overflowing_f_prime", "zero_of_f_prime_inside",
+        "huge_n_r", "huge_n_theta", "huge_n_patch", "huge_m_boundary", "huge_quad_nr_flag",
+        "huge_quad_ntheta_flag", "n_r_above_ceiling", "quad_ntheta_flag_above_ceiling",
+        "n_patch_above_ceiling", "m_boundary_above_ceiling", "converge_m_ladder",
+        "converge_n_patch_ladder", "huge_phi_exponent", "phi_exponent_above_ceiling",
+        "long_base", "perturbation_above_ceiling"])
+def test_rejects_numbers_the_program_cannot_handle(capsys, tmp_path, patch, argv, message):
     doc = dict(default_config(), **patch)
-    code, out, err = run(capsys, "vary", "--config", write_config(tmp_path, doc))
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv, "--config", write_config(tmp_path, doc))
     assert (code, out, err) == (2, "", f"config error: {message}\n")
+    assert time.perf_counter() - start < 1.0
+
+
+def test_over_ceiling_counts_are_refused_before_any_gauss_legendre_solve(
+        capsys, tmp_path, monkeypatch):
+    from greenvar import cli
+    from greenvar import quadrature as quad_module
+
+    solves, solve = [], quad_module._gauss_legendre
+    monkeypatch.setattr(quad_module, "_gauss_legendre",
+                        lambda *args: solves.append(args) or solve(*args))
+    for patch in (quadrature(n_patch=512), quadrature(n_r=HUGE), quadrature(n_theta=2049)):
+        path = write_config(tmp_path, dict(default_config(), **patch))
+        assert run(capsys, "vary", "--config", path)[0] == 2
+    assert solves == []
+    # load lays out the level-0 patches; the ladder check solves nothing
+    for patch in (dict(quadrature(n_patch=160), levels=2),
+                  dict(quadrature(m_boundary=2**20), levels=3)):
+        path = write_config(tmp_path, dict(default_config(), **patch))
+        exp = load_experiment(_build_parser().parse_args(["converge", "--config", path]))
+        solves.clear()
+        with pytest.raises(ConfigError, match="converge level"):
+            cli.run_convergence(exp)
+        assert solves == []
 
 
 def test_rejects_bad_tolerance(capsys):
@@ -592,3 +661,13 @@ def test_unwritable_out_is_a_config_error(capsys, tmp_path):
     assert (code, out) == (2, "")
     assert err == ("config error: cannot write output: [Errno 2] No such file or "
                    f"directory: '{target}'\n")
+
+
+def test_readme_config_schema_loads_and_is_echoed(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    schema = readme[readme.index("### Config schema"):]
+    doc = json.loads(re.search(r"```json\n(.*?)```", schema, re.S).group(1))
+    path = write_config(tmp_path, doc)
+    exp = load_experiment(_build_parser().parse_args(["vary", "--config", path]))
+    assert exp.out == doc.pop("out")
+    assert exp.config_echo() == doc

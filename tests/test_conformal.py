@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from greenvar.conformal import (BUILTIN_FAMILIES, RECENT_GRIDS, ConformalMap, DomainFamily,
-                                boundary_grid, cubic_mix_family,
+from greenvar.conformal import (BUILTIN_FAMILIES, MAX_DEGREE, RECENT_GRIDS, ConformalMap,
+                                DomainFamily, boundary_grid, cubic_mix_family,
                                 dilation_family, enclosed_area, normal_speed,
                                 quadratic_bump_family, rotation_family,
                                 to_complex, to_points)
@@ -279,6 +279,15 @@ def test_family_rejects_bad_t_max():
         DomainFamily([1.0], [1.0], t_max=-0.1)
     with pytest.raises(ConfigError):
         DomainFamily([1.0], [1.0], t_max="wide")
+
+
+def test_degree_ceiling():
+    # MAX_DEGREE coefficients build; one more is refused before the gate runs
+    top = [1.0] + [0.0] * (MAX_DEGREE - 2) + [0.01]
+    assert DomainFamily(top, top, t_max=0.5).base.degree == MAX_DEGREE
+    for base, pert in (([1.0] + [0.0] * MAX_DEGREE, [1.0]), ([1.0], [0.0] * 2000)):
+        with pytest.raises(ConfigError, match="coefficient list must be 1-d, of 1 to 64"):
+            DomainFamily(base, pert)
 
 
 def test_family_json_round_trip():

@@ -1,6 +1,7 @@
 """Disk quadrature: exactness, positivity, pole patches, convergence."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -13,6 +14,9 @@ from greenvar import quadrature
 from greenvar.conformal import ConformalMap, boundary_grid
 from greenvar.errors import CoincidentPoleError, ConfigError, DomainError, EvaluationError
 from greenvar.quadrature import (
+    N_PATCH,
+    N_R,
+    N_THETA,
     IntegrationResult,
     WINDOW_FLAT,
     _window,
@@ -115,6 +119,33 @@ def test_resolution_floors():
 def test_resolutions_must_be_integers(kw):
     with pytest.raises(ConfigError, match="must be an integer"):
         disk_rule(**kw)
+
+
+def test_counts_outside_their_range_are_refused_at_once(monkeypatch):
+    solves, solve = [], quadrature._gauss_legendre
+    monkeypatch.setattr(quadrature, "_gauss_legendre",
+                        lambda *args: solves.append(args) or solve(*args))
+    for kw, message in [(dict(n_r=10**400), "n_r must be an integer in [4, 1024]"),
+                        (dict(n_r=N_R.ceiling + 1), "n_r must be an integer in [4, 1024]"),
+                        (dict(n_theta=N_THETA.ceiling + 1),
+                         "n_theta must be an integer in [8, 2048]"),
+                        (dict(n_patch=N_PATCH.ceiling + 1, poles=[0j]),
+                         "n_patch must be an integer in [8, 285]"),
+                        # also without poles, where n_patch is not used
+                        (dict(n_patch=8192), "n_patch must be an integer in [8, 285]")]:
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            disk_rule(**kw)
+    assert solves == []
+    with pytest.raises(ConfigError, match=re.escape("m must be an integer in [4, 2097152]")):
+        boundary_grid(ConformalMap.identity(), m=2**40)
+
+
+def test_n_patch_ceiling_is_the_last_value_the_node_guard_passes():
+    # one pole at 0 has the largest patch radius a rule can have, rho = RHO_FACTOR
+    rho = quadrature._patch_layout(np.array([0j]), N_PATCH.ceiling)[0]
+    assert rho == quadrature.RHO_FACTOR
+    with pytest.raises(ConfigError, match="node within 9.86e-11 of pole 0"):
+        quadrature._patch_layout(np.array([0j]), N_PATCH.ceiling + 1)
 
 
 def test_boundary_resolution_must_be_an_integer():
