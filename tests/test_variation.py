@@ -488,6 +488,65 @@ def test_closed_form_integrand_matches_the_tensor_route(monkeypatch):
     assert np.array_equal(integrand(rule.nodes), got)
 
 
+def _kernel_points(rng, wa, wb):
+    # seeded disk points, the circle and points 1e-6 from each pole
+    disk = np.sqrt(rng.uniform(size=2000)) * np.exp(2j * np.pi * rng.uniform(size=2000))
+    circle = np.exp(2j * np.pi * np.arange(1024) / 1024)
+    near = [w + 1e-6 * np.exp(2j * np.pi * rng.uniform(size=64)) for w in (wa, wb)]
+    return np.concatenate([disk, circle] + near)
+
+
+def _max_rel(got, want):
+    return np.max(np.abs(got - want) / np.abs(want))
+
+
+def _gradient_product(z, wa, wb):
+    return np.conj(greens._disk_gradient(z, wa) * greens._disk_gradient(z, wb))
+
+
+# preimage modulus 0.94: there the sum 1/(z - w) + conj(w)/(1 - z conj(w)) of
+# the gradient cancels to (1 - |w|^2)/(...) and loses about 6e-15
+NEAR_RIM_POLES = ((0.94 + 0j, 0.5j), (0.94 * np.exp(0.7j), -0.2 + 0.1j))
+
+
+def test_rational_kernel_is_the_product_of_the_disk_gradients():
+    # conj(g_a g_b) = C / ((z - wa)(1 - z conj(wa))(z - wb)(1 - z conj(wb)))
+    rng = np.random.default_rng(19)
+    wa, wb = GreenFunction(curved_family().base).pole_preimages(CURVED_A, CURVED_B)
+    z = _kernel_points(rng, wa, wb)
+    assert _max_rel(variation._complex_emt(z, wa, wb), _gradient_product(z, wa, wb)) <= 1e-15
+    for wa, wb in NEAR_RIM_POLES:
+        z = _kernel_points(rng, wa, wb)
+        assert _max_rel(_gradient_product(z, wa, wb), variation._complex_emt(z, wa, wb)) <= 1e-14
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="long double is no wider than double here")
+def test_rational_kernel_near_the_rim_against_long_double():
+    rng = np.random.default_rng(94)
+    for wa, wb in NEAR_RIM_POLES:
+        z = _kernel_points(rng, wa, wb)
+        zl, pi = z.astype(np.clongdouble), np.longdouble(np.pi)
+        ref = np.prod([(1 - abs(np.clongdouble(w)) ** 2)
+                       / ((zl - w) * (1 - zl * np.conj(np.clongdouble(w)))) for w in (wa, wb)],
+                      axis=0) / (4 * pi ** 2)
+        assert _max_rel(variation._complex_emt(z, wa, wb), ref) <= 2e-15
+
+
+def test_closed_form_reads_any_node_layout_to_the_same_bits():
+    # a Fortran-ordered copy of rule.nodes gives the bits of the C-ordered
+    # buffer; the 128x256x64 rule ends in a partial block
+    fam, met, v = curved_family(), curved_metric(), square_velocity()
+    fmap = fam.base
+    wa, wb = GreenFunction(fmap).pole_preimages(CURVED_A, CURVED_B)
+    rule = interior_rule(fmap, poles=[CURVED_A, CURVED_B], n_r=128, n_theta=256, n_patch=64)
+    assert rule.node_count % variation.CLOSED_FORM_BLOCK
+    integrand = variation._closed_form_integrand(fam, fmap, wa, wb, met, v)
+    fortran = np.asfortranarray(rule.nodes)
+    assert not fortran.flags.c_contiguous
+    assert integrand(fortran).tobytes() == integrand(rule.nodes).tobytes()
+
+
 def test_tensor_route_cross_check_fires(monkeypatch):
     strain = variation.strain_tensor
     monkeypatch.setattr(variation, "strain_tensor", lambda *args: 2.0 * strain(*args))
@@ -503,6 +562,22 @@ def test_family_velocity_integrand_is_exactly_zero():
     assert est.quadrature.coarse_value == 0.0
     assert est.quadrature.rel_change == 0.0
     assert est.value == -est.pairing
+
+
+def test_no_node_is_mapped_when_nothing_reads_f(monkeypatch):
+    # the family velocity without a metric: the closed form is 0 and reads
+    # neither f(z) nor a metric value there, so only the poles and the
+    # tensor route's cross-check nodes are mapped
+    fam, kw = curved_family(), dict(n_r=16, n_theta=32, n_patch=8)
+    sizes = []
+    image = ConformalMap.__call__
+    monkeypatch.setattr(ConformalMap, "__call__",
+                        lambda self, z: sizes.append(np.size(z)) or image(self, z))
+    est = volume_variation(fam, CURVED_A, CURVED_B, **kw)
+    assert est.quadrature.value == 0.0 and est.value == -est.pairing
+    rule = interior_rule(fam.base, poles=[CURVED_A, CURVED_B], **kw)
+    assert rule.coarse().node_count > variation.CROSS_CHECK_NODES
+    assert sizes and max(sizes) <= variation.CROSS_CHECK_NODES
 
 
 def test_non_conformal_metric_is_rejected():
