@@ -9,6 +9,7 @@ from .conformal import (
     BoundaryGrid,
     ConformalMap,
     DomainFamily,
+    as_map,
     boundary_grid,
     cubic_mix_family,
     dilation_family,

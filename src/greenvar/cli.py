@@ -45,7 +45,7 @@ from .conformal import (BOUNDARY_NODES, MAX_DEGREE, DomainFamily, _is_number,
                         boundary_grid, dilation_family, to_complex, to_points)
 from .energy_momentum import PolarizedEMT
 from .errors import ConfigError, GreenvarError
-from .greens import GreenFunction, green_gradient_field, interior_rule
+from .greens import COINCIDENCE_TOL, GreenFunction, green_gradient_field, interior_rule
 from .quadrature import N_PATCH, N_R, N_THETA, Count, check_rule, integrate
 from .tensors import MetricField, conformal_metric, trace_tensor
 from .variation import (DEFAULT_FD_FACTOR, TOL_MUTUAL, TOL_VOLUME,
@@ -266,7 +266,7 @@ def load_experiment(args) -> Experiment:
 
     named = [("a", a), ("b", b)] + ([("c", c)] if c is not None else [])
     for (na, pa), (nb, pb) in combinations(named, 2):
-        if np.hypot(pa[0] - pb[0], pa[1] - pb[1]) < 1e-12:
+        if np.hypot(pa[0] - pb[0], pa[1] - pb[1]) < COINCIDENCE_TOL:
             raise ConfigError(f"coincident poles '{na}' and '{nb}'")
     green = GreenFunction(family.base)
     for name, point in named:

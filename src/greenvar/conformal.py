@@ -38,6 +38,7 @@ __all__ = [
     "ConformalMap",
     "DomainFamily",
     "BoundaryGrid",
+    "as_map",
     "boundary_grid",
     "normal_speed",
     "enclosed_area",
@@ -52,8 +53,10 @@ __all__ = [
     "BUILTIN_FAMILIES",
 ]
 
-# A boundary node where |f'| <= GATE_FLOOR makes the parametrization degenerate.
+# A boundary node where |f'| <= GATE_FLOOR makes the parametrization degenerate;
+# a point within BOUNDARY_SLACK outside the closed disk counts as on it.
 GATE_FLOOR = 1e-9
+BOUNDARY_SLACK = 1e-9
 
 NEWTON_MAXITER = 50
 NEWTON_TOL = 1e-14
@@ -217,20 +220,20 @@ class ConformalMap:
         residual ``|f(z) - x|`` is at most ``NEWTON_TOL max(1, |x|)``, then one
         more step.  A point left non-finite or outside the disk is solved by
         :meth:`_least_root`.  Raises :class:`DomainError` for a non-finite
-        ``x`` or a preimage of modulus above ``1 + 1e-9``.  The identity's
-        inverse of a point in the closed disk is a copy of it.
+        ``x`` or a preimage of modulus above ``1 + BOUNDARY_SLACK``.  The
+        identity's inverse of a point in the closed disk is a copy of it.
         """
         x = np.asarray(x, dtype=complex)
         if not np.all(np.isfinite(x)):
             raise DomainError("cannot invert a non-finite point")
-        if self.is_identity and np.all(np.abs(x) <= 1.0 + 1e-9):
+        if self.is_identity and np.all(np.abs(x) <= 1.0 + BOUNDARY_SLACK):
             return x.copy()[()]
         xf = x.ravel()
         with np.errstate(all="ignore"):
             z = xf / self.coeffs[0]
             if self.degree > 1:
                 z = self._newton(xf, z)
-        for i in np.flatnonzero(~(np.abs(z) <= 1.0 + 1e-9)):
+        for i in np.flatnonzero(~(np.abs(z) <= 1.0 + BOUNDARY_SLACK)):
             z[i] = self._least_root(xf[i])
         return z.reshape(x.shape)[()]
 
@@ -250,7 +253,7 @@ class ConformalMap:
         """The least-modulus root of ``f(z) - xi``, polished by one Newton step."""
         roots = np.roots(np.append(self.coeffs[::-1], -xi))
         z = roots[np.argmin(np.abs(roots))] if roots.size else np.inf
-        if abs(z) > 1.0 + 1e-9:
+        if abs(z) > 1.0 + BOUNDARY_SLACK:
             raise DomainError(f"point outside the mapped disk: preimage modulus {abs(z):.6g}")
         d = self.derivative(z)
         return z - (self(z) - xi) / d if d != 0 else z
@@ -418,11 +421,23 @@ MAX_BOUNDARY_NODES = 2**14
 BOUNDARY_NODES = Count(4, DEFAULT_BOUNDARY_NODES, MAX_BOUNDARY_NODES * 2**7)
 
 
+def as_map(domain) -> ConformalMap:
+    """The map a domain argument names: the shared unit disk for ``None``, a family's
+    ``t = 0`` map ``base``, the map itself; else :class:`ConfigError` naming the type."""
+    if domain is None:
+        return ConformalMap.identity()
+    if isinstance(domain, DomainFamily):
+        return domain.base
+    if isinstance(domain, ConformalMap):
+        return domain
+    raise ConfigError(f"expected DomainFamily or ConformalMap, got {type(domain).__name__}")
+
+
 def boundary_grid(family, m: int = DEFAULT_BOUNDARY_NODES) -> BoundaryGrid:
-    """The M-node periodic trapezoid rule on ``d f(D)`` (a family's ``t = 0``),
+    """The M-node periodic trapezoid rule on ``d f(D)``, ``f = as_map(family)``,
     its arrays held by the map for its last ``RECENT_GRIDS`` ``m``: read-only."""
     BOUNDARY_NODES.check("m", m)
-    fmap = family.base if isinstance(family, DomainFamily) else family
+    fmap = as_map(family)
     return BoundaryGrid(*held(fmap._grids, m, RECENT_GRIDS, lambda: _grid_arrays(fmap, m)),
                         map=fmap)
 

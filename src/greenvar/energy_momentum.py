@@ -28,9 +28,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .conformal import ConformalMap, to_complex
+from .conformal import ConformalMap, as_map, to_complex
 from .errors import CoincidentPoleError, DimensionMismatchError, DomainError
-from .greens import green_gradient_field
+from .greens import COINCIDENCE_TOL, green_gradient_field
 from .tensors import MetricField, christoffel, euclidean_metric, trace_tensor
 
 __all__ = [
@@ -64,7 +64,7 @@ class PolarizedEMT:
                  domain: Optional[ConformalMap] = None):
         self.a = np.asarray(a, dtype=float).reshape(2)
         self.b = np.asarray(b, dtype=float).reshape(2)
-        if np.hypot(*(self.a - self.b)) < 1e-12:
+        if np.hypot(*(self.a - self.b)) < COINCIDENCE_TOL:
             raise CoincidentPoleError("poles a and b coincide")
         self.alpha = alpha
         self.beta = beta
@@ -76,11 +76,10 @@ class PolarizedEMT:
     @classmethod
     def from_map(cls, fmap: Optional[ConformalMap], a, b,
                  metric: Optional[MetricField] = None) -> "PolarizedEMT":
-        """Build both gradients from the Green function of ``f(D)``."""
-        fmap = fmap if fmap is not None else ConformalMap.identity()
+        """Both gradients from the Green function of ``f(D)``, ``f = as_map(fmap)``."""
         return cls(a, b, green_gradient_field(fmap, to_complex(np.asarray(a, float))),
                    green_gradient_field(fmap, to_complex(np.asarray(b, float))),
-                   metric=metric, domain=fmap)
+                   metric=metric, domain=as_map(fmap))
 
     # ----- pointwise evaluation
 

@@ -18,8 +18,9 @@ from typing import Optional
 
 import numpy as np
 
-from .conformal import (RECENT_POLES, BoundaryGrid, ConformalMap, _multiplication_matrix,
-                        pullback_metric, to_complex, to_points)
+from .conformal import (BOUNDARY_SLACK, RECENT_POLES, BoundaryGrid, ConformalMap,
+                        _multiplication_matrix, as_map, pullback_metric, to_complex,
+                        to_points)
 from .errors import CoincidentPoleError, ConfigError, DomainError
 from .quadrature import N_PATCH, N_R, N_THETA, QuadratureRule, disk_rule, held, integrate
 from .tensors import MetricField, VectorField, volume_density
@@ -38,9 +39,6 @@ TWO_PI = 2.0 * np.pi
 
 # Hard error threshold for coincident evaluation and source points.
 COINCIDENCE_TOL = 1e-12
-
-# Slack for "on the closed disk" checks of evaluation points.
-BOUNDARY_SLACK = 1e-9
 
 
 def _cx(p):
@@ -116,10 +114,10 @@ def poisson_normal_derivative(x, a):
 
 
 class GreenFunction:
-    """Green function of ``Omega = f(D)`` for a fixed conformal map ``f``."""
+    """Green function of ``Omega = f(D)`` for the fixed map ``f = as_map(fmap)``."""
 
     def __init__(self, fmap: Optional[ConformalMap] = None):
-        self.map = fmap if fmap is not None else ConformalMap.identity()
+        self.map = as_map(fmap)
 
     def pole_preimage(self, a):
         """``f^{-1}(a)``; :class:`DomainError` unless it lies in the open disk.
@@ -195,9 +193,8 @@ def green_gradient_field(fmap: ConformalMap, c) -> VectorField:
     the pole, so the Jacobian is the symmetric traceless matrix built from
     ``A' = W'(z) / f'(z)`` (harmonic Hessian structure).
     """
-    fmap = fmap if fmap is not None else ConformalMap.identity()
     green = GreenFunction(fmap)
-    w = green.pole_preimage(c)
+    fmap, w = green.map, green.pole_preimage(c)
 
     def func(x):
         z = fmap.inverse(to_complex(x))

@@ -321,11 +321,9 @@ def _patch_layout(pole_arr: np.ndarray, n_patch: int):
     if not np.all(mods < 1.0):
         raise DomainError("quadrature poles must lie inside the unit disk")
     gap = float(np.min(1.0 - mods))
-    if pole_arr.size > 1:
-        diff = pole_arr[:, None] - pole_arr[None, :]
-        sep = float(np.min(np.abs(diff[np.triu_indices(pole_arr.size, 1)])))
-    else:
-        sep = np.inf
+    d = np.abs(pole_arr[:, None] - pole_arr[None, :])
+    np.fill_diagonal(d, np.inf)
+    sep = float(d.min())
     if sep == 0.0:
         raise CoincidentPoleError("quadrature poles must be distinct")
     rho = RHO_FACTOR * min(sep, gap)

@@ -56,8 +56,8 @@ from typing import Dict, Optional
 import numpy as np
 
 from .conformal import (DEFAULT_BOUNDARY_NODES, MAX_BOUNDARY_NODES, ConformalMap,
-                        DomainFamily, boundary_grid, pullback_metric,
-                        pullback_vector_field, to_complex, to_points)
+                        DomainFamily, as_map, boundary_grid, normal_speed,
+                        pullback_metric, pullback_vector_field, to_complex, to_points)
 from .energy_momentum import PolarizedEMT
 from .errors import ConfigError, EvaluationError, GreenvarError, NonConformalMetricError
 from .greens import GreenFunction, _normal_derivative
@@ -115,14 +115,11 @@ CROSS_CHECK_TOL = 1e-12
 CLOSED_FORM_BLOCK = 16384
 
 
-def _base_map(family) -> ConformalMap:
-    if family is None:
-        return ConformalMap.identity()
-    if isinstance(family, DomainFamily):
-        return family.base
-    if isinstance(family, ConformalMap):
-        return family
-    raise ConfigError(f"expected DomainFamily or ConformalMap, got {type(family).__name__}")
+def _require_family(domain, route: str):
+    """:class:`ConfigError` naming the type unless ``domain`` is a :class:`DomainFamily`:
+    the rule of every route that reads a family's velocity, ``t_max`` or maps."""
+    if not isinstance(domain, DomainFamily):
+        raise ConfigError(f"{route} needs a DomainFamily, got {type(domain).__name__}")
 
 
 def _require_conformal(metric: Optional[MetricField], x):
@@ -138,9 +135,8 @@ def _require_conformal(metric: Optional[MetricField], x):
 def _velocity(family, velocity, disk: bool = False) -> VectorField:
     """The deformation velocity on ``f(D)``, or pulled back to the disk."""
     if velocity is not None:
-        return pullback_vector_field(_base_map(family), velocity) if disk else velocity
-    if not isinstance(family, DomainFamily):
-        raise ConfigError("a bare ConformalMap carries no velocity; pass velocity=")
+        return pullback_vector_field(as_map(family), velocity) if disk else velocity
+    _require_family(family, "a route without velocity=")
     return family.disk_velocity_field() if disk else family.velocity_field()
 
 
@@ -152,9 +148,9 @@ def boundary_nodes(fmap: ConformalMap, *poles) -> int:
     circle: a pole preimage, or a zero of ``f'`` (the integrand carries
     ``h/f'`` and ``1/|f'|``).  The poles are checked as by
     :meth:`GreenFunction.pole_preimages`, whose preimages the map holds."""
-    ws = GreenFunction(fmap).pole_preimages(*poles)
-    crit = np.abs(fmap._critical_points)
-    r = max([abs(w) for w in ws] + [min(c, 1.0 / c) for c in crit])
+    green = GreenFunction(fmap)
+    r = max([abs(w) for w in green.pole_preimages(*poles)]
+            + [min(c, 1.0 / c) for c in np.abs(green.map._critical_points)])
     m = DEFAULT_BOUNDARY_NODES
     while m < MAX_BOUNDARY_NODES and r**m > BOUNDARY_RATE_TARGET:
         m *= 2
@@ -164,9 +160,8 @@ def boundary_nodes(fmap: ConformalMap, *poles) -> int:
 def _boundary_grid(family, m: Optional[int], *poles):
     """The pole preimages (each pole inverted once) and the boundary grid on
     the base map, ``boundary_nodes`` nodes unless ``m`` is given."""
-    fmap = _base_map(family)
-    ws = GreenFunction(fmap).pole_preimages(*poles)
-    return ws, boundary_grid(fmap, m=m if m is not None else boundary_nodes(fmap, *poles))
+    ws = GreenFunction(family).pole_preimages(*poles)
+    return ws, boundary_grid(family, m=m if m is not None else boundary_nodes(family, *poles))
 
 
 def boundary_variation(family, a, b, m: Optional[int] = None,
@@ -182,10 +177,9 @@ def boundary_variation(family, a, b, m: Optional[int] = None,
     ws, grid = _boundary_grid(family, m, a, b)
     pa, pb = (_normal_derivative(grid, w) for w in ws)
     if velocity is None and isinstance(family, DomainFamily):
-        v = to_points(family.h(grid.params))
+        dn = np.einsum("mi,mi->m", to_points(family.h(grid.params)), grid.normals)
     else:
-        v = _velocity(family, velocity)(grid.nodes)
-    dn = np.einsum("mi,mi->m", v, grid.normals)
+        dn = normal_speed(grid, _velocity(family, velocity))
     return boundary_integrate(grid, pa * pb * dn)
 
 
@@ -209,13 +203,13 @@ class VolumeEstimate:
         return self.value
 
 
-def _tensor_route(family, fmap: ConformalMap, wa, wb, metric: Optional[MetricField],
+def _tensor_route(family, wa, wb, metric: Optional[MetricField],
                   velocity: Optional[VectorField]):
     """``z -> (T^{ij}, D_ij, sqrt(det g))`` at disk points, against ``f^* g``
     (``g`` flat by default), for the poles with preimages ``wa`` and ``wb``
     and the velocity pulled back by ``f``."""
     v = _velocity(family, velocity, disk=True)
-    g = pullback_metric(fmap, metric if metric is not None else euclidean_metric(2))
+    g = pullback_metric(as_map(family), metric if metric is not None else euclidean_metric(2))
     disk = PolarizedEMT.from_map(None, to_points(wa), to_points(wb), metric=g)
     return lambda z: (disk.emt_contra(z), strain_tensor(g, v, z), volume_density(g, z))
 
@@ -245,9 +239,8 @@ def volume_integrand(family, a, b, metric: Optional[MetricField] = None,
     This is the tensor route; :func:`volume_variation` evaluates the same
     integrand in closed form and checks it against this one.
     """
-    fmap = _base_map(family)
-    wa, wb = GreenFunction(fmap).pole_preimages(a, b)
-    pieces = _tensor_route(family, fmap, wa, wb, metric, velocity)
+    wa, wb = GreenFunction(family).pole_preimages(a, b)
+    pieces = _tensor_route(family, wa, wb, metric, velocity)
     return lambda z: _contract(*pieces(z))
 
 
@@ -261,7 +254,7 @@ def _closed_form_integrand(family, fmap: ConformalMap, wa, wb,
     image node ``f(z)`` and must be conformal.
     Each call also evaluates :func:`_tensor_route` at ``CROSS_CHECK_NODES``
     nodes and raises :class:`EvaluationError` where the two disagree."""
-    pieces = _tensor_route(family, fmap, wa, wb, metric, velocity)
+    pieces = _tensor_route(family, wa, wb, metric, velocity)
 
     def closed_form(points):
         out = np.zeros(len(points))
@@ -316,7 +309,7 @@ def volume_variation(family, a, b, metric: Optional[MetricField] = None,
     velocity at a pole is ``h`` at its preimage; a given ``velocity`` is
     evaluated at the ambient pole.
     """
-    fmap = _base_map(family)
+    fmap = as_map(family)
     v = _velocity(family, velocity)
     green = GreenFunction(fmap)
     wa, wb = green.pole_preimages(a, b)
@@ -362,8 +355,7 @@ def fd_oracle(family: DomainFamily, a, b, dt: Optional[float] = None) -> float:
     they must remain inside both perturbed domains.  O(dt^2) accurate;
     the default step is ``DEFAULT_FD_FACTOR * t_max``.
     """
-    if not isinstance(family, DomainFamily):
-        raise ConfigError("fd_oracle needs a DomainFamily, not a bare map")
+    _require_family(family, "fd_oracle")
     GreenFunction(family.base).pole_preimages(a, b)
     if dt is None:
         dt = DEFAULT_FD_FACTOR * family.t_max
@@ -463,21 +455,18 @@ def variation_report(family: DomainFamily, a, b, m: Optional[int] = None,
     The FD oracle is evaluated at ``dt`` and ``dt/2`` and the Richardson
     gap recorded, as a self-estimate of its own discretization error.
     ``m`` defaults to :func:`boundary_nodes` of the two poles.  Before any
-    estimator runs, whatever ``strict``, coincident poles raise
-    :class:`CoincidentPoleError`, a pole outside the open domain
-    :class:`DomainError` (both checked by
-    :meth:`GreenFunction.pole_preimages`), and a metric that is not
-    conformal at the poles :class:`ConfigError`: bad input is not an
-    estimator failure, nor is a metric an estimator finds not conformal
-    (:class:`~greenvar.errors.NonConformalMetricError`).
+    estimator runs, whatever ``strict``, a domain that is not a family and a
+    metric not conformal at the poles raise :class:`ConfigError`, coincident
+    poles :class:`CoincidentPoleError` and a pole outside the open domain
+    :class:`DomainError` (both checked by :meth:`GreenFunction.pole_preimages`):
+    bad input is not an estimator failure, nor is a metric an estimator finds
+    not conformal (:class:`~greenvar.errors.NonConformalMetricError`).
     """
-    fmap = _base_map(family)
-    GreenFunction(fmap).pole_preimages(a, b)
+    _require_family(family, "variation_report")
+    GreenFunction(family).pole_preimages(a, b)
     _require_conformal(metric, np.asarray([a, b], dtype=float))
-    if m is None:
-        m = boundary_nodes(fmap, a, b)
-    if dt is None:
-        dt = DEFAULT_FD_FACTOR * family.t_max
+    m = boundary_nodes(family, a, b) if m is None else m
+    dt = DEFAULT_FD_FACTOR * family.t_max if dt is None else dt
     estimates: Dict[str, Optional[float]] = {}
     params: Dict[str, object] = {
         "m_boundary": m, "n_r": n_r, "n_theta": n_theta, "n_patch": n_patch,

@@ -8,6 +8,7 @@ import pytest
 from greenvar.conformal import (
     ConformalMap,
     DomainFamily,
+    as_map,
     boundary_grid,
     pullback_metric,
     pullback_vector_field,
@@ -148,8 +149,12 @@ def test_explicit_velocity_override():
 
 
 def test_bare_map_requires_velocity():
-    with pytest.raises(ConfigError):
-        boundary_variation(ConformalMap.identity(), A0, B0)
+    # None is no family either: the message names what the route needs
+    for d, name in ((None, "NoneType"), (ConformalMap.identity(), "ConformalMap")):
+        for route in (boundary_variation, flux_variation):
+            with pytest.raises(ConfigError, match="a route without velocity= needs a "
+                                                  f"DomainFamily, got {name}$"):
+                route(d, A0, B0)
 
 
 def test_estimators_agree_on_curved_family(rng):
@@ -308,6 +313,61 @@ def test_every_entry_point_rejects_bad_poles(entry):
         run(fam, (0.2, 0.1), (0.2, 0.1))
     with pytest.raises(DomainError):
         run(fam, (1.0, 0.0), (0.2, 0.1))
+
+
+X_PTS = np.array([[0.05, -0.1], [-0.2, 0.3], [0.4, 0.1]])
+
+# Every public entry point that reads a map from its domain argument, as
+# ``run(domain, velocity)``; the velocity only reaches the routes that take one.
+DOMAIN_ENTRY_POINTS = {
+    "boundary_grid": lambda d, v: boundary_grid(d, m=64).nodes,
+    "GreenFunction": lambda d, v: GreenFunction(d).value(X_PTS, CURVED_A),
+    "green_gradient_field": lambda d, v: green_gradient_field(d, CURVED_C).jacobian(X_PTS),
+    "interior_rule": lambda d, v: interior_rule(d, poles=[CURVED_A, CURVED_B], n_r=16,
+                                                n_theta=32, n_patch=8).nodes,
+    "mutual_energy": lambda d, v: mutual_energy(d, CURVED_A, CURVED_B),
+    "PolarizedEMT.from_map": lambda d, v: PolarizedEMT.from_map(
+        d, CURVED_A, CURVED_B).divergence(X_PTS),  # reads the map for the margin
+    "boundary_nodes": lambda d, v: boundary_nodes(d, CURVED_A, CURVED_B),
+    "boundary_variation": lambda d, v: boundary_variation(d, CURVED_A, CURVED_B,
+                                                          velocity=v),
+    "volume_variation": lambda d, v: volume_variation(
+        d, CURVED_A, CURVED_B, velocity=v, n_r=16, n_theta=32, n_patch=8).value,
+    "volume_integrand": lambda d, v: volume_integrand(d, CURVED_A, CURVED_B,
+                                                      velocity=v)(0.5 * X_PTS),
+    "flux_variation": lambda d, v: flux_variation(d, CURVED_A, CURVED_B, velocity=v),
+    "triple_variation": lambda d, v: triple_variation(d, CURVED_A, CURVED_B, CURVED_C),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(DOMAIN_ENTRY_POINTS))
+def test_every_entry_point_reads_its_domain_by_one_rule(entry):
+    # None is the unit disk, a family is its t = 0 map: the same bits as the
+    # bare base map; anything else is a ConfigError naming the type
+    run, fam, v = DOMAIN_ENTRY_POINTS[entry], curved_family(), square_velocity()
+    run(None, v)
+    run(fam, None)
+    assert np.asarray(run(fam, v)).tobytes() == np.asarray(run(fam.base, v)).tobytes()
+    for bad in ("x", 3):
+        for vel in (None, v):
+            with pytest.raises(ConfigError, match=f"got {type(bad).__name__}$"):
+                run(bad, vel)
+
+
+@pytest.mark.parametrize("strict", [True, False])
+@pytest.mark.parametrize("domain", ["none", "bare map"])
+def test_family_routes_refuse_a_bare_domain(domain, strict, monkeypatch):
+    # the FD oracle and the report read t_max and the perturbed maps: a
+    # domain without them is bad input, refused before any estimator runs
+    for route in ("boundary_variation", "volume_variation", "flux_variation", "fd_oracle"):
+        monkeypatch.setattr(variation, route, lambda *a, **k: pytest.fail("an estimator ran"))
+    d = curved_family().base if domain == "bare map" else None
+    name = type(d).__name__
+    with pytest.raises(ConfigError, match=f"fd_oracle needs a DomainFamily, got {name}$"):
+        fd_oracle(d, CURVED_A, CURVED_B)
+    with pytest.raises(ConfigError,
+                       match=f"variation_report needs a DomainFamily, got {name}$"):
+        variation_report(d, CURVED_A, CURVED_B, dt=1e-4, strict=strict)
 
 
 def test_boundary_variation_runs_no_newton_sweep(monkeypatch):
@@ -814,7 +874,7 @@ def test_a_family_builds_its_perturbation_map_once(monkeypatch):
 def test_the_identity_map_is_shared():
     assert ConformalMap.identity() is ConformalMap.identity()
     assert GreenFunction().map is ConformalMap.identity()
-    assert variation._base_map(None) is ConformalMap.identity()
+    assert as_map(None) is ConformalMap.identity()
 
 
 def test_disk_emt_inverts_each_disk_pole_at_most_once(monkeypatch):
@@ -934,7 +994,7 @@ def test_matrix_metric_cross_check_is_at_rounding_level():
     wa, wb = (green.pole_preimage(p) for p in (CURVED_A, CURVED_B))
     rule = interior_rule(fmap, poles=[CURVED_A, CURVED_B], n_r=128, n_theta=256,
                          n_patch=64)
-    T, D, vol = variation._tensor_route(fam, fmap, wa, wb,
+    T, D, vol = variation._tensor_route(fam, wa, wb,
                                         MetricField(2, met, met.derivative), None)(rule.nodes)
     scale = np.linalg.norm(T, axis=(-2, -1)) * np.linalg.norm(D, axis=(-2, -1)) * vol
     assert np.all(np.abs(np.einsum("nij,nij->n", T, D) * vol) <= 1e-14 * scale)
