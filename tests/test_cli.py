@@ -287,8 +287,8 @@ def test_converge_table(capsys, tmp_path):
 
 def test_converge_rejects_an_unbuildable_ladder_before_any_work(capsys, tmp_path,
                                                                monkeypatch):
-    # levels 4 doubles n_patch to 256 on the last rung, whose innermost patch
-    # ring (rho = 0.1) is 7.67e-11 from pole a: no estimator may run first
+    # levels 3 doubles m_boundary twice, to 2^22 on the last rung, above its
+    # ceiling: no estimator may run first
     from greenvar import cli
 
     def forbidden(*args, **kwargs):
@@ -296,16 +296,16 @@ def test_converge_rejects_an_unbuildable_ladder_before_any_work(capsys, tmp_path
 
     for name in ("boundary_variation", "fd_oracle", "flux_variation", "volume_variation"):
         monkeypatch.setattr(cli, name, forbidden)
-    doc = default_config()
-    doc["levels"] = 4
+    doc = dict(default_config(), levels=3, quadrature={"m_boundary": 2**20})
     code, out, err = run(capsys, "converge", "--config", write_config(tmp_path, doc))
     assert (code, out) == (2, "")
-    assert err == "config error: node within 7.67e-11 of pole 0+0j\n"
+    assert err == ("config error: quadrature 'm_boundary' x 4 (converge level 2) "
+                   "must be an integer in [4, 2097152]\n")
 
 
 def test_converge_inverts_each_pole_once(capsys, tmp_path, monkeypatch):
-    # the config check inverts a and b on the base map; the default m, the
-    # ladder check and every estimator at every rung take the held preimages
+    # the config check inverts a and b on the base map; the default m and
+    # every estimator at every level take the held preimages
     from greenvar.conformal import ConformalMap
 
     doc = {"family": {"base": [[1.0, 0.0], [0.1, 0.0]],
@@ -362,6 +362,25 @@ def test_converge_builds_the_level_zero_rule_alone(capsys, tmp_path, monkeypatch
         rung = volume_variation(fam, a, b, metric=metric, n_r=16 * s, n_theta=32 * s,
                                 n_patch=8 * s, check=False)
         assert value.hex() == float(rung).hex()
+
+
+def test_converge_runs_every_level_it_can_build(capsys, tmp_path):
+    # only level 0 builds an interior rule, so n_patch is never doubled: the
+    # default n_patch 32 runs to levels 8, and the table at each levels L is the
+    # first 1 + 4L lines of the deepest one
+    def table(doc):
+        code, out, err = run(capsys, "converge", "--config", write_config(tmp_path, doc))
+        assert (code, err) == (0, "")
+        return out.splitlines()
+
+    deepest = table(dict(default_config(), levels=8))
+    for level in range(1, 8):
+        assert table(dict(default_config(), levels=level)) == deepest[:1 + 4 * level]
+    near_margin = {"a": [0.94, 0.0], "b": [0.0, 0.5]}
+    for doc, levels in ((dict(default_config(), poles=near_margin), 8),
+                        (CURVED_LADDER, 8),
+                        (dict(default_config(), quadrature={"n_patch": 160}), 2)):
+        assert len(table(dict(doc, levels=levels))) == 1 + 4 * levels
 
 
 def test_converge_deterministic(capsys, tmp_path):
@@ -539,6 +558,13 @@ def quadrature(**fields):
      "family field 'base' entry 0 must be a [re, im] pair"),
     ({"metric": {"conformal_phi": [[1, 0, HUGE]]}}, VARY,
      "conformal_phi term 0 must be [i, j, coeff] with 0 <= i, j <= 64"),
+    # json.dumps writes these as Infinity, -Infinity and NaN, which json.load reads
+    ({"metric": {"conformal_phi": [[1, 0, float("inf")]]}}, VARY,
+     "conformal_phi term 0 coefficient must be finite"),
+    ({"metric": {"conformal_phi": [[0, 0, 0.1], [1, 0, float("-inf")]]}}, VARY,
+     "conformal_phi term 1 coefficient must be finite"),
+    ({"metric": {"conformal_phi": [[1, 0, float("nan")]]}}, VARY,
+     "conformal_phi term 0 coefficient must be finite"),
     ({"family": {"base": [[True, False]], "perturbation": [[1, 0]]}}, VARY,
      "family field 'base' entry 0 must be a [re, im] pair"),
     ({"family": {"base": [[float("inf"), 0]], "perturbation": [[1, 0]]}}, VARY, NON_FINITE),
@@ -560,11 +586,9 @@ def quadrature(**fields):
     (quadrature(n_patch=286), VARY, "quadrature 'n_patch' must be an integer in [8, 285]"),
     (quadrature(m_boundary=2**21 + 1), VARY,
      "quadrature 'm_boundary' must be an integer in [4, 2097152]"),
-    # converge doubles n_patch and m at each level
+    # converge doubles m at each level
     (dict(quadrature(m_boundary=2**20), levels=3), ("converge",),
      "quadrature 'm_boundary' x 4 (converge level 2) must be an integer in [4, 2097152]"),
-    (dict(quadrature(n_patch=160), levels=2), ("converge",),
-     "quadrature 'n_patch' x 2 (converge level 1) must be an integer in [8, 285]"),
     # polynomial degree: an exponent beyond the double range, 2,000 coefficients
     # (128 companion matrices of order 1,999 in the t_max scan), one above the ceiling
     ({"metric": {"conformal_phi": [[HUGE, 0, 1.0]]}}, VARY,
@@ -575,12 +599,13 @@ def quadrature(**fields):
      "family field 'base' must be a list of 1 to 64 pairs"),
     ({"family": {"base": [[1, 0]], "perturbation": [[0, 0]] * 64 + [[1, 0]]}}, VARY,
      "family field 'perturbation' must be a list of 1 to 64 pairs"),
-], ids=["huge_tolerance", "huge_pole", "huge_coefficient", "huge_phi", "bool_coefficient",
+], ids=["huge_tolerance", "huge_pole", "huge_coefficient", "huge_phi", "inf_phi",
+        "minus_inf_phi", "nan_phi", "bool_coefficient",
         "inf_coefficient", "overflowing_f_prime", "zero_of_f_prime_inside",
         "huge_n_r", "huge_n_theta", "huge_n_patch", "huge_m_boundary", "huge_quad_nr_flag",
         "huge_quad_ntheta_flag", "n_r_above_ceiling", "quad_ntheta_flag_above_ceiling",
         "n_patch_above_ceiling", "m_boundary_above_ceiling", "converge_m_ladder",
-        "converge_n_patch_ladder", "huge_phi_exponent", "phi_exponent_above_ceiling",
+        "huge_phi_exponent", "phi_exponent_above_ceiling",
         "long_base", "perturbation_above_ceiling"])
 def test_rejects_numbers_the_program_cannot_handle(capsys, tmp_path, patch, argv, message):
     doc = dict(default_config(), **patch)
@@ -603,14 +628,13 @@ def test_over_ceiling_counts_are_refused_before_any_gauss_legendre_solve(
         assert run(capsys, "vary", "--config", path)[0] == 2
     assert solves == []
     # load lays out the level-0 patches; the ladder check solves nothing
-    for patch in (dict(quadrature(n_patch=160), levels=2),
-                  dict(quadrature(m_boundary=2**20), levels=3)):
-        path = write_config(tmp_path, dict(default_config(), **patch))
-        exp = load_experiment(_build_parser().parse_args(["converge", "--config", path]))
-        solves.clear()
-        with pytest.raises(ConfigError, match="converge level"):
-            cli.run_convergence(exp)
-        assert solves == []
+    path = write_config(tmp_path, dict(default_config(), levels=3,
+                                       **quadrature(m_boundary=2**20)))
+    exp = load_experiment(_build_parser().parse_args(["converge", "--config", path]))
+    solves.clear()
+    with pytest.raises(ConfigError, match="converge level"):
+        cli.run_convergence(exp)
+    assert solves == []
 
 
 def test_rejects_bad_tolerance(capsys):
