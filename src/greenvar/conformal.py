@@ -392,6 +392,8 @@ def _unpack_coeffs(raw, field: str) -> np.ndarray:
                 f"family field '{field}' entry {k} must be a [re, im] pair"
             )
         out[k] = complex(pair[0], pair[1])
+        if not np.isfinite(out[k]):
+            raise ConfigError(f"family field '{field}' entry {k} must be finite")
     return out
 
 

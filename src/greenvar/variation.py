@@ -49,6 +49,7 @@ takes a metric raises :class:`ConfigError` for any other.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Dict, Optional
@@ -61,7 +62,7 @@ from .conformal import (DEFAULT_BOUNDARY_NODES, MAX_BOUNDARY_NODES, ConformalMap
 from .energy_momentum import PolarizedEMT
 from .errors import ConfigError, EvaluationError, GreenvarError, NonConformalMetricError
 from .greens import GreenFunction, _normal_derivative
-from .quadrature import (N_PATCH, N_R, N_THETA, IntegrationResult, boundary_integrate,
+from .quadrature import (BLOCK, N_PATCH, N_R, N_THETA, IntegrationResult, boundary_integrate,
                          disk_rule, integrate)
 from .tensors import (MetricField, VectorField, euclidean_metric, strain_tensor,
                       volume_density)
@@ -107,13 +108,6 @@ REL_FLOOR = 1e-2
 CROSS_CHECK_NODES = 32
 CROSS_CHECK_TOL = 1e-12
 
-# The closed form runs over slices of this many nodes, so that its
-# temporaries (256 KB each as complex) stay in a 4 MB L2 cache; the values
-# are those of one pass over all nodes, bit for bit.  On the 196,041 nodes of
-# a 256x512x128 rule (2-core Xeon, best of 7) one integrand call took 11.3 ms
-# in slices of 16,384, 10.7-13.8 ms in slices of 2,048 to 32,768, 24.1 unsliced.
-CLOSED_FORM_BLOCK = 16384
-
 
 def _require_family(domain, route: str):
     """:class:`ConfigError` naming the type unless ``domain`` is a :class:`DomainFamily`:
@@ -123,11 +117,8 @@ def _require_family(domain, route: str):
 
 
 def _require_conformal(metric: Optional[MetricField], x):
-    """Evaluate the scale ``exp(2 phi)`` of ``metric`` at the points ``x``:
-    :class:`ConfigError` where a matrix-built metric is not conformal (the
-    Green functions are the flat ones, those of ``Delta_g`` only for a
-    conformal ``g``), :class:`DegenerateMetricError` where the scale is not
-    finite and positive."""
+    """Evaluate the scale ``exp(2 phi)`` of ``metric`` at ``x``: :class:`ConfigError` where
+    it is not conformal, :class:`DegenerateMetricError` where not finite and positive."""
     if metric is not None:
         metric._scale(x)
 
@@ -244,27 +235,33 @@ def volume_integrand(family, a, b, metric: Optional[MetricField] = None,
     return lambda z: _contract(*pieces(z))
 
 
-def _closed_form_integrand(family, fmap: ConformalMap, wa, wb,
+def _closed_form_integrand(family, fmap: ConformalMap, rule,
                            metric: Optional[MetricField],
                            velocity: Optional[VectorField]):
     """``2 Re(A B (dbar v)(f(z)) conj(f'(z)) / f'(z))`` at disk points, with
-    ``A B`` the :func:`_complex_emt` kernel and ``dbar v = ((J_11 - J_22) +
-    i (J_21 + J_12)) / 2`` from the ambient Jacobian of the velocity; 0 for
-    the (holomorphic) family velocity.  The metric is evaluated at every
-    image node ``f(z)`` and must be conformal.
+    ``A B`` the :func:`_complex_emt` kernel of the poles of ``rule`` and
+    ``dbar v = ((J_11 - J_22) + i (J_21 + J_12)) / 2`` from the ambient
+    Jacobian of the velocity; 0 for the (holomorphic) family velocity.  The
+    metric must be conformal at every image node ``f(z)``, checked once per
+    rule: the ``nodes`` of ``rule`` and of its coarse twin hold a passed check
+    of the metric and map (any other array is checked on every call).
     Each call also evaluates :func:`_tensor_route` at ``CROSS_CHECK_NODES``
     nodes and raises :class:`EvaluationError` where the two disagree."""
+    wa, wb = rule.poles
     pieces = _tensor_route(family, wa, wb, metric, velocity)
 
     def closed_form(points):
         out = np.zeros(len(points))
-        if velocity is None and metric is None:
+        held = next((r for r in (rule, rule._coarse) if r and points is r.nodes), None)
+        verdict = held and [ref() for ref in held._verdict]
+        check = metric is not None and verdict != [metric, fmap]
+        if velocity is None and not check:
             return out  # nothing reads f(z)
         z = np.ascontiguousarray(points, dtype=float).view(np.complex128)[:, 0]
-        for lo in range(0, len(points), CLOSED_FORM_BLOCK):
-            zb = z[lo:lo + CLOSED_FORM_BLOCK]
+        for lo in range(0, len(points), BLOCK):
+            zb = z[lo:lo + BLOCK]
             x = fmap(zb).view(np.float64).reshape(-1, 2)
-            _require_conformal(metric, x)
+            _require_conformal(metric if check else None, x)
             if velocity is None:
                 continue
             J = velocity.jacobian(x)
@@ -272,6 +269,8 @@ def _closed_form_integrand(family, fmap: ConformalMap, wa, wb,
             fp = fmap.derivative(zb)
             out[lo:lo + zb.size] = 2.0 * np.real(_complex_emt(zb, wa, wb) * dbar
                                                  * np.conj(fp) / fp)
+        if check and held:
+            held._verdict = (weakref.ref(metric), weakref.ref(fmap))
         return out
 
     def integrand(points):
@@ -302,7 +301,8 @@ def volume_variation(family, a, b, metric: Optional[MetricField] = None,
     v)`` (see the module docstring), checked at every evaluation against
     the tensor route :func:`volume_integrand`, with a rule at the given
     resolution whose pole patches sit at the preimages of ``a`` and ``b``.
-    ``metric`` must be conformal (:class:`ConfigError` otherwise).  The
+    ``metric`` must be conformal (:class:`ConfigError` otherwise) at every
+    image node, evaluated there once per rule and metric.  The
     pairing term ``v(b) . alpha(b) + v(a) . beta(a)`` is evaluated exactly,
     never quadratured: the velocity at the two poles against the Green
     gradients at the pole preimages the rule is built on.  The family
@@ -313,8 +313,8 @@ def volume_variation(family, a, b, metric: Optional[MetricField] = None,
     v = _velocity(family, velocity)
     green = GreenFunction(fmap)
     wa, wb = green.pole_preimages(a, b)
-    integrand = _closed_form_integrand(family, fmap, wa, wb, metric, velocity)
     rule = disk_rule(n_r, n_theta, poles=[wa, wb], n_patch=n_patch)
+    integrand = _closed_form_integrand(family, fmap, rule, metric, velocity)
     quad = integrate(rule, integrand, check=check)
     # numpy scalars, so the value is PolarizedEMT.source_pairing's to the bit
     va, vb = (v(np.asarray(p, dtype=float).reshape(2)) if velocity is not None

@@ -567,7 +567,21 @@ def quadrature(**fields):
      "conformal_phi term 0 coefficient must be finite"),
     ({"family": {"base": [[True, False]], "perturbation": [[1, 0]]}}, VARY,
      "family field 'base' entry 0 must be a [re, im] pair"),
-    ({"family": {"base": [[float("inf"), 0]], "perturbation": [[1, 0]]}}, VARY, NON_FINITE),
+    ({"family": {"base": [[float("inf"), 0]], "perturbation": [[1, 0]]}}, VARY,
+     "family field 'base' entry 0 must be finite"),
+    ({"family": {"base": [[1, 0], [0, float("inf")]], "perturbation": [[1, 0]]}}, VARY,
+     "family field 'base' entry 1 must be finite"),
+    ({"family": {"base": [[float("-inf"), 0]], "perturbation": [[1, 0]]}}, VARY,
+     "family field 'base' entry 0 must be finite"),
+    ({"family": {"base": [[1, 0], [float("nan"), 0]], "perturbation": [[1, 0]]}}, VARY,
+     "family field 'base' entry 1 must be finite"),
+    # without t_max these ran the injectivity scan and exited 2 naming a t
+    ({"family": {"base": [[1, 0]], "perturbation": [[0, 0], [float("inf"), 0]]}}, VARY,
+     "family field 'perturbation' entry 1 must be finite"),
+    ({"family": {"base": [[1, 0]], "perturbation": [[0, float("-inf")]]}}, VARY,
+     "family field 'perturbation' entry 0 must be finite"),
+    ({"family": {"base": [[1, 0]], "perturbation": [[float("nan"), 0]], "t_max": 0.5}},
+     VARY, "family field 'perturbation' entry 0 must be finite"),
     ({"family": {"base": [[1, 0], [1e308, 0]], "perturbation": [[1, 0]]}}, VARY, NON_FINITE),
     # f' = 1 + 1.2 z vanishes at -0.833, inside the disk
     ({"family": {"base": [[1, 0], [0.6, 0]], "perturbation": [[0, 0], [0.01, 0]],
@@ -601,7 +615,9 @@ def quadrature(**fields):
      "family field 'perturbation' must be a list of 1 to 64 pairs"),
 ], ids=["huge_tolerance", "huge_pole", "huge_coefficient", "huge_phi", "inf_phi",
         "minus_inf_phi", "nan_phi", "bool_coefficient",
-        "inf_coefficient", "overflowing_f_prime", "zero_of_f_prime_inside",
+        "inf_coefficient", "inf_base_imag", "minus_inf_base", "nan_base",
+        "inf_perturbation", "minus_inf_perturbation_imag", "nan_perturbation",
+        "overflowing_f_prime", "zero_of_f_prime_inside",
         "huge_n_r", "huge_n_theta", "huge_n_patch", "huge_m_boundary", "huge_quad_nr_flag",
         "huge_quad_ntheta_flag", "n_r_above_ceiling", "quad_ntheta_flag_above_ceiling",
         "n_patch_above_ceiling", "m_boundary_above_ceiling", "converge_m_ladder",

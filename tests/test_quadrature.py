@@ -342,6 +342,92 @@ def test_unbuildable_patch_fails_before_the_background_grid():
     assert quadrature._recent == []
 
 
+def _full_grid_rule(n_r, n_theta, poles, n_patch):
+    """``(z, w)`` of a pole rule built the plain way: every background node
+    windowed, masked and guarded, as the band build must reproduce bit for bit."""
+    pole_arr = np.array(poles, dtype=complex)
+    rho, rad, wrad, ring = quadrature._patch_layout(pole_arr, n_patch)
+    r, wr = quadrature._gauss_legendre(n_r, 0.0, 1.0)
+    th = 2.0 * np.pi * np.arange(n_theta) / n_theta
+    z = (r[:, None] * np.exp(1j * th)[None, :]).ravel()
+    w = (wr * r)[:, None].repeat(n_theta, axis=1).ravel() * (2.0 * np.pi / n_theta)
+    fac, b_chi = np.ones_like(w), []
+    for p in pole_arr:
+        dist = np.abs(z - p)
+        near = np.flatnonzero(dist < rho)
+        chi = _window(dist[near], rho)
+        b_chi.append(quadrature._fsum(w[near] * chi))
+        fac[near] -= chi
+    keep = fac > 1e-14
+    zs, ws = [z[keep]], [w[keep] * fac[keep]]
+    w_patch = (wrad * _window(rad, rho))[:, None].repeat(ring.size, axis=1).ravel()
+    w_patch = w_patch * (2.0 * np.pi / ring.size)
+    for p, b in zip(pole_arr, b_chi):
+        wp = w_patch * (b / quadrature._fsum(w_patch))
+        zs.append((p + rad[:, None] * ring[None, :]).ravel()[wp > 0.0])
+        ws.append(wp[wp > 0.0])
+    return np.concatenate(zs), np.concatenate(ws), r, rho
+
+
+def _seeded_pole_sets():
+    """``(n_r, n_theta, n_patch, poles)``: 1 to 3 seeded poles, a pole at 0,
+    poles near the 0.95 margin, and single poles on the ray of a background
+    node with ``|p| + rho`` or ``|p| - rho`` one ulp either side of a Gauss
+    radius, so that node sits at distance ``rho`` to rounding."""
+    rng = np.random.default_rng(22)
+    cases = []
+    for k in (1, 2, 3):
+        for _ in range(6):
+            w = 0.9 * np.sqrt(rng.uniform(size=k)) * np.exp(2j * np.pi * rng.uniform(size=k))
+            if k == 1 or np.min(np.abs(w[:, None] - w[None, :]) + 9 * np.eye(k)) > 0.05:
+                cases.append((32, 64, 16, list(w)))
+    cases += [(32, 64, 16, [0j]), (64, 128, 32, [0j, 0.5 + 0.2j]),
+              (64, 128, 32, [0.949 * np.exp(0.3j)]), (32, 64, 16, [-0.949j, 0.2 + 0.1j, 0.0])]
+    for n_r, n_theta in ((16, 32), (64, 128)):
+        r, _ = quadrature._gauss_legendre(n_r, 0.0, 1.0)
+        for j in (n_r // 3, n_r // 2, 3 * n_r // 4):
+            # one pole of modulus m: rho = 0.2 (1 - m), so m + rho = r_j at
+            # m = (r_j - 0.2) / 0.8 and m - rho = r_j at m = (r_j + 0.2) / 1.2
+            for m in ((r[j] - 0.2) / 0.8, (r[j] + 0.2) / 1.2):
+                if 0.0 < m < 0.95:
+                    for mm in (np.nextafter(m, 0.0), m, np.nextafter(m, 1.0)):
+                        cases.append((n_r, n_theta, 8, [mm * np.exp(2j * np.pi * 5 / n_theta)]))
+    return cases
+
+
+def test_band_build_is_the_full_grid_build_on_seeded_pole_sets():
+    # every node strictly inside and clear of every pole; the band holds every
+    # background node within rho of a pole (brute force); and nodes and
+    # weights are those of windowing the whole background grid, bit for bit
+    cases, edges, partial = _seeded_pole_sets(), 0, 0
+    assert len(cases) > 40
+    for n_r, n_theta, n_patch, poles in cases:
+        quadrature._recent.clear()
+        rule = disk_rule(n_r, n_theta, poles=poles, n_patch=n_patch)
+        z = rule.nodes.view(np.complex128)[:, 0]
+        assert np.all(np.abs(z) < 1.0)
+        assert all(np.min(np.abs(z - p)) >= 1e-10 for p in poles)
+        z_full, w_full, r, rho = _full_grid_rule(n_r, n_theta, poles, n_patch)
+        assert rule.rho == rho
+        assert z.tobytes() == z_full.tobytes() and rule.weights.tobytes() == w_full.tobytes()
+        th = 2.0 * np.pi * np.arange(n_theta) / n_theta
+        grid = r[:, None] * np.exp(1j * th)[None, :]
+        near = np.any(np.abs(grid[:, :, None] - np.array(poles)) < rho, axis=(1, 2))
+        band = quadrature._band(r, np.array(poles, dtype=complex), rho)
+        assert np.all(band[near])
+        partial += band.sum() < n_r
+        edges += np.min(np.abs(np.abs(grid - poles[0]) - rho)) < 1e-15
+    assert partial > len(cases) // 2 and edges >= 20
+
+
+def test_rule_nodes_are_a_view_of_its_complex_buffer():
+    rule = disk_rule(16, 32, poles=[0.3 + 0.1j], n_patch=8)
+    z = rule.nodes.base
+    assert z.dtype == np.complex128 and z.size == rule.node_count
+    assert rule.nodes.flags.c_contiguous and not z.flags.writeable
+    assert np.array_equal(z, rule.nodes[:, 0] + 1j * rule.nodes[:, 1])
+
+
 # _fsum must return the double math.fsum returns, on both sides of the size
 # at which it switches to the extraction sum, and raise where fsum raises.
 FSUM_MAX_N = 3 * quadrature.FSUM_EXTRACT_MIN
@@ -412,3 +498,59 @@ def test_fsum_explicit_cases():
         x = small.copy()
         x[:len(special)] = special
         _assert_fsum(x)
+
+
+@pytest.mark.parametrize("n", [quadrature.BLOCK - 1, quadrature.BLOCK,
+                               quadrature.BLOCK + 1, 2 * quadrature.BLOCK + 3])
+def test_fsum_matches_math_fsum_at_block_edges(n):
+    # _fsum extracts block by block: sums of one value short of a block, one
+    # block, one value past it, and two blocks and a remainder
+    B = quadrature.BLOCK
+    rng = np.random.default_rng(n)
+    for zeros in (np.zeros(n), np.full(n, -0.0)):
+        _assert_fsum(zeros)
+        zeros[-1] = -zeros[-1]        # one zero of the other sign, in the last block
+        _assert_fsum(zeros)
+    # an all-zero block between non-zero blocks (a zero head where n <= 2 B)
+    x = rng.standard_normal(n)
+    x[B:2 * B] = 0.0
+    _assert_fsum(x)
+    x[:min(n - 1, B)] = 0.0
+    _assert_fsum(x)
+    # just above a rounding tie, its three parts split across the block edge
+    tie = np.zeros(n)
+    tie[[min(B - 1, n - 3), min(B, n - 2), n - 1]] = 1.0, 2.0**-53, 2.0**-106
+    _assert_fsum(tie)
+    _assert_fsum(-tie[::-1])
+    # values 2^k u over wide exponent windows, and cancelling pairs
+    for seed in range(4):
+        g = np.random.default_rng(seed)
+        x = np.ldexp(g.uniform(-1.0, 1.0, n), g.integers(-1074, 1000, n))
+        _assert_fsum(x)
+        _assert_fsum(np.ldexp(g.uniform(-1.0, 1.0, n), g.integers(-60, 1, n)))
+        x[n // 2:] = -x[:n - n // 2] * (1.0 - 2.0**-40)
+        _assert_fsum(x)
+    # overflow fallback: 2^1020 in the last block (2^(1021 + shift) would
+    # overflow), and partial sums beyond the double range (fsum raises)
+    big = rng.standard_normal(n)
+    big[-1] = 2.0**1020
+    _assert_fsum(big)
+    big[[0, min(B, n - 2), n - 1]] = 2.0**1023, 2.0**1023, -2.0**1023
+    _assert_fsum(big)
+    big[-1] = np.nan
+    _assert_fsum(big)
+
+
+def test_fsum_overflow_check_reads_the_whole_array():
+    # values just below 2^1008 over five blocks: every block sum is finite,
+    # but the running sum passes the double range inside the fifth block and
+    # comes back by its end, so math.fsum raises: e + shift > 1023 is judged
+    # with the whole array's shift (17 here), not a block's (15)
+    B, v = quadrature.BLOCK, 2.0**1008 * (1.0 - 2.0**-53)
+    x = np.zeros(5 * B)
+    x[:3 * B + B // 2] = v
+    x[4 * B:4 * B + 9000] = v
+    x[4 * B + 9000:] = -v
+    _assert_fsum(x)
+    with pytest.raises(OverflowError):
+        quadrature._fsum(x)

@@ -528,23 +528,21 @@ def test_closed_form_integrand_matches_the_tensor_route(monkeypatch):
     # closed-form blocks and ends in a partial one
     fam, met, v = curved_family(), curved_metric(), square_velocity()
     fmap = fam.base
-    green = GreenFunction(fmap)
-    wa, wb = (complex(green.pole_preimage(p)) for p in (CURVED_A, CURVED_B))
-    block = variation.CLOSED_FORM_BLOCK
+    block = variation.BLOCK
     for n_r, n_theta, n_patch in ((32, 64, 16), (128, 256, 64)):
         rule = interior_rule(fmap, poles=[CURVED_A, CURVED_B], n_r=n_r,
                              n_theta=n_theta, n_patch=n_patch)
         for metric in (met, MetricField(2, met, met.derivative)):
             want = volume_integrand(fam, CURVED_A, CURVED_B, metric=metric,
                                     velocity=v)(rule.nodes)
-            integrand = variation._closed_form_integrand(fam, fmap, wa, wb, metric, v)
+            integrand = variation._closed_form_integrand(fam, fmap, rule, metric, v)
             got = integrand(rule.nodes)
             assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
             assert np.max(np.abs(want)) > 0.0
     assert rule.node_count > block and rule.node_count % block
     assert (integrate(rule, integrand, check=False).value
             == math.fsum(rule.weights * integrand(rule.nodes)))
-    monkeypatch.setattr(variation, "CLOSED_FORM_BLOCK", rule.node_count)
+    monkeypatch.setattr(variation, "BLOCK", rule.node_count)
     assert np.array_equal(integrand(rule.nodes), got)
 
 
@@ -598,10 +596,9 @@ def test_closed_form_reads_any_node_layout_to_the_same_bits():
     # buffer; the 128x256x64 rule ends in a partial block
     fam, met, v = curved_family(), curved_metric(), square_velocity()
     fmap = fam.base
-    wa, wb = GreenFunction(fmap).pole_preimages(CURVED_A, CURVED_B)
     rule = interior_rule(fmap, poles=[CURVED_A, CURVED_B], n_r=128, n_theta=256, n_patch=64)
-    assert rule.node_count % variation.CLOSED_FORM_BLOCK
-    integrand = variation._closed_form_integrand(fam, fmap, wa, wb, met, v)
+    assert rule.node_count % variation.BLOCK
+    integrand = variation._closed_form_integrand(fam, fmap, rule, met, v)
     fortran = np.asfortranarray(rule.nodes)
     assert not fortran.flags.c_contiguous
     assert integrand(fortran).tobytes() == integrand(rule.nodes).tobytes()
@@ -982,6 +979,93 @@ def test_checked_ladder_builds_each_rule_once(monkeypatch):
     assert built == [(32, 64), (16, 32), (64, 128), (128, 256), (256, 512)]
     assert checked_ladder(clear=True) == warm
     assert len(built) == 5 + 16
+
+
+def count_scale(monkeypatch, metric):
+    """The point counts of each ``_scale`` call of ``metric`` itself (not of
+    the pulled-back metric the tensor route builds from it)."""
+    calls = []
+    scale = MetricField._scale
+    monkeypatch.setattr(MetricField, "_scale", lambda self, x: (
+        self is metric and calls.append(len(x))) or scale(self, x))
+    return calls
+
+
+def test_checked_ladder_evaluates_the_metric_once_per_rule(monkeypatch):
+    # 16 integrand calls on 5 distinct rules: each rule holds the verdict of
+    # the metric check its image nodes passed, so the family velocity's calls
+    # check each new rule once and (x^2, x y) reads no metric value
+    fam, met, v = curved_family(), curved_metric(), square_velocity()
+    calls = count_scale(monkeypatch, met)
+    quadrature._recent.clear()
+    wa, wb = GreenFunction(fam).pole_preimages(CURVED_A, CURVED_B)
+    disk_rule = quadrature.disk_rule
+    rules = [disk_rule(16, 32, poles=[wa, wb], n_patch=8)]
+    for n_r, n_theta, n_patch in LADDER:
+        before = len(calls)
+        for vel in (None, v):
+            volume_variation(fam, CURVED_A, CURVED_B, metric=met, velocity=vel,
+                             n_r=n_r, n_theta=n_theta, n_patch=n_patch)
+        rules.append(disk_rule(n_r, n_theta, poles=[wa, wb], n_patch=n_patch))
+        fresh = rules[-1].node_count + (rules[0].node_count if n_r == 32 else 0)
+        assert sum(calls[before:]) == fresh
+    assert sum(calls) == sum(rule.node_count for rule in rules) == 261301
+    # the same metric again reads nothing; a new metric object is checked on
+    # the rule and its coarse twin
+    n_r, n_theta, n_patch = LADDER[-1]
+    del calls[:]
+    volume_variation(fam, CURVED_A, CURVED_B, metric=met, n_r=n_r, n_theta=n_theta,
+                     n_patch=n_patch)
+    assert calls == []
+    other = curved_metric()
+    calls_other = count_scale(monkeypatch, other)
+    volume_variation(fam, CURVED_A, CURVED_B, metric=other, velocity=v, n_r=n_r,
+                     n_theta=n_theta, n_patch=n_patch)
+    assert sum(calls_other) == rules[-1].node_count + rules[-2].node_count
+
+
+def test_a_failing_metric_is_never_held(monkeypatch):
+    # diag(1, 2) where x > 0.9: the check raises on every call, and reads the
+    # image nodes each time
+    def partly(p):
+        g = np.broadcast_to(np.eye(2), p.shape[:-1] + (2, 2)).copy()
+        g[p[..., 0] > 0.9, 1, 1] = 2.0
+        return g
+
+    part = MetricField(2, partly, lambda p: np.zeros(p.shape[:-1] + (2, 2, 2)))
+    calls = count_scale(monkeypatch, part)
+    fam = curved_family()
+    quadrature._recent.clear()
+    for _ in range(2):
+        with pytest.raises(NonConformalMetricError):
+            volume_variation(fam, CURVED_A, CURVED_B, metric=part, n_r=32, n_theta=64,
+                             n_patch=16, check=False)
+    rule = quadrature._recent[-1][1]
+    assert calls == [rule.node_count] * 2 and rule._verdict == ()
+
+
+def test_only_a_rules_own_node_array_holds_a_verdict(monkeypatch):
+    # a copy, a slice view or a Fortran-ordered copy of the nodes is checked on
+    # every call; the rule's own array once; a new map is checked again
+    fam, met = curved_family(), curved_metric()
+    calls = count_scale(monkeypatch, met)
+    fmap = fam.base
+    rule = interior_rule(fmap, poles=[CURVED_A, CURVED_B], n_r=32, n_theta=64, n_patch=16)
+    rule._verdict = ()
+    integrand = variation._closed_form_integrand(fam, fmap, rule, met, None)
+    for points in (rule.nodes.copy(), rule.nodes[:], np.asfortranarray(rule.nodes)):
+        for _ in range(2):
+            del calls[:]
+            assert not np.any(integrand(points))
+            assert sum(calls) == rule.node_count
+    for expect in (rule.node_count, 0, 0):
+        del calls[:]
+        integrand(rule.nodes)
+        assert sum(calls) == expect
+    twin = ConformalMap(fmap.coeffs)
+    del calls[:]
+    variation._closed_form_integrand(fam, twin, rule, met, None)(rule.nodes)
+    assert sum(calls) == rule.node_count
 
 
 def test_matrix_metric_cross_check_is_at_rounding_level():
