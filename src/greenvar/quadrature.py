@@ -12,7 +12,8 @@ outright), the patch integrates ``chi f``.  Patch weights
 are normalized so the whole rule integrates constants exactly, independent
 of how well the background grid resolves the window.  The window is 0
 beyond ``rho``: the build windows, masks and guards only the patches and the
-background rings within ``rho`` of a pole's modulus, and copies the others.
+background rings within ``rho`` of a pole's modulus, and writes the others
+straight into the rule's buffers, allocated once.
 
 Boundary integrals use the periodic trapezoid rule (spectrally accurate for
 analytic boundary data), assembled by :func:`greenvar.conformal.boundary_grid`.
@@ -30,13 +31,16 @@ Rules are shared and read-only.  :func:`disk_rule` holds the
 for equal inputs: a convergence ladder asks for each rung's rule once per
 velocity, and a rung's coarse twin is the previous rung's rule.  Every
 holder of a rule may be handed the same arrays, so ``nodes``, ``weights``
-and ``poles`` are not writeable.  A rule holds the last check its ``nodes``
-passed (the volume route's metric check): a ladder checks each rule once.
+and ``poles`` are not writeable.  A rule holds what its ``nodes`` gave, keyed
+weakly on the objects that read them: the checks they passed (the volume
+route's metric check) and, for :func:`integrate` with a ``key``, the sums.
+So a ladder checks each rule once, and sums each integrand on it once.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, NamedTuple, Optional, Sequence, Union
@@ -208,8 +212,9 @@ class QuadratureRule:
     lies within 1e-10 of a pole center.  ``sum(weights)`` equals the disk
     area pi to machine precision by construction.  A rule from
     :func:`disk_rule` may be shared with other callers, so its arrays are
-    read-only; ``nodes`` views a complex buffer.  ``_verdict`` weakly holds
-    the objects of the last check ``nodes`` passed, compared by identity."""
+    read-only; ``nodes`` views a complex buffer.  ``_held`` holds what was
+    worked out on ``nodes`` (a passed check, an integrand's sum) weakly keyed
+    on the objects it read (see :meth:`recall`)."""
 
     nodes: np.ndarray
     weights: np.ndarray
@@ -219,7 +224,7 @@ class QuadratureRule:
     n_theta: int
     n_patch: int
     _coarse: Optional["QuadratureRule"] = field(default=None, repr=False)
-    _verdict: tuple = field(default=(), repr=False)
+    _held: list = field(default_factory=list, repr=False)
 
     @property
     def node_count(self) -> int:
@@ -239,6 +244,21 @@ class QuadratureRule:
                 n_patch=max(N_PATCH.floor, self.n_patch // 2),
             )
         return self._coarse
+
+    def recall(self, tag: str, objs: tuple, compute: Optional[Callable] = None):
+        """The value held under ``tag`` and ``objs``, compared by identity (a dead
+        reference matches nothing, ``None`` only ``None``); else ``compute()``,
+        held unless it raises, with weak references to ``objs`` (entries whose
+        objects died are dropped), or None without ``compute``."""
+        for t, refs, value in self._held:
+            if t == tag and len(refs) == len(objs) and all(
+                    o is None if r is None else r() is o is not None for r, o in zip(refs, objs)):
+                return value
+        if compute is not None:
+            value = compute()
+            self._held = [e for e in self._held if all(r is None or r() is not None for r in e[1])]
+            self._held.append((tag, [o if o is None else weakref.ref(o) for o in objs], value))
+            return value
 
     def __repr__(self):
         return (f"QuadratureRule(n_r={self.n_r}, n_theta={self.n_theta}, "
@@ -355,37 +375,28 @@ def _build_rule(n_r: int, n_theta: int, pole_arr: np.ndarray,
                 n_patch: int) -> QuadratureRule:
     """The rule :func:`disk_rule` describes, from validated counts and a
     1-d complex pole array that the rule takes over.  The pole patches are
-    laid out (and checked) before the background grid is allocated."""
+    laid out (and checked) before the background, and the node and weight
+    buffers are allocated once, at their exact size."""
     if pole_arr.size:
         rho, rad, wrad, ring = _patch_layout(pole_arr, n_patch)
     r, wr = _gauss_legendre(n_r, 0.0, 1.0)
-    z_bg = r[:, None] * np.exp(1j * (2.0 * np.pi * np.arange(n_theta) / n_theta))[None, :]
-    w_bg = np.repeat(wr * r * (2.0 * np.pi / n_theta), n_theta).reshape(n_r, n_theta)
+    e = np.exp(1j * (2.0 * np.pi * np.arange(n_theta) / n_theta))
+    w_ring = wr * r * (2.0 * np.pi / n_theta)
     if pole_arr.size == 0:
-        return _frozen_rule(z_bg.ravel(), w_bg.ravel(), pole_arr, None, n_r, n_theta, n_patch)
+        return _frozen_rule((r[:, None] * e[None, :]).ravel(), np.repeat(w_ring, n_theta),
+                            pole_arr, None, n_r, n_theta, n_patch)
 
-    # background: the rings off the band (see _band) are kept as they are; in
-    # each run of band rings, multiply by (1 - sum of windows) and drop the
-    # dead nodes.  A window is exactly 0 beyond rho, and each pole's nodes
-    # within rho lie in one run, so b_chi sums them once.
+    # background: a run of rings off the band (see _band) is kept as it is, as
+    # its radii and ring weights until it is written into the buffers; in each
+    # run of band rings, multiply by (1 - sum of windows) and drop the dead
+    # nodes.  A window is exactly 0 beyond rho, and each pole's nodes within
+    # rho lie in one run, so b_chi sums them once.
     band = _band(r, pole_arr, rho)
-    b_chi, nodes, weights, guarded = np.zeros(pole_arr.size), [], [], []
+    b_chi, pieces = np.zeros(pole_arr.size), []
     cuts = [0, *(np.flatnonzero(np.diff(band)) + 1), n_r]
     for lo, hi in zip(cuts, cuts[1:]):
-        z, w = z_bg[lo:hi].ravel(), w_bg[lo:hi].ravel()
-        if band[lo]:
-            fac = np.ones_like(w)
-            for i, p in enumerate(pole_arr):
-                dist = np.abs(z - p)
-                near = np.flatnonzero(dist < rho)
-                chi = _window(dist[near], rho)
-                b_chi[i] += _fsum(w[near] * chi)
-                fac[near] -= chi
-            keep = fac > 1e-14
-            z, w = z[keep], w[keep] * fac[keep]
-            guarded.append(z)
-        nodes.append(z)
-        weights.append(w)
+        pieces.append(_windowed(r[lo:hi], e, w_ring[lo:hi], pole_arr, rho, b_chi)
+                      if band[lo] else (r[lo:hi], w_ring[lo:hi]))
 
     # pole patches: graded polar rule over B(p, rho), windowed by chi,
     # rescaled so the patch contributes exactly what the background gave up
@@ -394,26 +405,44 @@ def _build_rule(n_r: int, n_theta: int, pole_arr: np.ndarray,
     if raw <= 0.0:
         raise ConfigError("pole patch has no weight; increase n_patch")
     for i, p in enumerate(pole_arr):
-        z_patch = (p + rad[:, None] * ring[None, :]).ravel()
         # Normalize so the patch contributes exactly the weight the windowed
         # background gave up.  A background too coarse to see the window at
         # all (b_chi = 0) degrades gracefully: the patch drops out.
         w = w_patch * (b_chi[i] / raw)
-        good = w > 0.0
-        nodes.append(z_patch[good])
-        weights.append(w[good])
-        guarded.append(nodes[-1])
+        pieces.append(((p + rad[:, None] * ring[None, :]).ravel()[w > 0.0], w[w > 0.0]))
 
     # guards, strict interior and clear of poles (off the band |z| <= r[-1], |z - p| > rho)
+    guarded = [z for z, _ in pieces if z.dtype.kind == "c"]
     if r[-1] >= 1.0 or any(np.any(np.abs(z) >= 1.0) for z in guarded):
         raise DomainError("constructed node on or outside the boundary")
     for p in pole_arr:
         d = min(np.min(np.abs(z - p), initial=np.inf) for z in guarded)
         if d < 1e-10:
             raise ConfigError(f"node within {d:.2e} of pole {p:.6g}")
-    z_all = np.concatenate(nodes)
-    del nodes, guarded, z, z_bg, z_patch    # free the node pieces before joining the weights
-    return _frozen_rule(z_all, np.concatenate(weights), pole_arr, rho, n_r, n_theta, n_patch)
+    sizes = [z.size * (n_theta if z.dtype.kind == "f" else 1) for z, _ in pieces]
+    z_all, w_all = np.empty(sum(sizes), dtype=complex), np.empty(sum(sizes))
+    for (z, w), end, size in zip(pieces, np.cumsum(sizes), sizes):
+        if z.dtype.kind == "f":         # the radii and ring weights of a run off the band
+            np.multiply(z[:, None], e, out=z_all[end - size:end].reshape(-1, n_theta))
+            w_all[end - size:end].reshape(-1, n_theta)[...] = w[:, None]
+        else:
+            z_all[end - size:end], w_all[end - size:end] = z, w
+    return _frozen_rule(z_all, w_all, pole_arr, rho, n_r, n_theta, n_patch)
+
+
+def _windowed(r, e, w_ring, pole_arr, rho, b_chi):
+    """The nodes and weights of rings ``r`` times ``1 -`` the sum of the pole
+    windows, the dead nodes dropped; adds each pole's windowed weight to ``b_chi``."""
+    z, w = (r[:, None] * e).ravel(), np.repeat(w_ring, e.size)
+    fac = np.ones_like(w)
+    for i, p in enumerate(pole_arr):
+        dist = np.abs(z - p)
+        near = np.flatnonzero(dist < rho)
+        chi = _window(dist[near], rho)
+        b_chi[i] += _fsum(w[near] * chi)
+        fac[near] -= chi
+    keep = fac > 1e-14
+    return z[keep], w[keep] * fac[keep]
 
 
 def _band(r: np.ndarray, pole_arr: np.ndarray, rho: float) -> np.ndarray:
@@ -449,19 +478,29 @@ def _weighted_sum(rule, f, what: str) -> float:
     return _fsum(rule.weights * vals)
 
 
-def integrate(rule: QuadratureRule, f: Callable, check: bool = True) -> IntegrationResult:
+def integrate(rule: QuadratureRule, f: Callable, check: bool = True,
+              key: Optional[tuple] = None) -> IntegrationResult:
     """Apply the rule to a vectorized integrand ``f((N, 2) nodes) -> (N,)``.
 
     The convergence flag compares against the same rule at half resolution;
-    it is True when the relative change is below ``CONVERGENCE_TOL``.
+    it is True when the relative change is below ``CONVERGENCE_TOL``, and
+    False with ``rel_change`` NaN where that rule has the rule's own nodes.
     With ``check=False`` the flag is reported True without the comparison.
+    With a ``key``, the objects ``f`` reads, each rule sums ``f`` once and
+    holds the sum (see :meth:`QuadratureRule.recall`).
     """
-    value = _weighted_sum(rule, f, "integrand value")
+    def total(r):
+        if key is None:
+            return _weighted_sum(r, f, "integrand value")
+        return r.recall("sum", key, lambda: _weighted_sum(r, f, "integrand value"))
+
+    value = total(rule)
     if not check:
         return IntegrationResult(value, True, value, 0.0)
-    coarse = _weighted_sum(rule.coarse(), f, "integrand value")
+    twin = rule.coarse()
+    coarse = total(twin)
     scale = max(abs(value), abs(coarse), 1e-9)
-    rel = abs(value - coarse) / scale
+    rel = math.nan if np.array_equal(twin.nodes, rule.nodes) else abs(value - coarse) / scale
     return IntegrationResult(value, rel < CONVERGENCE_TOL, coarse, rel)
 
 

@@ -18,12 +18,12 @@ Four independent routes to the same number:
   (1 - |w|^2)/((z - w)(1 - z conj(w)))``, so ``conj(g_a g_b) = C / ((z -
   w_a)(1 - z conj(w_a))(z - w_b)(1 - z conj(w_b)))`` with ``C = (1 -
   |w_a|^2)(1 - |w_b|^2) / 4 pi^2``; for a holomorphic (family) velocity
-  ``dbar v = 0`` and the pairing term carries the value.  Every evaluation
-  also runs the tensor route (:func:`volume_integrand`: EMT, strain and
-  Christoffel symbols against the pulled-back metric ``f^* g``) at
-  ``CROSS_CHECK_NODES`` nodes of the rule and raises
-  :class:`EvaluationError` if the two disagree, so the paper's formula
-  stays checked inside every estimate.
+  ``dbar v = 0`` and the pairing term carries the value.  Each rule sums an
+  integrand once, and that sum also runs the tensor route
+  (:func:`volume_integrand`: EMT, strain and Christoffel symbols against the
+  pulled-back metric ``f^* g``) at ``CROSS_CHECK_NODES`` nodes of the rule
+  and raises :class:`EvaluationError` if the two disagree, so the paper's
+  formula stays checked inside every estimate.
 * ``flux_variation``: the boundary flux ``T^{ij} v_i nu_j`` against the
   induced boundary measure; equals the Hadamard integrand pointwise on
   the boundary, where both gradients are normal.  The density is
@@ -49,7 +49,6 @@ takes a metric raises :class:`ConfigError` for any other.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Dict, Optional
@@ -205,13 +204,30 @@ def _tensor_route(family, wa, wb, metric: Optional[MetricField],
     return lambda z: (disk.emt_contra(z), strain_tensor(g, v, z), volume_density(g, z))
 
 
+def _pole_product(z, wa, wb):
+    """``(C, P)``, ``conj(g_a g_b) = C / P`` in the rational form of the module docstring."""
+    c = (1.0 - abs(wa) ** 2) * (1.0 - abs(wb) ** 2) / (4.0 * math.pi ** 2)
+    return c, (z - wa) * (1.0 - z * np.conj(wa)) * (z - wb) * (1.0 - z * np.conj(wb))
+
+
 def _complex_emt(z, wa, wb):
     """``conj(g_a g_b) = T_11 - i T_12`` of the flat disk EMT of the poles with
-    preimages ``wa`` and ``wb``, in the rational form of the module docstring:
-    one complex division per point.  ``T`` is symmetric and trace-free, so
-    ``T(u, n) = Re(conj(g_a g_b) u n)`` for complex-packed ``u`` and ``n``."""
-    c = (1.0 - abs(wa) ** 2) * (1.0 - abs(wb) ** 2) / (4.0 * math.pi ** 2)
-    return c / ((z - wa) * (1.0 - z * np.conj(wa)) * (z - wb) * (1.0 - z * np.conj(wb)))
+    preimages ``wa`` and ``wb``, ``C / P`` (:func:`_pole_product`): one complex
+    division per point.  ``T`` is symmetric and trace-free, so ``T(u, n) =
+    Re(conj(g_a g_b) u n)`` for complex-packed ``u`` and ``n``."""
+    c, p = _pole_product(z, wa, wb)
+    return c / p
+
+
+def _beltrami_kernel(z, wa, wb, J, fp):
+    """``2 Re(conj(g_a g_b) dbar v conj(f') / f')`` from the Jacobian ``J`` of ``v``
+    at ``f(z)`` and ``fp = f'(z)``, with no complex division: ``2 C Re(dbar
+    conj(P u^2)) / |P|^2``, ``u = f' / |f'|``, ``2 dbar = (J_11 - J_22) + i (J_21 + J_12)``."""
+    c, p = _pole_product(z, wa, wb)
+    u = fp * (1.0 / np.abs(fp))
+    w = p * u * u
+    return c * ((J[:, 0, 0] - J[:, 1, 1]) * w.real
+                + (J[:, 1, 0] + J[:, 0, 1]) * w.imag) / (p.real ** 2 + p.imag ** 2)
 
 
 def _contract(T, D, vol):
@@ -238,23 +254,22 @@ def volume_integrand(family, a, b, metric: Optional[MetricField] = None,
 def _closed_form_integrand(family, fmap: ConformalMap, rule,
                            metric: Optional[MetricField],
                            velocity: Optional[VectorField]):
-    """``2 Re(A B (dbar v)(f(z)) conj(f'(z)) / f'(z))`` at disk points, with
-    ``A B`` the :func:`_complex_emt` kernel of the poles of ``rule`` and
-    ``dbar v = ((J_11 - J_22) + i (J_21 + J_12)) / 2`` from the ambient
-    Jacobian of the velocity; 0 for the (holomorphic) family velocity.  The
-    metric must be conformal at every image node ``f(z)``, checked once per
-    rule: the ``nodes`` of ``rule`` and of its coarse twin hold a passed check
-    of the metric and map (any other array is checked on every call).
-    Each call also evaluates :func:`_tensor_route` at ``CROSS_CHECK_NODES``
-    nodes and raises :class:`EvaluationError` where the two disagree."""
+    """``2 Re(A B (dbar v)(f(z)) conj(f'(z)) / f'(z))`` at disk points, by
+    :func:`_beltrami_kernel` with the poles of ``rule``; 0 for the
+    (holomorphic) family velocity.  The metric must be conformal at every
+    image node ``f(z)``, checked once per rule: the ``nodes`` of ``rule`` and
+    of its coarse twin hold a passed check of the metric and map (any other
+    array is checked on every call).  Each call also evaluates
+    :func:`_tensor_route` at ``CROSS_CHECK_NODES`` nodes and raises
+    :class:`EvaluationError` where the two disagree; :func:`volume_variation`
+    calls it once per rule (see :func:`~greenvar.quadrature.integrate`)."""
     wa, wb = rule.poles
     pieces = _tensor_route(family, wa, wb, metric, velocity)
 
     def closed_form(points):
         out = np.zeros(len(points))
         held = next((r for r in (rule, rule._coarse) if r and points is r.nodes), None)
-        verdict = held and [ref() for ref in held._verdict]
-        check = metric is not None and verdict != [metric, fmap]
+        check = metric is not None and not (held and held.recall("metric", (metric, fmap)))
         if velocity is None and not check:
             return out  # nothing reads f(z)
         z = np.ascontiguousarray(points, dtype=float).view(np.complex128)[:, 0]
@@ -264,13 +279,10 @@ def _closed_form_integrand(family, fmap: ConformalMap, rule,
             _require_conformal(metric if check else None, x)
             if velocity is None:
                 continue
-            J = velocity.jacobian(x)
-            dbar = 0.5 * ((J[:, 0, 0] - J[:, 1, 1]) + 1j * (J[:, 1, 0] + J[:, 0, 1]))
-            fp = fmap.derivative(zb)
-            out[lo:lo + zb.size] = 2.0 * np.real(_complex_emt(zb, wa, wb) * dbar
-                                                 * np.conj(fp) / fp)
+            out[lo:lo + zb.size] = _beltrami_kernel(zb, wa, wb, velocity.jacobian(x),
+                                                    fmap.derivative(zb))
         if check and held:
-            held._verdict = (weakref.ref(metric), weakref.ref(fmap))
+            held.recall("metric", (metric, fmap), lambda: True)
         return out
 
     def integrand(points):
@@ -298,16 +310,17 @@ def volume_variation(family, a, b, metric: Optional[MetricField] = None,
     """Interior estimate ``∫ T^{ij} D_ij vol_g  -  source_pairing(v)``.
 
     The integral is taken on the disk, in the closed form ``2 Re(A B dbar
-    v)`` (see the module docstring), checked at every evaluation against
-    the tensor route :func:`volume_integrand`, with a rule at the given
-    resolution whose pole patches sit at the preimages of ``a`` and ``b``.
-    ``metric`` must be conformal (:class:`ConfigError` otherwise) at every
-    image node, evaluated there once per rule and metric.  The
-    pairing term ``v(b) . alpha(b) + v(a) . beta(a)`` is evaluated exactly,
-    never quadratured: the velocity at the two poles against the Green
-    gradients at the pole preimages the rule is built on.  The family
-    velocity at a pole is ``h`` at its preimage; a given ``velocity`` is
-    evaluated at the ambient pole.
+    v)`` (see the module docstring), with a rule at the given resolution
+    whose pole patches sit at the preimages of ``a`` and ``b``.  Each rule
+    sums the integrand of a family, metric and velocity (the objects, held
+    weakly) once, checked against the tensor route :func:`volume_integrand`,
+    and holds the sum; ``metric`` must be conformal (:class:`ConfigError`
+    otherwise) at every image node, evaluated there once per rule and
+    metric.  The pairing term ``v(b) . alpha(b) + v(a) . beta(a)`` is
+    evaluated exactly, never quadratured: the velocity at the two poles
+    against the Green gradients at the pole preimages the rule is built on.
+    The family velocity at a pole is ``h`` at its preimage; a given
+    ``velocity`` is evaluated at the ambient pole.
     """
     fmap = as_map(family)
     v = _velocity(family, velocity)
@@ -315,7 +328,7 @@ def volume_variation(family, a, b, metric: Optional[MetricField] = None,
     wa, wb = green.pole_preimages(a, b)
     rule = disk_rule(n_r, n_theta, poles=[wa, wb], n_patch=n_patch)
     integrand = _closed_form_integrand(family, fmap, rule, metric, velocity)
-    quad = integrate(rule, integrand, check=check)
+    quad = integrate(rule, integrand, check=check, key=(family, metric, velocity))
     # numpy scalars, so the value is PolarizedEMT.source_pairing's to the bit
     va, vb = (v(np.asarray(p, dtype=float).reshape(2)) if velocity is not None
               else to_points(family.h(w))

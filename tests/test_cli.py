@@ -209,6 +209,16 @@ def test_vary_reports_estimates(capsys):
         assert val == pytest.approx(1.0 / TWO_PI, rel=5e-3)
 
 
+def test_a_floor_rule_reports_no_volume_rel_change(capsys, tmp_path):
+    # every count at its floor: the coarse twin is the rule itself, so the
+    # volume route claims no convergence and its rel_change (NaN) reads null
+    doc = dict(default_config(), quadrature={"n_r": 4, "n_theta": 8, "n_patch": 8})
+    code, out, _ = run(capsys, "vary", "--config", write_config(tmp_path, doc))
+    assert code == 0
+    params = json.loads(out)["checks"]["estimator_agreement"]["params"]
+    assert params["volume_rel_change"] is None and params["volume_converged"] is False
+
+
 def test_flag_overrides_echoed(capsys):
     code, out, _ = run(capsys, "vary", "--fd-dt", "1e-3", "--quad-nr", "32",
                        "--quad-ntheta", "64")

@@ -1,6 +1,8 @@
 """Domain-variation estimators: four routes, one number."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -1041,7 +1043,7 @@ def test_a_failing_metric_is_never_held(monkeypatch):
             volume_variation(fam, CURVED_A, CURVED_B, metric=part, n_r=32, n_theta=64,
                              n_patch=16, check=False)
     rule = quadrature._recent[-1][1]
-    assert calls == [rule.node_count] * 2 and rule._verdict == ()
+    assert calls == [rule.node_count] * 2 and rule._held == []
 
 
 def test_only_a_rules_own_node_array_holds_a_verdict(monkeypatch):
@@ -1051,7 +1053,7 @@ def test_only_a_rules_own_node_array_holds_a_verdict(monkeypatch):
     calls = count_scale(monkeypatch, met)
     fmap = fam.base
     rule = interior_rule(fmap, poles=[CURVED_A, CURVED_B], n_r=32, n_theta=64, n_patch=16)
-    rule._verdict = ()
+    rule._held = []
     integrand = variation._closed_form_integrand(fam, fmap, rule, met, None)
     for points in (rule.nodes.copy(), rule.nodes[:], np.asfortranarray(rule.nodes)):
         for _ in range(2):
@@ -1066,6 +1068,153 @@ def test_only_a_rules_own_node_array_holds_a_verdict(monkeypatch):
     del calls[:]
     variation._closed_form_integrand(fam, twin, rule, met, None)(rule.nodes)
     assert sum(calls) == rule.node_count
+
+
+def count_closed_forms(monkeypatch):
+    """The node count of every closed-form integrand call, and one entry per
+    tensor-route cross-check (a ``strain_tensor`` call)."""
+    sums, strains = [], []
+    make, strain = variation._closed_form_integrand, variation.strain_tensor
+
+    def counted(*args):
+        integrand = make(*args)
+        return lambda points: sums.append(len(points)) or integrand(points)
+
+    monkeypatch.setattr(variation, "_closed_form_integrand", counted)
+    monkeypatch.setattr(variation, "strain_tensor",
+                        lambda *args: strains.append(1) or strain(*args))
+    return sums, strains
+
+
+def held_sums(rule):
+    return [entry for entry in rule._held if entry[0] == "sum"]
+
+
+def test_checked_ladder_integrates_each_integrand_once_per_rule(monkeypatch):
+    # 16 integrations, 8 of them on coarse twins; rung k's twin is rung k-1's
+    # rule, which already holds both velocities' sums: 10 closed forms (each
+    # of the 5 rules once per velocity) and 10 cross-checks, with the bits of
+    # a ladder that holds nothing (every rule built afresh)
+    sums, strains = count_closed_forms(monkeypatch)
+    warm = checked_ladder()
+    assert len(sums) == len(strains) == 10
+    assert len(set(sums)) == 5 and all(sums.count(n) == 2 for n in sums)
+    del sums[:], strains[:]
+    assert checked_ladder(clear=True) == warm
+    assert len(sums) == len(strains) == 16
+
+
+def test_a_new_family_metric_or_velocity_object_misses(monkeypatch):
+    fam, met, v = curved_family(), curved_metric(), square_velocity()
+    kw = dict(n_r=32, n_theta=64, n_patch=16)
+    sums, strains = count_closed_forms(monkeypatch)
+    first = volume_variation(fam, CURVED_A, CURVED_B, metric=met, velocity=v, **kw)
+    assert len(sums) == len(strains) == 2
+    assert volume_variation(fam, CURVED_A, CURVED_B, metric=met, velocity=v, **kw) == first
+    assert len(sums) == len(strains) == 2
+    for f, g, u in ((curved_family(), met, v), (fam, curved_metric(), v),
+                    (fam, met, square_velocity())):
+        del sums[:], strains[:]
+        assert volume_variation(f, CURVED_A, CURVED_B, metric=g, velocity=u, **kw) == first
+        assert len(sums) == len(strains) == 2
+
+
+def test_a_failing_integrand_holds_no_sum(monkeypatch):
+    # the fine rule's integrand raises, on each of two calls: from a broken
+    # cross-check, and from a metric not conformal where x > 0.9
+    fam, met, v = curved_family(), curved_metric(), square_velocity()
+    kw = dict(n_r=32, n_theta=64, n_patch=16)
+    wa, wb = GreenFunction(fam).pole_preimages(CURVED_A, CURVED_B)
+    rule = quadrature.disk_rule(poles=[wa, wb], **kw)
+    sums, strains = count_closed_forms(monkeypatch)
+    strain = variation.strain_tensor
+    monkeypatch.setattr(variation, "strain_tensor", lambda *args: 2.0 * strain(*args))
+    for _ in range(2):
+        with pytest.raises(EvaluationError, match="tensor route"):
+            volume_variation(fam, CURVED_A, CURVED_B, metric=met, velocity=v, **kw)
+    assert len(sums) == len(strains) == 2 and held_sums(rule) == []
+    monkeypatch.setattr(variation, "strain_tensor", strain)
+
+    def partly(p):
+        g = np.broadcast_to(np.eye(2), p.shape[:-1] + (2, 2)).copy()
+        g[p[..., 0] > 0.9, 1, 1] = 2.0
+        return g
+
+    part = MetricField(2, partly, lambda p: np.zeros(p.shape[:-1] + (2, 2, 2)))
+    for velocity in (None, v):
+        del sums[:]
+        for _ in range(2):
+            with pytest.raises(NonConformalMetricError):
+                volume_variation(fam, CURVED_A, CURVED_B, metric=part, velocity=velocity, **kw)
+        assert len(sums) == 2 and held_sums(rule) == []
+
+
+def test_held_sums_keep_no_object_alive():
+    fam, met, v = curved_family(), curved_metric(), square_velocity()
+    kw = dict(n_r=32, n_theta=64, n_patch=16)
+    volume_variation(fam, CURVED_A, CURVED_B, metric=met, velocity=v, **kw)
+    wa, wb = GreenFunction(fam).pole_preimages(CURVED_A, CURVED_B)
+    rule = quadrature.disk_rule(poles=[wa, wb], **kw)
+    assert len(held_sums(rule)) == len(held_sums(rule.coarse())) == 1
+    refs = [weakref.ref(obj) for obj in (fam, fam.base, met, v)]
+    del fam, met, v
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * 4
+
+
+def test_a_dead_velocity_never_answers_for_the_family_velocity(monkeypatch):
+    # the (x^2, x y) sum is held under a reference to its velocity; once that
+    # velocity is collected the reference reads None, and must not match the
+    # None of a later family-velocity call, whose integrand is 0
+    fam, met, v = curved_family(), curved_metric(), square_velocity()
+    kw = dict(n_r=32, n_theta=64, n_patch=16)
+    square = volume_variation(fam, CURVED_A, CURVED_B, metric=met, velocity=v, **kw)
+    assert square.quadrature.value != 0.0
+    del v
+    gc.collect()
+    sums, _ = count_closed_forms(monkeypatch)
+    family = volume_variation(fam, CURVED_A, CURVED_B, metric=met, **kw).quadrature
+    assert family.value == family.coarse_value == 0.0 and len(sums) == 2
+
+
+def test_a_floor_rule_is_not_checked_against_itself():
+    # disk_rule(4, 8, poles, 8) is its own coarse twin: no convergence claim
+    est = volume_variation(curved_family(), CURVED_A, CURVED_B, metric=curved_metric(),
+                           velocity=square_velocity(), n_r=4, n_theta=8, n_patch=8)
+    assert not est.converged and math.isnan(est.quadrature.rel_change)
+    assert est.quadrature.coarse_value == est.quadrature.value
+
+
+def _complex_division_kernel(z, wa, wb, J, fp):
+    dbar = 0.5 * ((J[:, 0, 0] - J[:, 1, 1]) + 1j * (J[:, 1, 0] + J[:, 0, 1]))
+    return 2.0 * np.real(variation._complex_emt(z, wa, wb) * dbar * np.conj(fp) / fp)
+
+
+def test_division_free_kernel_matches_the_complex_division_form():
+    # 2 C Re(dbar conj(P u^2)) / |P|^2 against 2 Re(C / P dbar conj(f') / f'),
+    # to 1e-15 of |C / P| |J|, through the closed form's blocks (one full and a
+    # partial one): seeded nodes of a rule, its outermost ring, and points
+    # 1e-10 from each pole
+    fam, v = curved_family(), square_velocity()
+    fmap = fam.base
+    rule = interior_rule(fmap, poles=[CURVED_A, CURVED_B], n_r=128, n_theta=256, n_patch=64)
+    wa, wb = rule.poles
+    rng = np.random.default_rng(24)
+    nodes = rule.nodes.view(complex)[:, 0]
+    outer = nodes[np.abs(nodes) > np.abs(nodes).max() - 1e-14]
+    near = [w + 1e-10 * np.exp(2j * np.pi * rng.uniform(size=64)) for w in (wa, wb)]
+    z = np.concatenate([rng.choice(nodes, variation.BLOCK + 1000, replace=False), outer] + near)
+    assert outer.size == 256 and z.size % variation.BLOCK
+    got = variation._closed_form_integrand(fam, fmap, rule, None, v)(to_points(z))
+    J, fp = v.jacobian(to_points(fmap(z))), fmap.derivative(z)
+    scale = np.abs(variation._complex_emt(z, wa, wb)) * np.linalg.norm(J, axis=(1, 2))
+    assert np.all(np.abs(got - _complex_division_kernel(z, wa, wb, J, fp)) <= 1e-15 * scale)
+    # with |f'| and |J| scaled up to 1e150, every value is finite where the
+    # complex-division form's is (here everywhere), and scales with |J|
+    big = variation._beltrami_kernel(z, wa, wb, 1e150 * J, 1e150 * fp)
+    old = _complex_division_kernel(z, wa, wb, 1e150 * J, 1e150 * fp)
+    assert np.all(np.isfinite(big) >= np.isfinite(old)) and np.all(np.isfinite(big))
+    assert np.all(np.abs(big - 1e150 * got) <= 1e-15 * 1e150 * scale)
 
 
 def test_matrix_metric_cross_check_is_at_rounding_level():
