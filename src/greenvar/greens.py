@@ -131,9 +131,15 @@ class GreenFunction:
         return _check_pole(np.copy(w)[()])
 
     def pole_preimages(self, *poles):
-        """:meth:`pole_preimage` of each pole, inverted once, after checking
-        that no two are within ``COINCIDENCE_TOL`` (:class:`CoincidentPoleError`):
-        the one path from ambient poles to the disk."""
+        """:meth:`pole_preimage` of each pole, inverted once, after checking that
+        each is one point, an ``(x, y)`` pair of reals or a number (:class:`ConfigError`
+        naming the argument otherwise), and that no two are within ``COINCIDENCE_TOL``
+        (:class:`CoincidentPoleError`): the one path from ambient poles to the disk."""
+        for i, p in enumerate(poles):
+            arr = np.asarray(p)
+            if not (arr.shape == (2,) and arr.dtype.kind in "fi"
+                    or arr.shape == () and arr.dtype.kind in "fic"):
+                raise ConfigError(f"pole argument {i} must be an (x, y) pair or a number")
         pts = [_cx(p) for p in poles]
         for (i, p), (j, q) in combinations(enumerate(pts), 2):
             if abs(p - q) < COINCIDENCE_TOL:

@@ -31,10 +31,11 @@ Rules are shared and read-only.  :func:`disk_rule` holds the
 for equal inputs: a convergence ladder asks for each rung's rule once per
 velocity, and a rung's coarse twin is the previous rung's rule.  Every
 holder of a rule may be handed the same arrays, so ``nodes``, ``weights``
-and ``poles`` are not writeable.  A rule holds what its ``nodes`` gave, keyed
-weakly on the objects that read them: the checks they passed (the volume
-route's metric check) and, for :func:`integrate` with a ``key``, the sums.
-So a ladder checks each rule once, and sums each integrand on it once.
+and ``poles`` are not writeable.  A rule holds what was worked out on its
+``nodes``, keyed weakly on the objects that read them (:meth:`QuadratureRule.recall`):
+the volume route's metric check, run on each rule before it is integrated, and
+the sums of :func:`integrate` with a ``key``.  So a ladder checks each rule
+once, and sums each integrand on it once.
 """
 
 from __future__ import annotations
@@ -213,8 +214,8 @@ class QuadratureRule:
     area pi to machine precision by construction.  A rule from
     :func:`disk_rule` may be shared with other callers, so its arrays are
     read-only; ``nodes`` views a complex buffer.  ``_held`` holds what was
-    worked out on ``nodes`` (a passed check, an integrand's sum) weakly keyed
-    on the objects it read (see :meth:`recall`)."""
+    worked out on ``nodes`` (a passed metric check, an integrand's sum), weakly
+    keyed on the objects it read: :meth:`recall` is its one reader and writer."""
 
     nodes: np.ndarray
     weights: np.ndarray
@@ -245,20 +246,19 @@ class QuadratureRule:
             )
         return self._coarse
 
-    def recall(self, tag: str, objs: tuple, compute: Optional[Callable] = None):
+    def recall(self, tag: str, objs: tuple, compute: Callable):
         """The value held under ``tag`` and ``objs``, compared by identity (a dead
         reference matches nothing, ``None`` only ``None``); else ``compute()``,
         held unless it raises, with weak references to ``objs`` (entries whose
-        objects died are dropped), or None without ``compute``."""
+        objects died are dropped)."""
         for t, refs, value in self._held:
             if t == tag and len(refs) == len(objs) and all(
                     o is None if r is None else r() is o is not None for r, o in zip(refs, objs)):
                 return value
-        if compute is not None:
-            value = compute()
-            self._held = [e for e in self._held if all(r is None or r() is not None for r in e[1])]
-            self._held.append((tag, [o if o is None else weakref.ref(o) for o in objs], value))
-            return value
+        value = compute()
+        self._held = [e for e in self._held if all(r is None or r() is not None for r in e[1])]
+        self._held.append((tag, [o if o is None else weakref.ref(o) for o in objs], value))
+        return value
 
     def __repr__(self):
         return (f"QuadratureRule(n_r={self.n_r}, n_theta={self.n_theta}, "

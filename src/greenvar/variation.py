@@ -60,7 +60,7 @@ from .conformal import (DEFAULT_BOUNDARY_NODES, MAX_BOUNDARY_NODES, ConformalMap
                         pullback_metric, pullback_vector_field, to_complex, to_points)
 from .energy_momentum import PolarizedEMT
 from .errors import ConfigError, EvaluationError, GreenvarError, NonConformalMetricError
-from .greens import GreenFunction, _normal_derivative
+from .greens import GreenFunction, _cx, _normal_derivative
 from .quadrature import (BLOCK, N_PATCH, N_R, N_THETA, IntegrationResult, boundary_integrate,
                          disk_rule, integrate)
 from .tensors import (MetricField, VectorField, euclidean_metric, strain_tensor,
@@ -115,11 +115,12 @@ def _require_family(domain, route: str):
         raise ConfigError(f"{route} needs a DomainFamily, got {type(domain).__name__}")
 
 
-def _require_conformal(metric: Optional[MetricField], x):
-    """Evaluate the scale ``exp(2 phi)`` of ``metric`` at ``x``: :class:`ConfigError` where
-    it is not conformal, :class:`DegenerateMetricError` where not finite and positive."""
+def _require_conformal(metric: Optional[MetricField], x) -> bool:
+    """True once the scale ``exp(2 phi)`` of ``metric`` is evaluated at ``x``: :class:`ConfigError`
+    where not conformal, :class:`DegenerateMetricError` where not finite and positive."""
     if metric is not None:
         metric._scale(x)
+    return True
 
 
 def _velocity(family, velocity, disk: bool = False) -> VectorField:
@@ -251,42 +252,31 @@ def volume_integrand(family, a, b, metric: Optional[MetricField] = None,
     return lambda z: _contract(*pieces(z))
 
 
+def _images(fmap: ConformalMap, points):
+    """``(lo, z, f(z))`` per block of ``BLOCK`` disk points: ``z`` complex, ``f(z)`` real points."""
+    z = np.ascontiguousarray(points, dtype=float).view(np.complex128)[:, 0]
+    for lo in range(0, z.size, BLOCK):
+        yield lo, z[lo:lo + BLOCK], fmap(z[lo:lo + BLOCK]).view(np.float64).reshape(-1, 2)
+
+
 def _closed_form_integrand(family, fmap: ConformalMap, rule,
                            metric: Optional[MetricField],
                            velocity: Optional[VectorField]):
     """``2 Re(A B (dbar v)(f(z)) conj(f'(z)) / f'(z))`` at disk points, by
-    :func:`_beltrami_kernel` with the poles of ``rule``; 0 for the
-    (holomorphic) family velocity.  The metric must be conformal at every
-    image node ``f(z)``, checked once per rule: the ``nodes`` of ``rule`` and
-    of its coarse twin hold a passed check of the metric and map (any other
-    array is checked on every call).  Each call also evaluates
-    :func:`_tensor_route` at ``CROSS_CHECK_NODES`` nodes and raises
-    :class:`EvaluationError` where the two disagree; :func:`volume_variation`
-    calls it once per rule (see :func:`~greenvar.quadrature.integrate`)."""
+    :func:`_beltrami_kernel` with the poles of ``rule``; 0 for the (holomorphic)
+    family velocity.  It reads no metric value: the closed form has no conformal
+    factor.  Each call also evaluates :func:`_tensor_route` (against ``metric``)
+    at ``CROSS_CHECK_NODES`` nodes and raises :class:`EvaluationError` where the
+    two disagree; :func:`volume_variation` sums it once per rule."""
     wa, wb = rule.poles
     pieces = _tensor_route(family, wa, wb, metric, velocity)
 
-    def closed_form(points):
-        out = np.zeros(len(points))
-        held = next((r for r in (rule, rule._coarse) if r and points is r.nodes), None)
-        check = metric is not None and not (held and held.recall("metric", (metric, fmap)))
-        if velocity is None and not check:
-            return out  # nothing reads f(z)
-        z = np.ascontiguousarray(points, dtype=float).view(np.complex128)[:, 0]
-        for lo in range(0, len(points), BLOCK):
-            zb = z[lo:lo + BLOCK]
-            x = fmap(zb).view(np.float64).reshape(-1, 2)
-            _require_conformal(metric if check else None, x)
-            if velocity is None:
-                continue
-            out[lo:lo + zb.size] = _beltrami_kernel(zb, wa, wb, velocity.jacobian(x),
-                                                    fmap.derivative(zb))
-        if check and held:
-            held.recall("metric", (metric, fmap), lambda: True)
-        return out
-
     def integrand(points):
-        vals = closed_form(points)
+        vals = np.zeros(len(points))
+        if velocity is not None:
+            for lo, zb, x in _images(fmap, points):
+                vals[lo:lo + zb.size] = _beltrami_kernel(zb, wa, wb, velocity.jacobian(x),
+                                                         fmap.derivative(zb))
         idx = np.unique(np.linspace(0, len(points) - 1, CROSS_CHECK_NODES).astype(int))
         T, D, vol = pieces(points[idx])
         ref = _contract(T, D, vol)
@@ -311,27 +301,30 @@ def volume_variation(family, a, b, metric: Optional[MetricField] = None,
 
     The integral is taken on the disk, in the closed form ``2 Re(A B dbar
     v)`` (see the module docstring), with a rule at the given resolution
-    whose pole patches sit at the preimages of ``a`` and ``b``.  Each rule
-    sums the integrand of a family, metric and velocity (the objects, held
-    weakly) once, checked against the tensor route :func:`volume_integrand`,
-    and holds the sum; ``metric`` must be conformal (:class:`ConfigError`
-    otherwise) at every image node, evaluated there once per rule and
-    metric.  The pairing term ``v(b) . alpha(b) + v(a) . beta(a)`` is
-    evaluated exactly, never quadratured: the velocity at the two poles
-    against the Green gradients at the pole preimages the rule is built on.
-    The family velocity at a pole is ``h`` at its preimage; a given
-    ``velocity`` is evaluated at the ambient pole.
+    whose pole patches sit at the preimages of ``a`` and ``b``.  Before any
+    integrand call, ``metric`` must be conformal (:class:`ConfigError`
+    otherwise) at every image node of the rule and, with ``check``, of its
+    coarse twin: checked once per rule, metric and map.  Each rule sums the
+    integrand of a family, metric and velocity (the objects, held weakly)
+    once, checked against the tensor route :func:`volume_integrand`, and holds
+    the sum.  The pairing term ``v(b) . alpha(b) + v(a) . beta(a)`` is exact,
+    never quadratured: the velocity at the two poles against the Green
+    gradients at their preimages.  The family velocity at a pole is ``h`` at
+    its preimage; a given ``velocity`` is evaluated at the ambient pole.
     """
     fmap = as_map(family)
     v = _velocity(family, velocity)
     green = GreenFunction(fmap)
     wa, wb = green.pole_preimages(a, b)
     rule = disk_rule(n_r, n_theta, poles=[wa, wb], n_patch=n_patch)
+    if metric is not None:      # conformal at every image node, checked once per rule
+        for r in (rule, rule.coarse()) if check else (rule,):
+            r.recall("metric", (metric, fmap), lambda: all(
+                _require_conformal(metric, x) for _, _, x in _images(fmap, r.nodes)))
     integrand = _closed_form_integrand(family, fmap, rule, metric, velocity)
     quad = integrate(rule, integrand, check=check, key=(family, metric, velocity))
     # numpy scalars, so the value is PolarizedEMT.source_pairing's to the bit
-    va, vb = (v(np.asarray(p, dtype=float).reshape(2)) if velocity is not None
-              else to_points(family.h(w))
+    va, vb = (v(to_points(_cx(p))) if velocity is not None else to_points(family.h(w))
               for p, w in ((a, wa), (b, wb)))
     pairing = float(np.dot(vb, to_points(green.gradient_z(wb, wa)))
                     + np.dot(va, to_points(green.gradient_z(wa, wb))))
@@ -477,7 +470,7 @@ def variation_report(family: DomainFamily, a, b, m: Optional[int] = None,
     """
     _require_family(family, "variation_report")
     GreenFunction(family).pole_preimages(a, b)
-    _require_conformal(metric, np.asarray([a, b], dtype=float))
+    _require_conformal(metric, to_points([_cx(a), _cx(b)]))
     m = boundary_nodes(family, a, b) if m is None else m
     dt = DEFAULT_FD_FACTOR * family.t_max if dt is None else dt
     estimates: Dict[str, Optional[float]] = {}

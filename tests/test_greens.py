@@ -198,6 +198,22 @@ def test_pole_preimages_checks_coincidence_and_the_open_disk():
         green.pole_preimages((0.1, 0.05), (1.1, 0.0))
 
 
+def test_a_pole_is_one_point():
+    # an (x, y) pair of reals or one number; anything else is refused by
+    # argument, before any pole is inverted
+    green = GreenFunction(ConformalMap([1.0, 0.1]))
+    want = green.pole_preimages((0.1, 0.05))
+    for pole in ([0.1, 0.05], np.array([0.1, 0.05]), 0.1 + 0.05j, np.complex128(0.1 + 0.05j)):
+        assert green.pole_preimages(pole) == want
+    for pole, same in ((np.float64(0.2), (0.2, 0.0)), (0, 0j), ((0, 0), 0.0),
+                       (np.int64(0), np.array([0.0, 0.0]))):
+        assert green.pole_preimages(pole) == green.pole_preimages(same)
+    for bad in ((0.1,), np.array([[0.1, 0.05]]), (0.1, 0.05, 0.0), [0.1 + 0j, 0.05],
+                "0.1", True, (True, False), None, 10**400):
+        with pytest.raises(ConfigError, match="pole argument 1 must be an"):
+            green.pole_preimages((0.3, 0.0), bad)
+
+
 def test_pole_preimages_are_held_per_map_on_exact_bits(monkeypatch):
     inverted = []
     inverse = ConformalMap.inverse

@@ -479,6 +479,41 @@ def test_non_holomorphic_volume_gap_shrinks():
     assert gaps[2] < 1e-6
 
 
+def pole_routes(fam, met, v):
+    """Every public route that takes poles, on ``fam`` with the metric and velocity."""
+    kw = dict(n_r=16, n_theta=32, n_patch=8)
+    return {
+        "boundary": lambda a, b: boundary_variation(fam, a, b),
+        "boundary velocity": lambda a, b: boundary_variation(fam, a, b, velocity=v),
+        "flux": lambda a, b: flux_variation(fam, a, b, metric=met, velocity=v),
+        "fd": lambda a, b: fd_oracle(fam, a, b),
+        "triple": lambda a, b: triple_variation(fam, a, b, (0.25, -0.35)),
+        "nodes": lambda a, b: boundary_nodes(fam.base, a, b),
+        "volume": lambda a, b: volume_variation(fam, a, b, metric=met, **kw).value,
+        "volume velocity": lambda a, b: volume_variation(fam, a, b, metric=met, velocity=v,
+                                                         **kw).value,
+        "report": lambda a, b: variation_report(fam, a, b, metric=met, **kw).to_json(),
+    }
+
+
+def test_every_route_refuses_a_pole_that_is_not_one_point():
+    # (0.1,) ran as (0.1, 0) and [[0.1, 0.05]] as one pole (fd_oracle returned
+    # an array); (0.1, 0.05, 0) ended in numpy's ambiguous truth value
+    for name, route in pole_routes(curved_family(), curved_metric(), square_velocity()).items():
+        for bad in ((0.1,), np.array([[0.1, 0.05]]), (0.1, 0.05, 0.0)):
+            with pytest.raises(ConfigError, match="pole argument 1"):
+                route(CURVED_A, bad)
+
+
+def test_a_complex_pole_gives_the_bits_of_its_pair():
+    # variation_report's metric check and the volume route's pairing with a
+    # given velocity raised TypeError on a complex pole
+    routes = pole_routes(curved_family(), curved_metric(), square_velocity())
+    a, b = (complex(*p) for p in (CURVED_A, CURVED_B))
+    for name, route in routes.items():
+        assert repr(route(a, b)) == repr(route(CURVED_A, CURVED_B)), name
+
+
 def test_boundary_nodes_follow_the_pole_preimages():
     fam = dilation_family()
     fmap = fam.map_at(0.0)
@@ -1046,28 +1081,57 @@ def test_a_failing_metric_is_never_held(monkeypatch):
     assert calls == [rule.node_count] * 2 and rule._held == []
 
 
-def test_only_a_rules_own_node_array_holds_a_verdict(monkeypatch):
-    # a copy, a slice view or a Fortran-ordered copy of the nodes is checked on
-    # every call; the rule's own array once; a new map is checked again
-    fam, met = curved_family(), curved_metric()
+def test_the_closed_form_reads_no_metric_and_a_rule_holds_its_check(monkeypatch):
+    # the integrand reads no metric value on any node layout, with either
+    # velocity; volume_variation checks its rule once per metric and map, and a
+    # new metric object or a new map (same coefficients, same rule) is checked again
+    fam, met, v = curved_family(), curved_metric(), square_velocity()
     calls = count_scale(monkeypatch, met)
     fmap = fam.base
     rule = interior_rule(fmap, poles=[CURVED_A, CURVED_B], n_r=32, n_theta=64, n_patch=16)
     rule._held = []
-    integrand = variation._closed_form_integrand(fam, fmap, rule, met, None)
-    for points in (rule.nodes.copy(), rule.nodes[:], np.asfortranarray(rule.nodes)):
-        for _ in range(2):
-            del calls[:]
-            assert not np.any(integrand(points))
-            assert sum(calls) == rule.node_count
+    layouts = (rule.nodes, rule.nodes.copy(), rule.nodes[:], np.asfortranarray(rule.nodes))
+    for velocity in (None, v):
+        integrand = variation._closed_form_integrand(fam, fmap, rule, met, velocity)
+        for points in layouts:
+            assert np.any(integrand(points)) == (velocity is v)
+    assert calls == [] and rule._held == []
+    kw = dict(n_r=32, n_theta=64, n_patch=16, check=False)
     for expect in (rule.node_count, 0, 0):
         del calls[:]
-        integrand(rule.nodes)
-        assert sum(calls) == expect
-    twin = ConformalMap(fmap.coeffs)
+        volume_variation(fam, CURVED_A, CURVED_B, metric=met, **kw)
+        assert sum(calls) == expect and quadrature._recent[-1][1] is rule
+    other = curved_metric()
+    calls_other = count_scale(monkeypatch, other)
+    volume_variation(fam, CURVED_A, CURVED_B, metric=other, velocity=v, **kw)
+    assert sum(calls_other) == rule.node_count
     del calls[:]
-    variation._closed_form_integrand(fam, twin, rule, met, None)(rule.nodes)
-    assert sum(calls) == rule.node_count
+    volume_variation(curved_family(), CURVED_A, CURVED_B, metric=met, **kw)
+    assert sum(calls) == rule.node_count and quadrature._recent[-1][1] is rule
+
+
+def test_volume_variation_checks_the_metric_on_each_rule_it_integrates(monkeypatch):
+    # check=True on a fresh rule reads the rule and its coarse twin, and a
+    # repeat reads nothing, with either velocity; check=False reads the rule
+    # alone, block by block, and builds no twin
+    fam, met, v = curved_family(), curved_metric(), square_velocity()
+    calls = count_scale(monkeypatch, met)
+    quadrature._recent.clear()
+    kw = dict(n_r=32, n_theta=64, n_patch=16)
+    volume_variation(fam, CURVED_A, CURVED_B, metric=met, **kw)
+    rule = quadrature.disk_rule(poles=GreenFunction(fam).pole_preimages(CURVED_A, CURVED_B),
+                                **kw)
+    assert sum(calls) == rule.node_count + rule.coarse().node_count
+    del calls[:]
+    for velocity in (None, v):
+        volume_variation(fam, CURVED_A, CURVED_B, metric=met, velocity=velocity, **kw)
+    assert calls == []
+    quadrature._recent.clear()
+    volume_variation(fam, CURVED_A, CURVED_B, metric=met, velocity=v, n_r=128, n_theta=256,
+                     n_patch=64, check=False)
+    [(_, fine)] = quadrature._recent
+    full, part = divmod(fine.node_count, variation.BLOCK)
+    assert full and part and calls == [variation.BLOCK] * full + [part]
 
 
 def count_closed_forms(monkeypatch):
@@ -1120,8 +1184,9 @@ def test_a_new_family_metric_or_velocity_object_misses(monkeypatch):
 
 
 def test_a_failing_integrand_holds_no_sum(monkeypatch):
-    # the fine rule's integrand raises, on each of two calls: from a broken
-    # cross-check, and from a metric not conformal where x > 0.9
+    # the fine rule's integrand raises on each of two calls, from a broken
+    # cross-check; a metric not conformal where x > 0.9 raises in the check
+    # before any integrand call, and only the first metric's check is held
     fam, met, v = curved_family(), curved_metric(), square_velocity()
     kw = dict(n_r=32, n_theta=64, n_patch=16)
     wa, wb = GreenFunction(fam).pole_preimages(CURVED_A, CURVED_B)
@@ -1146,7 +1211,9 @@ def test_a_failing_integrand_holds_no_sum(monkeypatch):
         for _ in range(2):
             with pytest.raises(NonConformalMetricError):
                 volume_variation(fam, CURVED_A, CURVED_B, metric=part, velocity=velocity, **kw)
-        assert len(sums) == 2 and held_sums(rule) == []
+        assert sums == []
+        for r in (rule, rule.coarse()):
+            assert [(tag, refs[0]()) for tag, refs, _ in r._held] == [("metric", met)]
 
 
 def test_held_sums_keep_no_object_alive():
