@@ -59,6 +59,7 @@ from .variation import (
     boundary_nodes,
     boundary_variation,
     fd_oracle,
+    fd_oracles,
     flux_variation,
     triple_variation,
     variation_report,

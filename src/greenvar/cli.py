@@ -49,7 +49,7 @@ from .greens import COINCIDENCE_TOL, GreenFunction, green_gradient_field, interi
 from .quadrature import N_PATCH, N_R, N_THETA, Count, check_rule, integrate
 from .tensors import MetricField, conformal_metric, trace_tensor
 from .variation import (DEFAULT_FD_FACTOR, TOL_MUTUAL, TOL_VOLUME,
-                        boundary_nodes, boundary_variation, fd_oracle,
+                        boundary_nodes, boundary_variation, fd_oracles,
                         flux_variation, triple_variation, variation_report,
                         volume_variation)
 
@@ -455,7 +455,8 @@ def run_convergence(exp: Experiment):
     scales = [2**level for level in range(exp.levels)]
     BOUNDARY_NODES.check(f"quadrature 'm_boundary' x {scales[-1]} (converge level "
                          f"{exp.levels - 1})", exp.quad["m_boundary"] * scales[-1])
-    fd = {s: fd_oracle(fam, a, b, dt=exp.fd_dt / s) for s in sorted({1, 2, *scales})}
+    steps = sorted({1, 2, *scales})
+    fd = dict(zip(steps, fd_oracles(fam, a, b, [exp.fd_dt / s for s in steps])))
     ref = (4.0 * fd[2] - fd[1]) / 3.0
     volume = float(volume_variation(fam, a, b, metric=exp.metric, n_r=exp.quad["n_r"],
                                     n_theta=exp.quad["n_theta"],

@@ -108,7 +108,8 @@ def _holomorphic_field(preimage, value, slope, name: str) -> VectorField:
 
 
 def _horner(coeffs, z):
-    """Ascending-coefficient polynomial at complex ``z``; 0 when empty."""
+    """Ascending-coefficient polynomial at complex ``z``; 0 when empty.  The
+    coefficients run along the first axis, each broadcast against ``z``."""
     if coeffs.size == 0:
         return np.zeros_like(z)
     acc = np.full_like(z, coeffs[-1])
@@ -145,6 +146,32 @@ def _derivative_certificate(d):
         mu[ok] = np.linalg.eigvals(companion[ok])
         bound = np.abs(d[:, 0]) * np.prod(np.maximum(1.0 - np.abs(mu), 0.0), axis=1)
     return np.where(np.isfinite(d).all(axis=1), bound, np.nan), mu
+
+
+def _newton_rows(coeffs, x, z):
+    """Newton on rows of maps: row ``r`` of ``coeffs`` (``(R, K)``, ``c_1`` first)
+    is one map, ``x[r]`` its points and ``z[r]`` their starts.  Each row steps
+    all its points until every residual ``|f(z) - x|`` of the row has been at
+    most ``NEWTON_TOL max(1, |x|)``, then once more, and stops; NaN where the
+    residual test never held in ``NEWTON_MAXITER`` steps."""
+    c, d = coeffs.T[:, :, None], _derivative(coeffs).T[:, :, None]
+    tol = NEWTON_TOL * np.maximum(1.0, np.abs(x))
+    met = np.zeros(x.shape, dtype=bool)
+    out, rows = np.empty_like(z), np.arange(len(z))
+    for _ in range(NEWTON_MAXITER):
+        if not rows.size:
+            return out
+        res = _horner(c, z) * z - x
+        met |= np.abs(res) <= tol
+        z = z - res / _horner(d, z)
+        done = met.all(axis=1)
+        if done.any():
+            out[rows[done]] = z[done]
+            keep = ~done
+            rows, c, d, x, z, tol, met = (rows[keep], c[:, keep], d[:, keep], x[keep],
+                                          z[keep], tol[keep], met[keep])
+    out[rows] = np.where(met, z, np.nan)
+    return out
 
 
 class ConformalMap:
@@ -216,12 +243,11 @@ class ConformalMap:
     def inverse(self, x):
         """Preimage ``z = f^{-1}(x)`` for ``x`` in the image of the closed disk.
 
-        Newton from ``z_0 = x / c_1`` (exact for degree 1) until every
-        residual ``|f(z) - x|`` is at most ``NEWTON_TOL max(1, |x|)``, then one
-        more step.  A point left non-finite or outside the disk is solved by
-        :meth:`_least_root`.  Raises :class:`DomainError` for a non-finite
-        ``x`` or a preimage of modulus above ``1 + BOUNDARY_SLACK``.  The
-        identity's inverse of a point in the closed disk is a copy of it.
+        :func:`_newton_rows` on this map's one row, from ``z_0 = x / c_1``
+        (exact for degree 1).  A point left non-finite or outside the disk is
+        solved by :meth:`_least_root`.  Raises :class:`DomainError` for a
+        non-finite ``x`` or a preimage of modulus above ``1 + BOUNDARY_SLACK``.
+        The identity's inverse of a point in the closed disk is a copy of it.
         """
         x = np.asarray(x, dtype=complex)
         if not np.all(np.isfinite(x)):
@@ -234,29 +260,24 @@ class ConformalMap:
             if self.degree > 1:
                 z = self._newton(xf, z)
         for i in np.flatnonzero(~(np.abs(z) <= 1.0 + BOUNDARY_SLACK)):
-            z[i] = self._least_root(xf[i])
+            z[i] = self._least_root(self.coeffs, xf[i])
         return z.reshape(x.shape)[()]
 
     def _newton(self, x, z):
-        """Newton sweeps over all points; NaN where the residual test never held."""
-        tol = NEWTON_TOL * np.maximum(1.0, np.abs(x))
-        met = np.zeros(x.shape, dtype=bool)
-        for _ in range(NEWTON_MAXITER):
-            res = self(z) - x
-            met |= np.abs(res) <= tol
-            z = z - res / self.derivative(z)
-            if met.all():
-                return z
-        return np.where(met, z, np.nan)
+        """:func:`_newton_rows` on this map alone."""
+        return _newton_rows(self.coeffs[None], x[None], z[None])[0]
 
-    def _least_root(self, xi):
-        """The least-modulus root of ``f(z) - xi``, polished by one Newton step."""
-        roots = np.roots(np.append(self.coeffs[::-1], -xi))
+    @staticmethod
+    def _least_root(coeffs, xi):
+        """The least-modulus root of ``f(z) - xi``, ``f`` the map with ``coeffs``,
+        polished by one Newton step."""
+        roots = np.roots(np.append(coeffs[::-1], -xi))
         z = roots[np.argmin(np.abs(roots))] if roots.size else np.inf
         if abs(z) > 1.0 + BOUNDARY_SLACK:
             raise DomainError(f"point outside the mapped disk: preimage modulus {abs(z):.6g}")
-        d = self.derivative(z)
-        return z - (self(z) - xi) / d if d != 0 else z
+        z0 = np.asarray(z)  # 0-d, for ufunc arithmetic: numpy scalars round a product apart
+        d = _horner(_derivative(coeffs), z0)
+        return z - (_horner(coeffs, z0) * z0 - xi) / d if d != 0 else z
 
     def __repr__(self):
         return f"ConformalMap({np.array2string(self.coeffs, precision=4)})"

@@ -28,9 +28,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .conformal import ConformalMap, as_map, to_complex
+from .conformal import ConformalMap, as_map, to_complex, to_points
 from .errors import CoincidentPoleError, DimensionMismatchError, DomainError
-from .greens import COINCIDENCE_TOL, green_gradient_field
+from .greens import COINCIDENCE_TOL, _points, green_gradient_field
 from .tensors import MetricField, christoffel, euclidean_metric, trace_tensor
 
 __all__ = [
@@ -41,13 +41,21 @@ __all__ = [
 FD_CLEARANCE = 10.0
 
 
+def _pairs(*poles):
+    """Each pole as a real pair, read by the one-point rule of
+    :meth:`GreenFunction.pole_preimages` (:class:`ConfigError` naming the
+    argument): an ``(x, y)`` pair as given, a number as its ``(re, im)``."""
+    return [np.asarray(p, dtype=float) if np.ndim(p) else to_points(z)
+            for p, z in zip(poles, _points(*poles))]
+
+
 class PolarizedEMT:
     """Evaluator for ``T(x; a, b)`` built from two gradient callbacks.
 
     Parameters
     ----------
     a, b : points
-        Distinct interior poles, as real pairs.
+        Distinct interior poles: real pairs, or numbers read as ``(re, im)``.
     alpha, beta : callable
         Covector fields ``(..., 2) -> (..., 2)``: the coordinate gradients
         of the Green functions with poles ``a`` and ``b``.  Synthetic
@@ -62,8 +70,7 @@ class PolarizedEMT:
     def __init__(self, a, b, alpha: Callable, beta: Callable,
                  metric: Optional[MetricField] = None,
                  domain: Optional[ConformalMap] = None):
-        self.a = np.asarray(a, dtype=float).reshape(2)
-        self.b = np.asarray(b, dtype=float).reshape(2)
+        self.a, self.b = _pairs(a, b)
         if np.hypot(*(self.a - self.b)) < COINCIDENCE_TOL:
             raise CoincidentPoleError("poles a and b coincide")
         self.alpha = alpha
@@ -77,8 +84,8 @@ class PolarizedEMT:
     def from_map(cls, fmap: Optional[ConformalMap], a, b,
                  metric: Optional[MetricField] = None) -> "PolarizedEMT":
         """Both gradients from the Green function of ``f(D)``, ``f = as_map(fmap)``."""
-        return cls(a, b, green_gradient_field(fmap, to_complex(np.asarray(a, float))),
-                   green_gradient_field(fmap, to_complex(np.asarray(b, float))),
+        a, b = _pairs(a, b)
+        return cls(a, b, green_gradient_field(fmap, a), green_gradient_field(fmap, b),
                    metric=metric, domain=as_map(fmap))
 
     # ----- pointwise evaluation

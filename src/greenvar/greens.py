@@ -13,6 +13,7 @@ transports conformally, ``G_Omega(f(z), f(w)) = G_D(z, w)``, which is what
 
 from __future__ import annotations
 
+import struct
 from itertools import combinations
 from typing import Optional
 
@@ -47,6 +48,32 @@ def _cx(p):
     if arr.dtype.kind in "fi" and arr.ndim >= 1 and arr.shape[-1] == 2:
         return to_complex(arr)
     return np.asarray(p, dtype=complex)
+
+
+def _one_point(p):
+    """``complex(_cx(p))``, bit for bit (signed zeros included), for a pole that is
+    one point: an ``(x, y)`` pair of reals or a number; None for anything else."""
+    if type(p) is complex or type(p) is float:
+        return complex(p)
+    if type(p) in (tuple, list) and len(p) == 2 and type(p[0]) is type(p[1]) is float:
+        return p[0] + 1j * p[1]     # _cx's arithmetic on Python floats: the same bits
+    try:
+        arr = np.asarray(p)
+    except ValueError:              # a ragged sequence
+        return None
+    if (arr.shape == (2,) and arr.dtype.kind in "fi"
+            or arr.shape == () and arr.dtype.kind in "fic"):
+        return complex(_cx(arr))
+    return None
+
+
+def _points(*poles):
+    """:func:`_one_point` of each pole; :class:`ConfigError` naming the first
+    argument that is not one point."""
+    pts = [_one_point(p) for p in poles]
+    if None in pts:
+        raise ConfigError(f"pole argument {pts.index(None)} must be an (x, y) pair or a number")
+    return pts
 
 
 def _check_pole(w):
@@ -123,24 +150,26 @@ class GreenFunction:
         """``f^{-1}(a)``; :class:`DomainError` unless it lies in the open disk.
 
         The map holds the checked preimages of its last ``RECENT_POLES``
-        poles, keyed on their exact bits; every call returns a copy.
+        poles, keyed on their exact bits: a pole that is one point (see
+        :meth:`pole_preimages`) on those of its complex number, whatever its
+        form, and its held numpy scalar is returned; an array of poles on its
+        shape and bytes, and a copy is returned.
         """
+        z = _one_point(a)
+        if z is not None:
+            return held(self.map._preimages, struct.pack("dd", z.real, z.imag), RECENT_POLES,
+                        lambda: _check_pole(self.map.inverse(z)))
         x = _cx(a)
-        w = held(self.map._preimages, (x.shape, x.tobytes()), RECENT_POLES,
-                 lambda: _check_pole(self.map.inverse(x)))
-        return _check_pole(np.copy(w)[()])
+        return np.copy(held(self.map._preimages, (x.shape, x.tobytes()), RECENT_POLES,
+                            lambda: _check_pole(self.map.inverse(x))))[()]
 
     def pole_preimages(self, *poles):
         """:meth:`pole_preimage` of each pole, inverted once, after checking that
         each is one point, an ``(x, y)`` pair of reals or a number (:class:`ConfigError`
         naming the argument otherwise), and that no two are within ``COINCIDENCE_TOL``
-        (:class:`CoincidentPoleError`): the one path from ambient poles to the disk."""
-        for i, p in enumerate(poles):
-            arr = np.asarray(p)
-            if not (arr.shape == (2,) and arr.dtype.kind in "fi"
-                    or arr.shape == () and arr.dtype.kind in "fic"):
-                raise ConfigError(f"pole argument {i} must be an (x, y) pair or a number")
-        pts = [_cx(p) for p in poles]
+        (:class:`CoincidentPoleError`): the one path from ambient poles to the disk.
+        Each pole is read once, as the complex number of :func:`_one_point`."""
+        pts = _points(*poles)
         for (i, p), (j, q) in combinations(enumerate(pts), 2):
             if abs(p - q) < COINCIDENCE_TOL:
                 raise CoincidentPoleError(f"coincident poles (arguments {i} and {j})")

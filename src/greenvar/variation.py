@@ -55,12 +55,14 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from .conformal import (DEFAULT_BOUNDARY_NODES, MAX_BOUNDARY_NODES, ConformalMap,
-                        DomainFamily, as_map, boundary_grid, normal_speed,
-                        pullback_metric, pullback_vector_field, to_complex, to_points)
+from .conformal import (BOUNDARY_SLACK, DEFAULT_BOUNDARY_NODES, MAX_BOUNDARY_NODES,
+                        ConformalMap, DomainFamily, _newton_rows, as_map, boundary_grid,
+                        normal_speed, pullback_metric, pullback_vector_field, to_complex,
+                        to_points)
 from .energy_momentum import PolarizedEMT
 from .errors import ConfigError, EvaluationError, GreenvarError, NonConformalMetricError
-from .greens import GreenFunction, _cx, _normal_derivative
+from .greens import (GreenFunction, _check_pole, _check_separation, _cx, _disk_value,
+                     _normal_derivative, _points)
 from .quadrature import (BLOCK, N_PATCH, N_R, N_THETA, IntegrationResult, boundary_integrate,
                          disk_rule, integrate)
 from .tensors import (MetricField, VectorField, euclidean_metric, strain_tensor,
@@ -74,6 +76,7 @@ __all__ = [
     "volume_integrand",
     "flux_variation",
     "fd_oracle",
+    "fd_oracles",
     "triple_variation",
     "variation_report",
     "boundary_nodes",
@@ -359,18 +362,42 @@ def fd_oracle(family: DomainFamily, a, b, dt: Optional[float] = None) -> float:
 
     The poles stay fixed in the ambient plane while the domain moves;
     they must remain inside both perturbed domains.  O(dt^2) accurate;
-    the default step is ``DEFAULT_FD_FACTOR * t_max``.
+    the default step is ``DEFAULT_FD_FACTOR * t_max``.  See :func:`fd_oracles`.
     """
     _require_family(family, "fd_oracle")
-    GreenFunction(family.base).pole_preimages(a, b)
-    if dt is None:
-        dt = DEFAULT_FD_FACTOR * family.t_max
-    dt = float(dt)
-    if not 0.0 < dt <= family.t_max:
-        raise ConfigError(f"fd step {dt:g} outside (0, t_max={family.t_max:g}]")
-    gp = GreenFunction(family.map_at(+dt)).value(a, b)
-    gm = GreenFunction(family.map_at(-dt)).value(a, b)
-    return (gp - gm) / (2.0 * dt)
+    return fd_oracles(family, a, b, [DEFAULT_FD_FACTOR * family.t_max if dt is None else dt])[0]
+
+
+def fd_oracles(family: DomainFamily, a, b, steps) -> list:
+    """:func:`fd_oracle` at each of ``steps``: ``G_D(z_a, z_b)`` for the preimages
+    under ``f + t h``, ``t = +-dt``, every ``(t, pole)`` row solved by one
+    :func:`~greenvar.conformal._newton_rows` call with the fallback of
+    :meth:`ConformalMap.inverse`, so the values and errors are those of one map
+    per ``t``, bit for bit, with no map built: steps in order, ``+dt`` first, ``a``
+    before ``b``."""
+    _require_family(family, "fd_oracles")
+    pts = _points(a, b)
+    GreenFunction(family.base).pole_preimages(*pts)
+    steps = [float(dt) for dt in steps]
+    for dt in steps:
+        if not 0.0 < dt <= family.t_max:
+            raise ConfigError(f"fd step {dt:g} outside (0, t_max={family.t_max:g}]")
+    ts = np.repeat([t for dt in steps for t in (dt, -dt)], 2)
+    coeffs = family._coeffs_at(ts)
+    x = np.tile(np.array(pts), len(steps) * 2)[:, None]
+    with np.errstate(all="ignore"):
+        z = x / coeffs[:, :1]
+        if coeffs.shape[1] > 1:
+            z = _newton_rows(coeffs, x, z)
+    z, solved = z[:, 0], np.abs(z[:, 0]) <= 1.0 + BOUNDARY_SLACK
+    g = []
+    for r in range(0, len(ts), 2):
+        za, zb = (z[k] if solved[k] else ConformalMap._least_root(coeffs[k], x[k, 0])
+                  for k in (r, r + 1))
+        _check_pole(zb)
+        _check_separation(za, zb)
+        g.append(float(_disk_value(za, zb)))
+    return [(gp - gm) / (2.0 * dt) for dt, gp, gm in zip(steps, g[::2], g[1::2])]
 
 
 def triple_variation(family, a, b, c, m: Optional[int] = None) -> float:
@@ -503,8 +530,7 @@ def variation_report(family: DomainFamily, a, b, m: Optional[int] = None,
     attempt("flux", lambda: flux_variation(family, a, b, m=m, metric=metric))
 
     def run_fd():
-        full = fd_oracle(family, a, b, dt=dt)
-        half = fd_oracle(family, a, b, dt=dt / 2.0)
+        full, half = fd_oracles(family, a, b, [dt, dt / 2.0])
         params["fd_richardson_gap"] = abs(full - half)
         return full
 

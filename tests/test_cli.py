@@ -304,7 +304,7 @@ def test_converge_rejects_an_unbuildable_ladder_before_any_work(capsys, tmp_path
     def forbidden(*args, **kwargs):
         raise AssertionError("an estimator ran before the ladder was checked")
 
-    for name in ("boundary_variation", "fd_oracle", "flux_variation", "volume_variation"):
+    for name in ("boundary_variation", "fd_oracles", "flux_variation", "volume_variation"):
         monkeypatch.setattr(cli, name, forbidden)
     doc = dict(default_config(), levels=3, quadrature={"m_boundary": 2**20})
     code, out, err = run(capsys, "converge", "--config", write_config(tmp_path, doc))
@@ -335,6 +335,41 @@ def test_converge_inverts_each_pole_once(capsys, tmp_path, monkeypatch):
     code, out, _ = run(capsys, "converge", "--config", write_config(tmp_path, doc))
     assert code == 0 and len(out.strip().split("\n")) == 9
     assert calls == [1, 1]
+
+
+def test_converge_solves_every_fd_step_in_one_newton_call(capsys, tmp_path, monkeypatch):
+    # after the config check's two pole inversions on the base map, the FD
+    # rows of all three steps are one Newton call on coefficient rows; each
+    # FD row, and the error of every row against the Richardson reference,
+    # has the bits of one map per step
+    from greenvar import conformal, variation
+    from greenvar.conformal import DomainFamily
+    from greenvar.greens import GreenFunction
+
+    rows = []
+    newton = conformal._newton_rows
+    counted = lambda c, x, z: rows.append(len(c)) or newton(c, x, z)
+    monkeypatch.setattr(conformal, "_newton_rows", counted)
+    monkeypatch.setattr(variation, "_newton_rows", counted)
+    doc = dict(CURVED_LADDER, levels=3, quadrature={"n_r": 16, "n_theta": 32, "n_patch": 8})
+    code, out, _ = run(capsys, "converge", "--config", write_config(tmp_path, doc))
+    assert code == 0 and rows == [1, 1, 12]
+    monkeypatch.undo()
+    fam = DomainFamily.from_json(doc["family"])
+    a, b = (tuple(doc["poles"][k]) for k in "ab")
+
+    def fd(s):
+        dt = variation.DEFAULT_FD_FACTOR * fam.t_max / s
+        gp, gm = (GreenFunction(fam.map_at(t)).value(a, b) for t in (dt, -dt))
+        return (gp - gm) / (2.0 * dt)
+
+    ref = (4.0 * fd(2) - fd(1)) / 3.0
+    table = [line.split(",") for line in out.strip().split("\n")[1:]]
+    assert len(table) == 12
+    for level, name, value, err in table:
+        assert float(err).hex() == abs(float(value) - ref).hex()
+        if name == "fd_oracle":
+            assert float(value).hex() == fd(2 ** int(level)).hex()
 
 
 CURVED_LADDER = {"family": {"base": [[1.0, 0.0], [0.1, 0.0]],

@@ -182,6 +182,19 @@ def test_inverse_polar_grid_of_a_univalent_quartic():
     assert np.max(np.abs(fmap.inverse(fmap(z)) - z)) < 1e-13
 
 
+def test_least_root_polishes_with_the_maps_own_arithmetic():
+    # the fallback's Newton step, called with coefficient rows (the FD oracle
+    # builds no map), evaluates f and f' as a ConformalMap does: numpy scalars
+    # round a complex product apart from arrays
+    fmap = ConformalMap(QUARTIC)
+    r = np.linspace(0.9, 0.999, 10)
+    for xi in fmap((r[:, None] * np.exp(2j * np.pi * np.arange(36) / 36)).ravel()):
+        roots = np.roots(np.append(fmap.coeffs[::-1], -xi))
+        z = roots[np.argmin(np.abs(roots))]
+        want = z - (fmap(z) - xi) / fmap.derivative(z)
+        assert ConformalMap._least_root(fmap.coeffs, xi).tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("coeffs", [[1.0, 0.1], [1.0, 0.1, 0.05, 0.03]])
 def test_inverse_round_trip_at_rounding_level(coeffs):
     # one Newton step past the residual test leaves z at rounding level

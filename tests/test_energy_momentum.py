@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from greenvar.conformal import DomainFamily, dilation_family
+from greenvar.conformal import DomainFamily, cubic_mix_family, dilation_family, to_points
 from greenvar.energy_momentum import PolarizedEMT
 from greenvar.errors import (
     CoincidentPoleError,
+    ConfigError,
     DimensionMismatchError,
     DomainError,
 )
@@ -228,6 +229,22 @@ def test_mapped_domain_pairing_matches_direct(rng):
 def test_coincident_poles_rejected():
     with pytest.raises(CoincidentPoleError):
         PolarizedEMT.from_map(None, (0.3, 0.0), (0.3, 0.0))
+
+
+def test_poles_are_read_by_the_one_point_rule():
+    # a complex pole is its (re, im) pair (from_map raised TypeError); a pole
+    # that is not one point is a ConfigError naming it (it was DomainError)
+    fmap = cubic_mix_family().base
+    pts = to_points(interior_points(np.random.default_rng(3), 5, radius=0.8))
+    pair = PolarizedEMT.from_map(fmap, (0.1, 0.05), (-0.2, 0.3))
+    cplx = PolarizedEMT.from_map(fmap, 0.1 + 0.05j, -0.2 + 0.3j)
+    assert np.array_equal(cplx.a, pair.a) and np.array_equal(cplx.b, pair.b)
+    assert np.array_equal(cplx.emt_cov(pts), pair.emt_cov(pts))
+    for bad in ((0.1,), ((0.1, 0.05), 0.2), "0.1", (0.1, 0.05, 0.0)):
+        with pytest.raises(ConfigError, match="pole argument 1 must be an"):
+            PolarizedEMT.from_map(fmap, (0.1, 0.05), bad)
+        with pytest.raises(ConfigError, match="pole argument 0 must be an"):
+            PolarizedEMT(bad, (0.1, 0.05), lambda x: x, lambda x: x)
 
 
 def test_metric_dimension_checked():

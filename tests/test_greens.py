@@ -19,7 +19,9 @@ from greenvar.conformal import (
 from greenvar.errors import CoincidentPoleError, ConfigError, DomainError
 from greenvar.greens import (
     GreenFunction,
+    _cx,
     _normal_derivative,
+    _one_point,
     disk_green,
     disk_green_gradient,
     green_gradient_field,
@@ -209,9 +211,34 @@ def test_a_pole_is_one_point():
                        (np.int64(0), np.array([0.0, 0.0]))):
         assert green.pole_preimages(pole) == green.pole_preimages(same)
     for bad in ((0.1,), np.array([[0.1, 0.05]]), (0.1, 0.05, 0.0), [0.1 + 0j, 0.05],
-                "0.1", True, (True, False), None, 10**400):
+                "0.1", True, (True, False), None, 10**400, ((0.1, 0.05), 0.2), [[0.1], 0.2]):
         with pytest.raises(ConfigError, match="pole argument 1 must be an"):
             green.pole_preimages((0.3, 0.0), bad)
+
+
+def test_a_pole_is_read_with_the_bits_of_cx():
+    # one conversion per pole: a pair of floats takes Python's complex
+    # arithmetic, which must give _cx's bits, signed zeros, inf and NaN included
+    specials = [0.0, -0.0, 0.1, -0.3, 5e-324, -2.2e-308, 1e308, np.inf, -np.inf, np.nan]
+    bits = lambda z: (np.float64(z.real).tobytes(), np.float64(z.imag).tobytes())
+    with np.errstate(invalid="ignore"):     # _cx's 1j * inf
+        for x in specials:
+            for y in specials:
+                want = bits(complex(_cx(np.array([x, y]))))
+                for pole in ((x, y), [x, y], np.array([x, y]), (np.float64(x), y)):
+                    assert bits(_one_point(pole)) == want, pole
+            for pole in (x, complex(x, -0.0), np.complex128(complex(-0.0, x))):
+                assert bits(_one_point(pole)) == bits(complex(_cx(pole))), pole
+
+
+def check_bits(specials, bits):
+    for x in specials:
+        for y in specials:
+            want = bits(complex(_cx(np.array([x, y]))))
+            for pole in ((x, y), [x, y], np.array([x, y]), (np.float64(x), y)):
+                assert bits(_one_point(pole)) == want, pole
+        for pole in (x, complex(x, -0.0), np.complex128(complex(-0.0, x))):
+            assert bits(_one_point(pole)) == bits(complex(_cx(pole))), pole
 
 
 def test_pole_preimages_are_held_per_map_on_exact_bits(monkeypatch):

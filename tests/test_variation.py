@@ -21,9 +21,10 @@ from greenvar.conformal import (
     rotation_family,
 )
 from greenvar.energy_momentum import PolarizedEMT
-from greenvar import energy_momentum, greens, quadrature, variation
+from greenvar import conformal, energy_momentum, greens, quadrature, variation
 from greenvar.errors import (CoincidentPoleError, ConfigError, DegenerateMetricError,
-                             DomainError, EvaluationError, NonConformalMetricError)
+                             DomainError, EvaluationError, GreenvarError,
+                             NonConformalMetricError)
 from greenvar.greens import GreenFunction, green_gradient_field, interior_rule, mutual_energy
 from greenvar.quadrature import integrate
 from greenvar.tensors import (MetricField, VectorField, conformal_metric,
@@ -35,6 +36,7 @@ from greenvar.variation import (
     boundary_nodes,
     boundary_variation,
     fd_oracle,
+    fd_oracles,
     flux_variation,
     triple_variation,
     variation_report,
@@ -256,6 +258,104 @@ def test_fd_oracle_rejects_escaping_pole():
     # shrinking by half leaves a pole at radius 0.7 outside the domain
     with pytest.raises(DomainError):
         fd_oracle(dilation_family(), (0.7, 0.0), (0.1, 0.0), dt=0.5)
+
+
+def fd_reference(family, a, b, dt):
+    """The FD oracle one map at a time: ``GreenFunction(family.map_at(+-dt)).value``."""
+    gp, gm = (GreenFunction(family.map_at(t)).value(a, b) for t in (dt, -dt))
+    return (gp - gm) / (2.0 * dt)
+
+
+def outcome(run):
+    """``run()``'s value by ``float.hex``, or its package error's class and message."""
+    try:
+        return run().hex()
+    except GreenvarError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+# z + (0.01-0.22i) z^2 + (-0.11-0.01i) z^3 - 0.17 z^4, univalent; Newton from
+# x / c_1 ends outside the disk at this point on the maps at t = +-1e-5
+QUARTIC_FAMILY = ([1.0, 0.01 - 0.22j, -0.11 - 0.01j, -0.17], [0.0, 0.05, 0.03], 0.1)
+QUARTIC_FALLBACK_POLE = (0.75066882125073, -0.21444354393581483)
+
+
+@pytest.mark.parametrize("factory", [dilation_family, rotation_family, cubic_mix_family,
+                                     curved_family, lambda: DomainFamily(*QUARTIC_FAMILY)])
+def test_fd_oracle_gives_the_bits_of_one_map_per_step(factory, monkeypatch):
+    # degree-1 rows (no Newton), an identity base, a curved base, and a row
+    # that reaches the least-root fallback: one batched Newton call gives the
+    # per-map bits at every step, the Richardson gap included
+    fam = factory()
+    rng = np.random.default_rng(11)
+    w = 0.9 * np.sqrt(rng.uniform(size=(6, 2))) * np.exp(2j * np.pi * rng.uniform(size=(6, 2)))
+    poles = [tuple(tuple(to_points(fam.base(p))) for p in pair) for pair in w]
+    fallbacks = []
+    if fam.base.degree == 4:
+        poles.append((QUARTIC_FALLBACK_POLE, CURVED_B))
+        least_root = ConformalMap._least_root
+        monkeypatch.setattr(ConformalMap, "_least_root", staticmethod(
+            lambda c, xi: fallbacks.append(xi) or least_root(c, xi)))
+    steps = [variation.DEFAULT_FD_FACTOR * fam.t_max, 0.5e-4 * fam.t_max, 1e-2 * fam.t_max]
+    for a, b in poles:
+        want = [fd_reference(fam, a, b, s).hex() for s in steps]
+        reference_fallbacks = len(fallbacks)
+        assert fd_oracle(fam, a, b).hex() == want[0]
+        assert [v.hex() for v in fd_oracles(fam, a, b, steps)] == want
+    # the fallback pole reached _least_root in the reference and in fd_oracles
+    assert (reference_fallbacks > 0 and len(fallbacks) > reference_fallbacks) == (
+        fam.base.degree == 4)
+    a, b, dt = *poles[0], steps[0]
+    rep = variation_report(fam, a, b, m=256, **SMALL_RULE)
+    gap = abs(fd_reference(fam, a, b, dt) - fd_reference(fam, a, b, dt / 2.0))
+    assert rep.estimates["fd_oracle"].hex() == fd_reference(fam, a, b, dt).hex()
+    assert rep.params["fd_richardson_gap"].hex() == gap.hex()
+
+
+def test_fd_oracle_fails_as_one_map_at_a_time_does():
+    # the point a and the pole b leaving the +dt or the -dt map raise the
+    # per-map class and message, +dt before -dt, a before b, the larger step first
+    bump = DomainFamily([1.0], [0.0, 1.0], t_max=0.4)  # f_t(+-1) = +-1 + t
+    shrink = DomainFamily([1.0], [-1.0], t_max=0.5)
+    cases = [
+        (dilation_family(), (0.7, 0.0), (0.1, 0.0), [0.5]),    # a outside at -dt
+        (shrink, (0.7, 0.0), (0.1, 0.0), [0.5]),               # a outside at +dt
+        (dilation_family(), (0.1, 0.0), (0.7, 0.0), [0.5]),    # b outside at -dt
+        (dilation_family(), (0.1, 0.0), (0.5, 0.0), [0.5]),    # b on the -dt circle
+        (bump, (-0.95, 0.0), (0.95, 0.0), [0.1]),               # a at +dt, b at -dt
+        (bump, (0.95, 0.0), (-0.95, 0.0), [0.1]),               # b at +dt, a at -dt
+        (bump, (-0.95, 0.0), (0.95, 0.0), [0.04, 0.1]),         # only the second step
+        (bump, (0.95, 0.0), (-0.9, 0.0), [0.1]),   # b on the +dt circle, then a out at -dt
+        (dilation_family(), (0.1, 0.0), (0.7, 0.0), [0.5, 0.4]),
+    ]
+    seen = set()
+    for fam, a, b, steps in cases:
+        got = outcome(lambda: np.float64(fd_oracles(fam, a, b, steps)[-1]))
+        want = outcome(lambda: np.float64([fd_reference(fam, a, b, s) for s in steps][-1]))
+        assert got == want, (a, b, steps)
+        assert outcome(lambda: fd_oracle(fam, a, b, dt=steps[0])) == outcome(
+            lambda: fd_reference(fam, a, b, steps[0]))
+        seen.add(want.split(":")[1])
+    assert seen == {" point outside the mapped disk", " source point must lie in the open domain"}
+
+
+def test_fd_oracle_runs_one_newton_call_and_no_inverse(monkeypatch):
+    # the base map holds the poles: every (t, pole) row of every step is
+    # solved by one Newton call on coefficient rows, none by ConformalMap.inverse
+    fam = curved_family()
+    GreenFunction(fam.base).pole_preimages(CURVED_A, CURVED_B)
+    rows, inverted = [], []
+    newton, inverse = conformal._newton_rows, ConformalMap.inverse
+    counted = lambda c, x, z: rows.append(len(c)) or newton(c, x, z)
+    monkeypatch.setattr(conformal, "_newton_rows", counted)
+    monkeypatch.setattr(variation, "_newton_rows", counted)
+    monkeypatch.setattr(ConformalMap, "inverse",
+                        lambda self, x: inverted.append(self) or inverse(self, x))
+    fd_oracle(fam, CURVED_A, CURVED_B)
+    assert (rows, inverted) == ([4], [])
+    rows.clear()
+    variation_report(fam, CURVED_A, CURVED_B, **SMALL_RULE)
+    assert rows == [8]
 
 
 def test_triple_reference_value():
@@ -500,7 +600,7 @@ def test_every_route_refuses_a_pole_that_is_not_one_point():
     # (0.1,) ran as (0.1, 0) and [[0.1, 0.05]] as one pole (fd_oracle returned
     # an array); (0.1, 0.05, 0) ended in numpy's ambiguous truth value
     for name, route in pole_routes(curved_family(), curved_metric(), square_velocity()).items():
-        for bad in ((0.1,), np.array([[0.1, 0.05]]), (0.1, 0.05, 0.0)):
+        for bad in ((0.1,), np.array([[0.1, 0.05]]), (0.1, 0.05, 0.0), ((0.1, 0.05), 0.2)):
             with pytest.raises(ConfigError, match="pole argument 1"):
                 route(CURVED_A, bad)
 
@@ -901,8 +1001,8 @@ def test_a_family_builds_its_perturbation_map_once(monkeypatch):
     fam.disk_velocity_field()
     every_route(fam)
     triple_variation(fam, CURVED_A, CURVED_B, CURVED_C)
-    # the only maps built are the FD oracle's at t = +-dt (z^3 coefficient 0.03 t)
-    assert built and all(c.size == 3 and 0.0 < abs(c[2]) < 0.03 for c in built)
+    # the FD oracle solves its t = +-dt rows on coefficient rows, with no map
+    assert built == []
 
 
 def test_the_identity_map_is_shared():
