@@ -258,14 +258,10 @@ class ConformalMap:
         with np.errstate(all="ignore"):
             z = xf / self.coeffs[0]
             if self.degree > 1:
-                z = self._newton(xf, z)
+                z = _newton_rows(self.coeffs[None], xf[None], z[None])[0]
         for i in np.flatnonzero(~(np.abs(z) <= 1.0 + BOUNDARY_SLACK)):
             z[i] = self._least_root(self.coeffs, xf[i])
         return z.reshape(x.shape)[()]
-
-    def _newton(self, x, z):
-        """:func:`_newton_rows` on this map alone."""
-        return _newton_rows(self.coeffs[None], x[None], z[None])[0]
 
     @staticmethod
     def _least_root(coeffs, xi):

@@ -147,21 +147,15 @@ class GreenFunction:
         self.map = as_map(fmap)
 
     def pole_preimage(self, a):
-        """``f^{-1}(a)``; :class:`DomainError` unless it lies in the open disk.
+        """``f^{-1}(a)`` for one pole ``a``; :class:`DomainError` unless it lies in the open disk.
 
         The map holds the checked preimages of its last ``RECENT_POLES``
-        poles, keyed on their exact bits: a pole that is one point (see
-        :meth:`pole_preimages`) on those of its complex number, whatever its
-        form, and its held numpy scalar is returned; an array of poles on its
-        shape and bytes, and a copy is returned.
+        poles, keyed on the exact bits of each pole's complex number (see
+        :meth:`pole_preimages`), and returns the held numpy scalar.
         """
-        z = _one_point(a)
-        if z is not None:
-            return held(self.map._preimages, struct.pack("dd", z.real, z.imag), RECENT_POLES,
-                        lambda: _check_pole(self.map.inverse(z)))
-        x = _cx(a)
-        return np.copy(held(self.map._preimages, (x.shape, x.tobytes()), RECENT_POLES,
-                            lambda: _check_pole(self.map.inverse(x))))[()]
+        z, = _points(a)
+        return held(self.map._preimages, struct.pack("dd", z.real, z.imag), RECENT_POLES,
+                    lambda: _check_pole(self.map.inverse(z)))
 
     def pole_preimages(self, *poles):
         """:meth:`pole_preimage` of each pole, inverted once, after checking that
@@ -176,19 +170,19 @@ class GreenFunction:
         return [self.pole_preimage(p) for p in pts]
 
     def value(self, x, a):
-        """``G_Omega(x, a)`` with ``x`` on the closure, ``a`` interior."""
-        z = self.map.inverse(_cx(x))
-        w = self.pole_preimage(a)
-        _check_separation(_cx(x), _cx(a))
+        """``G_Omega(x, a)`` with ``x`` on the closure, ``a`` one interior pole."""
+        x, (p,) = _cx(x), _points(a)
+        z, w = self.map.inverse(x), self.pole_preimage(p)
+        _check_separation(x, p)
         _check_separation(z, w)
         val = _disk_value(z, w)
         return float(val) if np.ndim(val) == 0 else val
 
     def gradient(self, x, a):
         """Gradient in ambient coordinates, as real pairs ``(..., 2)``."""
-        z = self.map.inverse(_cx(x))
-        w = self.pole_preimage(a)
-        _check_separation(_cx(x), _cx(a))
+        x, (p,) = _cx(x), _points(a)
+        z, w = self.map.inverse(x), self.pole_preimage(p)
+        _check_separation(x, p)
         return to_points(self.gradient_z(z, w))
 
     def gradient_z(self, z, w):
@@ -294,4 +288,4 @@ def mutual_energy(fmap: Optional[ConformalMap], a, b,
                         to_points(beta))
         return phi * volume_density(met, points)
 
-    return integrate(rule, integrand).value
+    return integrate(rule, integrand, check=False).value

@@ -56,12 +56,12 @@ from typing import Dict, Optional
 import numpy as np
 
 from .conformal import (BOUNDARY_SLACK, DEFAULT_BOUNDARY_NODES, MAX_BOUNDARY_NODES,
-                        ConformalMap, DomainFamily, _newton_rows, as_map, boundary_grid,
-                        normal_speed, pullback_metric, pullback_vector_field, to_complex,
-                        to_points)
+                        ConformalMap, DomainFamily, _is_number, _newton_rows, as_map,
+                        boundary_grid, normal_speed, pullback_metric, pullback_vector_field,
+                        to_complex, to_points)
 from .energy_momentum import PolarizedEMT
 from .errors import ConfigError, EvaluationError, GreenvarError, NonConformalMetricError
-from .greens import (GreenFunction, _check_pole, _check_separation, _cx, _disk_value,
+from .greens import (GreenFunction, _check_pole, _check_separation, _disk_value,
                      _normal_derivative, _points)
 from .quadrature import (BLOCK, N_PATCH, N_R, N_THETA, IntegrationResult, boundary_integrate,
                          disk_rule, integrate)
@@ -318,7 +318,8 @@ def volume_variation(family, a, b, metric: Optional[MetricField] = None,
     fmap = as_map(family)
     v = _velocity(family, velocity)
     green = GreenFunction(fmap)
-    wa, wb = green.pole_preimages(a, b)
+    pa, pb = _points(a, b)
+    wa, wb = green.pole_preimages(pa, pb)
     rule = disk_rule(n_r, n_theta, poles=[wa, wb], n_patch=n_patch)
     if metric is not None:      # conformal at every image node, checked once per rule
         for r in (rule, rule.coarse()) if check else (rule,):
@@ -327,8 +328,8 @@ def volume_variation(family, a, b, metric: Optional[MetricField] = None,
     integrand = _closed_form_integrand(family, fmap, rule, metric, velocity)
     quad = integrate(rule, integrand, check=check, key=(family, metric, velocity))
     # numpy scalars, so the value is PolarizedEMT.source_pairing's to the bit
-    va, vb = (v(to_points(_cx(p))) if velocity is not None else to_points(family.h(w))
-              for p, w in ((a, wa), (b, wb)))
+    va, vb = (v(to_points(p)) if velocity is not None else to_points(family.h(w))
+              for p, w in ((pa, wa), (pb, wb)))
     pairing = float(np.dot(vb, to_points(green.gradient_z(wb, wa)))
                     + np.dot(va, to_points(green.gradient_z(wa, wb))))
     return VolumeEstimate(value=float(quad) - pairing, pairing=pairing,
@@ -368,6 +369,14 @@ def fd_oracle(family: DomainFamily, a, b, dt: Optional[float] = None) -> float:
     return fd_oracles(family, a, b, [DEFAULT_FD_FACTOR * family.t_max if dt is None else dt])[0]
 
 
+def _fd_step(dt, t_max: float) -> float:
+    """``dt`` as a double: :class:`ConfigError` naming it unless it is a real number (a
+    float, a numpy floating scalar or an int in the double range, not a bool) in ``(0, t_max]``."""
+    if not ((_is_number(dt) or isinstance(dt, np.floating)) and 0.0 < dt <= t_max):
+        raise ConfigError(f"fd step {dt!r} must be a real number in (0, t_max={t_max:g}]")
+    return float(dt)
+
+
 def fd_oracles(family: DomainFamily, a, b, steps) -> list:
     """:func:`fd_oracle` at each of ``steps``: ``G_D(z_a, z_b)`` for the preimages
     under ``f + t h``, ``t = +-dt``, every ``(t, pole)`` row solved by one
@@ -378,10 +387,7 @@ def fd_oracles(family: DomainFamily, a, b, steps) -> list:
     _require_family(family, "fd_oracles")
     pts = _points(a, b)
     GreenFunction(family.base).pole_preimages(*pts)
-    steps = [float(dt) for dt in steps]
-    for dt in steps:
-        if not 0.0 < dt <= family.t_max:
-            raise ConfigError(f"fd step {dt:g} outside (0, t_max={family.t_max:g}]")
+    steps = [_fd_step(dt, family.t_max) for dt in steps]
     ts = np.repeat([t for dt in steps for t in (dt, -dt)], 2)
     coeffs = family._coeffs_at(ts)
     x = np.tile(np.array(pts), len(steps) * 2)[:, None]
@@ -496,8 +502,9 @@ def variation_report(family: DomainFamily, a, b, m: Optional[int] = None,
     not conformal (:class:`~greenvar.errors.NonConformalMetricError`).
     """
     _require_family(family, "variation_report")
-    GreenFunction(family).pole_preimages(a, b)
-    _require_conformal(metric, to_points([_cx(a), _cx(b)]))
+    pts = _points(a, b)
+    GreenFunction(family).pole_preimages(*pts)
+    _require_conformal(metric, to_points(pts))
     m = boundary_nodes(family, a, b) if m is None else m
     dt = DEFAULT_FD_FACTOR * family.t_max if dt is None else dt
     estimates: Dict[str, Optional[float]] = {}
@@ -530,7 +537,7 @@ def variation_report(family: DomainFamily, a, b, m: Optional[int] = None,
     attempt("flux", lambda: flux_variation(family, a, b, m=m, metric=metric))
 
     def run_fd():
-        full, half = fd_oracles(family, a, b, [dt, dt / 2.0])
+        full, half = fd_oracles(family, a, b, [dt, _fd_step(dt, family.t_max) / 2.0])
         params["fd_richardson_gap"] = abs(full - half)
         return full
 

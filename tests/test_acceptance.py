@@ -13,14 +13,13 @@ import pytest
 
 from greenvar.conformal import (
     ConformalMap,
-    boundary_grid,
     cubic_mix_family,
     dilation_family,
     rotation_family,
 )
 from greenvar.energy_momentum import PolarizedEMT
-from greenvar.greens import GreenFunction, green_gradient_field, mutual_energy
-from greenvar.quadrature import disk_rule, integrate
+from greenvar.greens import green_gradient_field, mutual_energy
+from greenvar.quadrature import disk_rule
 from greenvar.tensors import conformal_metric, euclidean_metric, strain_tensor
 from greenvar.variation import (
     boundary_variation,

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from greenvar import conformal
 from greenvar.conformal import (BUILTIN_FAMILIES, MAX_DEGREE, RECENT_GRIDS, ConformalMap,
                                 DomainFamily, boundary_grid, cubic_mix_family,
                                 dilation_family, enclosed_area, normal_speed,
@@ -58,7 +59,7 @@ def test_identity_inverse_is_a_checked_copy(monkeypatch):
     def forbidden(*args):
         raise AssertionError("the identity ran the Newton machinery")
 
-    monkeypatch.setattr(ConformalMap, "_newton", forbidden)
+    monkeypatch.setattr(conformal, "_newton_rows", forbidden)
     monkeypatch.setattr(ConformalMap, "_least_root", forbidden)
     monkeypatch.setattr(np, "errstate", forbidden)
     ident = ConformalMap.identity()

@@ -29,6 +29,7 @@ from greenvar.greens import (
     mutual_energy,
     poisson_normal_derivative,
 )
+from greenvar import quadrature
 from greenvar.quadrature import disk_rule
 
 from conftest import interior_points
@@ -231,16 +232,6 @@ def test_a_pole_is_read_with_the_bits_of_cx():
                 assert bits(_one_point(pole)) == bits(complex(_cx(pole))), pole
 
 
-def check_bits(specials, bits):
-    for x in specials:
-        for y in specials:
-            want = bits(complex(_cx(np.array([x, y]))))
-            for pole in ((x, y), [x, y], np.array([x, y]), (np.float64(x), y)):
-                assert bits(_one_point(pole)) == want, pole
-        for pole in (x, complex(x, -0.0), np.complex128(complex(-0.0, x))):
-            assert bits(_one_point(pole)) == bits(complex(_cx(pole))), pole
-
-
 def test_pole_preimages_are_held_per_map_on_exact_bits(monkeypatch):
     inverted = []
     inverse = ConformalMap.inverse
@@ -258,11 +249,11 @@ def test_pole_preimages_are_held_per_map_on_exact_bits(monkeypatch):
     green.pole_preimage(complex(0.0, 0.0))
     green.pole_preimage(complex(-0.0, 0.0))
     assert len(fmap._preimages) == 3
-    # every call returns a copy of what the map holds
-    pair = green.pole_preimage(np.array([[0.2, 0.0], [0.0, 0.3]]))
-    pair[0] = 0.0
-    assert np.array_equal(green.pole_preimage(np.array([[0.2, 0.0], [0.0, 0.3]])),
-                          fresh(np.array([[0.2, 0.0], [0.0, 0.3]])))
+    # an array of poles is not one pole: refused, and nothing is held
+    before = list(fmap._preimages)
+    with pytest.raises(ConfigError, match="pole argument 0 must be an"):
+        green.pole_preimage(np.array([[0.2, 0.0], [0.0, 0.3]]))
+    assert list(fmap._preimages) == before
     for k in range(100):
         p = 0.5 * np.exp(2j * np.pi * k / 100)
         assert green.pole_preimage(p) == fresh(p)
@@ -276,6 +267,42 @@ def test_pole_preimages_are_held_per_map_on_exact_bits(monkeypatch):
             with pytest.raises(DomainError):
                 green.pole_preimage(bad)
     assert inverted == [fmap] * 4 and fmap._preimages == held
+
+
+def test_every_green_method_takes_one_pole():
+    # one pole in every form reads the same held scalar; an array of poles is
+    # refused by every method before anything is held
+    fmap = ConformalMap([1.0, 0.1])
+    green = GreenFunction(fmap)
+    w = green.pole_preimage((0.2, 0.1))
+    for pole in ([0.2, 0.1], np.array([0.2, 0.1]), 0.2 + 0.1j, np.complex128(0.2 + 0.1j),
+                 np.array(0.2 + 0.1j)):
+        assert green.pole_preimage(pole) is w
+    held = list(fmap._preimages)
+    poles = np.array([[0.2, 0.0], [0.0, 0.3]])
+    grid = boundary_grid(fmap, m=64)
+    for call in (lambda: green.pole_preimage(poles),
+                 lambda: green.value((0.5, 0.0), poles),
+                 lambda: green.gradient((0.5, 0.0), poles),
+                 lambda: green.normal_derivative(grid, poles),
+                 lambda: green_gradient_field(fmap, poles)):
+        with pytest.raises(ConfigError, match="pole argument 0 must be an"):
+            call()
+        assert list(fmap._preimages) == held
+
+
+def test_mutual_energy_builds_and_sums_one_rule(monkeypatch):
+    # only the value is read, so no coarse twin is built or summed
+    built, summed = [], []
+    build, weighted_sum = quadrature._build_rule, quadrature._weighted_sum
+    monkeypatch.setattr(quadrature, "_build_rule",
+                        lambda *a: built.append(a[:2]) or build(*a))
+    monkeypatch.setattr(quadrature, "_weighted_sum",
+                        lambda r, *a: summed.append(len(r.nodes)) or weighted_sum(r, *a))
+    fmap = ConformalMap([1.0, 0.1])
+    val = mutual_energy(fmap, (0.1, 0.05), (-0.2, 0.3))
+    assert built == [(64, 128)] and len(summed) == 1
+    assert val == pytest.approx(GreenFunction(fmap).value((0.1, 0.05), (-0.2, 0.3)), abs=1e-5)
 
 
 def test_mutual_energy_rejects_a_rule_without_patches_at_the_preimages():

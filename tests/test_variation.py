@@ -2,6 +2,7 @@
 
 import gc
 import math
+import re
 import weakref
 
 import numpy as np
@@ -476,9 +477,9 @@ def test_boundary_variation_runs_no_newton_sweep(monkeypatch):
     # the t = 0 map of cubic_mix is its identity base, not the base padded
     # to the perturbation's degree, so the poles invert in closed form
     sweeps = []
-    newton = ConformalMap._newton
-    monkeypatch.setattr(ConformalMap, "_newton",
-                        lambda self, x, z: sweeps.append(x.size) or newton(self, x, z))
+    newton = conformal._newton_rows
+    monkeypatch.setattr(conformal, "_newton_rows",
+                        lambda c, x, z: sweeps.append(x.size) or newton(c, x, z))
     fam = cubic_mix_family()
     boundary_variation(fam, (0.2, 0.1), (-0.3, 0.2))
     assert sweeps == []
@@ -518,6 +519,29 @@ def test_report_strict_false_records_skip():
     assert "fd_oracle" in rep.params["skips"]
     assert "ConfigError" in rep.params["skips"]["fd_oracle"]
     assert rep.estimates["boundary"] == pytest.approx(1.0 / TWO_PI, rel=1e-9)
+
+
+def test_an_fd_step_is_a_real_number():
+    # a float, a numpy floating scalar or an int within the double range, taken
+    # as its double; anything else is a ConfigError naming the step, a skip
+    # with strict=False
+    fam, a, b = rotation_family(), (0.1, 0.0), (0.0, 0.3)
+    for dt, same in ((np.float64(1e-4), 1e-4), (np.float32(1e-4), float(np.float32(1e-4))),
+                     (1, 1.0)):
+        assert fd_oracle(fam, a, b, dt=dt).hex() == fd_oracle(fam, a, b, dt=same).hex()
+        assert fd_oracles(fam, a, b, [dt]) == fd_oracles(fam, a, b, [same])
+    for bad in ("1e-4", True, np.bool_(True), 10**400, 1e-4 + 0j, [1e-4]):
+        with pytest.raises(ConfigError, match=f"fd step {re.escape(repr(bad))} must be a real"):
+            fd_oracle(fam, a, b, dt=bad)
+        with pytest.raises(ConfigError, match="fd step"):
+            fd_oracles(fam, a, b, [1e-4, bad])
+        with pytest.raises(ConfigError, match="fd step"):
+            variation_report(fam, a, b, m=64, n_r=16, n_theta=32, n_patch=8, dt=bad)
+        rep = variation_report(fam, a, b, m=64, n_r=16, n_theta=32, n_patch=8, dt=bad,
+                               strict=False)
+        assert rep.estimates["fd_oracle"] is None and "fd_richardson_gap" not in rep.params
+        assert rep.params["skips"] == {"fd_oracle": f"ConfigError: fd step {bad!r} must be a "
+                                                    "real number in (0, t_max=1]"}
 
 
 def test_report_json_layout():
