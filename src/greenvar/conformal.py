@@ -19,7 +19,7 @@ through its conformal factor, read off by value.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, cached_property
 from typing import Optional, Union
 
@@ -62,10 +62,13 @@ NEWTON_MAXITER = 50
 NEWTON_TOL = 1e-14
 
 # A map holds its last RECENT_POLES pole preimages (a config's three poles,
-# or a few pole sets) and its last RECENT_GRIDS boundary grids (`converge`
-# asks for two at each m, `triple` seven times at one m).
+# or a few pole sets), its last RECENT_GRIDS boundary grids (`converge` asks
+# for two at each m, `triple` seven times at one m), and on each grid the
+# normal derivatives of its last RECENT_TRACES poles (a triple's three, the
+# most any route or command reads on one grid).
 RECENT_POLES = 8
 RECENT_GRIDS = 2
+RECENT_TRACES = 3
 
 # Families constructed without an explicit t_max scan |t| up to this cap.
 T_SCAN_CAP = 4.0
@@ -421,7 +424,9 @@ class BoundaryGrid:
     ``nodes`` are the boundary points, ``normals`` the outward unit normals,
     ``weights`` the arclength weights ``|gamma'(theta)| * 2 pi / M``,
     ``params`` the unit-circle parameters ``exp(i theta_m)``, and ``speed``
-    the stretch ``|f'(params)|`` of the grid's ``map``.
+    the stretch ``|f'(params)|`` of the grid's ``map``.  ``_traces`` holds
+    the normal derivatives of the last ``RECENT_TRACES`` poles read on the
+    grid, ``(key, array)`` pairs that the map drops with the grid's arrays.
     """
 
     nodes: np.ndarray
@@ -430,6 +435,7 @@ class BoundaryGrid:
     params: np.ndarray
     speed: np.ndarray
     map: ConformalMap
+    _traces: list = field(default_factory=list, repr=False)
 
 
 # Boundary nodes m: variation.boundary_nodes picks a power of two from the
@@ -454,11 +460,12 @@ def as_map(domain) -> ConformalMap:
 
 def boundary_grid(family, m: int = DEFAULT_BOUNDARY_NODES) -> BoundaryGrid:
     """The M-node periodic trapezoid rule on ``d f(D)``, ``f = as_map(family)``,
-    its arrays held by the map for its last ``RECENT_GRIDS`` ``m``: read-only."""
+    its arrays held by the map for its last ``RECENT_GRIDS`` ``m``: read-only.
+    Every grid of one ``m`` shares the traces held with the arrays."""
     BOUNDARY_NODES.check("m", m)
     fmap = as_map(family)
-    return BoundaryGrid(*held(fmap._grids, m, RECENT_GRIDS, lambda: _grid_arrays(fmap, m)),
-                        map=fmap)
+    *arrays, traces = held(fmap._grids, m, RECENT_GRIDS, lambda: (*_grid_arrays(fmap, m), []))
+    return BoundaryGrid(*arrays, map=fmap, _traces=traces)
 
 
 def _grid_arrays(fmap: ConformalMap, m: int):

@@ -19,9 +19,9 @@ from typing import Optional
 
 import numpy as np
 
-from .conformal import (BOUNDARY_SLACK, RECENT_POLES, BoundaryGrid, ConformalMap,
-                        _multiplication_matrix, as_map, pullback_metric, to_complex,
-                        to_points)
+from .conformal import (BOUNDARY_SLACK, RECENT_POLES, RECENT_TRACES, BoundaryGrid,
+                        ConformalMap, _multiplication_matrix, as_map, pullback_metric,
+                        to_complex, to_points)
 from .errors import CoincidentPoleError, ConfigError, DomainError
 from .quadrature import N_PATCH, N_R, N_THETA, QuadratureRule, disk_rule, held, integrate
 from .tensors import MetricField, VectorField, volume_density
@@ -153,21 +153,21 @@ class GreenFunction:
         poles, keyed on the exact bits of each pole's complex number (see
         :meth:`pole_preimages`), and returns the held numpy scalar.
         """
-        z, = _points(a)
-        return held(self.map._preimages, struct.pack("dd", z.real, z.imag), RECENT_POLES,
-                    lambda: _check_pole(self.map.inverse(z)))
+        return self.pole_preimages(a)[0]
 
     def pole_preimages(self, *poles):
         """:meth:`pole_preimage` of each pole, inverted once, after checking that
         each is one point, an ``(x, y)`` pair of reals or a number (:class:`ConfigError`
         naming the argument otherwise), and that no two are within ``COINCIDENCE_TOL``
         (:class:`CoincidentPoleError`): the one path from ambient poles to the disk.
-        Each pole is read once, as the complex number of :func:`_one_point`."""
+        Each pole is read once, as the complex number of :func:`_one_point`, and
+        looked up by it."""
         pts = _points(*poles)
         for (i, p), (j, q) in combinations(enumerate(pts), 2):
             if abs(p - q) < COINCIDENCE_TOL:
                 raise CoincidentPoleError(f"coincident poles (arguments {i} and {j})")
-        return [self.pole_preimage(p) for p in pts]
+        return [held(self.map._preimages, struct.pack("dd", p.real, p.imag), RECENT_POLES,
+                     lambda p=p: _check_pole(self.map.inverse(p))) for p in pts]
 
     def value(self, x, a):
         """``G_Omega(x, a)`` with ``x`` on the closure, ``a`` one interior pole."""
@@ -202,7 +202,9 @@ class GreenFunction:
         function's map (:class:`ConfigError` for another map's grid).
 
         Conformal transport: the disk's Poisson kernel at the node's
-        preimage ``e^{i theta}``, divided by ``|f'(e^{i theta})|``.
+        preimage ``e^{i theta}``, divided by ``|f'(e^{i theta})|``.  The
+        array is held with the grid (see :func:`_normal_derivative`), so it is
+        not writeable.
         """
         if grid.map is not self.map:
             raise ConfigError("boundary grid belongs to another conformal map")
@@ -211,8 +213,15 @@ class GreenFunction:
 
 def _normal_derivative(grid: BoundaryGrid, w):
     """:meth:`GreenFunction.normal_derivative` on ``grid`` for the pole
-    preimage ``w`` on ``grid.map``."""
-    return _poisson(grid.params, w) / grid.speed
+    preimage ``w`` on ``grid.map``.  The grid holds the read-only traces of its
+    last ``RECENT_TRACES`` preimages, keyed on the bits of each, and the map
+    drops them with the grid."""
+    def trace():
+        nd = _poisson(grid.params, w) / grid.speed
+        nd.flags.writeable = False
+        return nd
+
+    return held(grid._traces, struct.pack("dd", w.real, w.imag), RECENT_TRACES, trace)
 
 
 def green_gradient_field(fmap: ConformalMap, c) -> VectorField:

@@ -392,10 +392,10 @@ def _build_rule(n_r: int, n_theta: int, pole_arr: np.ndarray,
     # nodes.  A window is exactly 0 beyond rho, and each pole's nodes within
     # rho lie in one run, so b_chi sums them once.
     band = _band(r, pole_arr, rho)
-    b_chi, pieces = np.zeros(pole_arr.size), []
+    b_chi, b_dist, pieces = np.zeros(pole_arr.size), np.full(pole_arr.size, np.inf), []
     cuts = [0, *(np.flatnonzero(np.diff(band)) + 1), n_r]
     for lo, hi in zip(cuts, cuts[1:]):
-        pieces.append(_windowed(r[lo:hi], e, w_ring[lo:hi], pole_arr, rho, b_chi)
+        pieces.append(_windowed(r[lo:hi], e, w_ring[lo:hi], pole_arr, rho, b_chi, b_dist)
                       if band[lo] else (r[lo:hi], w_ring[lo:hi]))
 
     # pole patches: graded polar rule over B(p, rho), windowed by chi,
@@ -411,12 +411,13 @@ def _build_rule(n_r: int, n_theta: int, pole_arr: np.ndarray,
         w = w_patch * (b_chi[i] / raw)
         pieces.append(((p + rad[:, None] * ring[None, :]).ravel()[w > 0.0], w[w > 0.0]))
 
-    # guards, strict interior and clear of poles (off the band |z| <= r[-1], |z - p| > rho)
+    # guards, strict interior and clear of poles (off the band |z| <= r[-1], |z - p| > rho;
+    # b_dist holds the band's least |z - p|, so only the patches, the last pieces, are measured)
     guarded = [z for z, _ in pieces if z.dtype.kind == "c"]
     if r[-1] >= 1.0 or any(np.any(np.abs(z) >= 1.0) for z in guarded):
         raise DomainError("constructed node on or outside the boundary")
-    for p in pole_arr:
-        d = min(np.min(np.abs(z - p), initial=np.inf) for z in guarded)
+    for p, d in zip(pole_arr, b_dist):
+        d = min(d, *(np.min(np.abs(z - p), initial=np.inf) for z, _ in pieces[-pole_arr.size:]))
         if d < 1e-10:
             raise ConfigError(f"node within {d:.2e} of pole {p:.6g}")
     sizes = [z.size * (n_theta if z.dtype.kind == "f" else 1) for z, _ in pieces]
@@ -430,18 +431,19 @@ def _build_rule(n_r: int, n_theta: int, pole_arr: np.ndarray,
     return _frozen_rule(z_all, w_all, pole_arr, rho, n_r, n_theta, n_patch)
 
 
-def _windowed(r, e, w_ring, pole_arr, rho, b_chi):
+def _windowed(r, e, w_ring, pole_arr, rho, b_chi, b_dist):
     """The nodes and weights of rings ``r`` times ``1 -`` the sum of the pole
-    windows, the dead nodes dropped; adds each pole's windowed weight to ``b_chi``."""
+    windows, the dead nodes dropped; adds each pole's windowed weight to ``b_chi``
+    and lowers its ``b_dist`` to its least distance to a kept node."""
     z, w = (r[:, None] * e).ravel(), np.repeat(w_ring, e.size)
-    fac = np.ones_like(w)
-    for i, p in enumerate(pole_arr):
-        dist = np.abs(z - p)
+    fac, dists = np.ones_like(w), [np.abs(z - p) for p in pole_arr]
+    for i, dist in enumerate(dists):
         near = np.flatnonzero(dist < rho)
         chi = _window(dist[near], rho)
         b_chi[i] += _fsum(w[near] * chi)
         fac[near] -= chi
     keep = fac > 1e-14
+    np.minimum(b_dist, [np.min(dist[keep], initial=np.inf) for dist in dists], out=b_dist)
     return z[keep], w[keep] * fac[keep]
 
 
@@ -466,16 +468,26 @@ class IntegrationResult:
 
 def _weighted_sum(rule, f, what: str) -> float:
     """``sum(weights * values)`` over a rule or grid, ``f`` the values or a callable
-    on the nodes; :class:`EvaluationError` unless they match the weights and are finite."""
+    on the nodes; :class:`EvaluationError` unless they match the weights and are finite.
+    The values are scanned only when the sum is not finite or ``_fsum`` raises, one
+    of which any non-finite value causes; finite values whose sum overflows give
+    what ``_fsum`` gives."""
     vals = np.asarray(f(rule.nodes) if callable(f) else f, dtype=float)
     if vals.shape != rule.weights.shape:
         raise EvaluationError(
             f"{what} has shape {vals.shape}, expected {rule.weights.shape}")
-    bad = np.flatnonzero(~np.isfinite(vals))
-    if bad.size:
-        i = int(bad[0])
-        raise EvaluationError(f"non-finite {what} at node {i} = {tuple(rule.nodes[i])}")
-    return _fsum(rule.weights * vals)
+    try:
+        total, failure = _fsum(rule.weights * vals), None
+    except (OverflowError, ValueError) as exc:     # an overflow, or inf - inf
+        total, failure = math.nan, exc
+    if not math.isfinite(total):
+        bad = np.flatnonzero(~np.isfinite(vals))
+        if bad.size:
+            i = int(bad[0])
+            raise EvaluationError(f"non-finite {what} at node {i} = {tuple(rule.nodes[i])}")
+        if failure is not None:
+            raise failure
+    return total
 
 
 def integrate(rule: QuadratureRule, f: Callable, check: bool = True,

@@ -1,5 +1,7 @@
 """Shared test configuration."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -35,3 +37,18 @@ def no_held_rules():
     quadrature._recent.clear()
     yield
     quadrature._recent.clear()
+
+
+@pytest.fixture
+def rebind(monkeypatch):
+    """``rebind(fn, new)``: ``new`` in place of the function ``fn`` in every
+    ``greenvar`` module that bound ``fn`` under its name (``from .greens import
+    _normal_derivative`` binds it in ``variation`` too), until the test ends."""
+    def rebind(fn, new):
+        modules = [m for n, m in sorted(sys.modules.items()) if m is not None
+                   and n.split(".")[0] == "greenvar" and vars(m).get(fn.__name__) is fn]
+        assert modules, f"no greenvar module binds {fn.__name__}"
+        for module in modules:
+            monkeypatch.setattr(module, fn.__name__, new)
+
+    return rebind

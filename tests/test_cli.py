@@ -337,7 +337,8 @@ def test_converge_inverts_each_pole_once(capsys, tmp_path, monkeypatch):
     assert calls == [1, 1]
 
 
-def test_converge_solves_every_fd_step_in_one_newton_call(capsys, tmp_path, monkeypatch):
+def test_converge_solves_every_fd_step_in_one_newton_call(capsys, tmp_path, monkeypatch,
+                                                          rebind):
     # after the config check's two pole inversions on the base map, the FD
     # rows of all three steps are one Newton call on coefficient rows; each
     # FD row, and the error of every row against the Richardson reference,
@@ -349,8 +350,7 @@ def test_converge_solves_every_fd_step_in_one_newton_call(capsys, tmp_path, monk
     rows = []
     newton = conformal._newton_rows
     counted = lambda c, x, z: rows.append(len(c)) or newton(c, x, z)
-    monkeypatch.setattr(conformal, "_newton_rows", counted)
-    monkeypatch.setattr(variation, "_newton_rows", counted)
+    rebind(newton, counted)
     doc = dict(CURVED_LADDER, levels=3, quadrature={"n_r": 16, "n_theta": 32, "n_patch": 8})
     code, out, _ = run(capsys, "converge", "--config", write_config(tmp_path, doc))
     assert code == 0 and rows == [1, 1, 12]
@@ -455,6 +455,20 @@ def test_triple_reference_and_permutations(capsys, tmp_path):
     assert val == pytest.approx(-15.0 / (68.0 * np.pi**2), abs=1e-12)
     assert max(perms.values()) - min(perms.values()) < 1e-12
     assert report["config_echo"]["poles"]["c"] == [0.0, 0.5]
+
+
+def test_triple_evaluates_each_normal_derivative_once(capsys, tmp_path, rebind):
+    # six orderings and the gradient-velocity check read three poles on one
+    # grid: three Poisson kernels, where each route evaluated its own (20)
+    from greenvar import greens
+
+    calls = []
+    poisson = greens._poisson
+    rebind(poisson, lambda z, w: calls.append(w) or poisson(z, w))
+    doc = dict(CURVED_LADDER, poles=dict(CURVED_LADDER["poles"], c=[0.25, -0.35]))
+    code, out, _ = run(capsys, "triple", "--config", write_config(tmp_path, doc))
+    assert code == 0 and json.loads(out)["status"] == "pass"
+    assert len(calls) == 3
 
 
 def test_triple_requires_third_pole(capsys):

@@ -14,6 +14,7 @@ from greenvar import quadrature
 from greenvar.conformal import ConformalMap, boundary_grid
 from greenvar.errors import CoincidentPoleError, ConfigError, DomainError, EvaluationError
 from greenvar.quadrature import (
+    FSUM_EXTRACT_MIN,
     N_PATCH,
     N_R,
     N_THETA,
@@ -205,16 +206,54 @@ def test_a_twin_with_the_rules_own_nodes_checks_nothing():
         assert np.isfinite(res.rel_change) and res.converged == (res.rel_change < 1e-3)
 
 
+def nonfinite_values(n):
+    """``(values, first bad index)`` of ``n`` values: a NaN, an inf, an inf
+    after a -inf (``math.fsum`` raises ValueError on their sum), and a NaN or an
+    inf at the last node."""
+    for bad in ({3: np.nan}, {5: np.inf}, {7: np.inf, 2: -np.inf}, {n - 1: np.nan},
+                {n - 1: np.inf}):
+        vals = np.ones(n)
+        for i, v in bad.items():
+            vals[i] = v
+        yield vals, min(bad)
+
+
 def test_nonfinite_integrand_rejected():
-    rule = disk_rule(8, 16)
+    # a sum that is not finite, or raises, names the first non-finite node;
+    # 128 nodes go to math.fsum, 8,192 to the extraction sum
+    for rule in (disk_rule(8, 16), disk_rule(64, 128)):
+        assert (rule.node_count < FSUM_EXTRACT_MIN) == (rule.n_r == 8)
+        for vals, i in nonfinite_values(rule.node_count):
+            with pytest.raises(EvaluationError) as info:
+                integrate(rule, lambda pts: vals)
+            assert str(info.value) == (
+                f"non-finite integrand value at node {i} = {tuple(rule.nodes[i])}")
 
-    def bad(pts):
-        out = np.ones(pts.shape[0])
-        out[3] = np.nan
-        return out
 
+def test_finite_sums_that_overflow_raise_what_fsum_raises():
+    # finite values whose sum overflows pass the scan: math.fsum's OverflowError
+    # on both paths, as when every sum was scanned first
+    for rule in (disk_rule(8, 16), disk_rule(64, 128)):
+        with pytest.raises(OverflowError, match="intermediate overflow in fsum"):
+            integrate(rule, lambda pts: np.full(len(pts), 1e308), check=False)
+    grid = boundary_grid(ConformalMap.identity(), m=16)
+    with pytest.raises(OverflowError, match="intermediate overflow in fsum"):
+        boundary_integrate(grid, np.full(16, 1e308))
+
+
+def test_finite_values_are_not_scanned(monkeypatch):
+    rules = [disk_rule(8, 16), disk_rule(64, 128)]
+    grids = [boundary_grid(ConformalMap.identity(), m=m) for m in (16, 4096)]
+    scans, isfinite = [], np.isfinite
+    monkeypatch.setattr(np, "isfinite", lambda x: scans.append(np.size(x)) or isfinite(x))
+    for rule in rules:
+        integrate(rule, lambda pts: np.ones(len(pts)), check=False)
+    for grid in grids:
+        boundary_integrate(grid, lambda x: np.ones(len(x)))
+    assert scans == []
     with pytest.raises(EvaluationError):
-        integrate(rule, bad)
+        boundary_integrate(grids[0], np.full(16, np.nan))
+    assert scans == [16]
 
 
 def test_integrand_shape_checked():
@@ -237,10 +276,13 @@ def test_boundary_integrate_validates_input():
     grid = boundary_grid(ConformalMap.identity(), m=16)
     with pytest.raises(EvaluationError):
         boundary_integrate(grid, np.ones(7))
-    bad = np.ones(16)
-    bad[5] = np.inf
-    with pytest.raises(EvaluationError):
-        boundary_integrate(grid, bad)
+    # 16 values go to math.fsum, 4,096 to the extraction sum
+    for grid in (grid, boundary_grid(ConformalMap([1.0, 0.1]), m=4096)):
+        for vals, i in nonfinite_values(len(grid.weights)):
+            with pytest.raises(EvaluationError) as info:
+                boundary_integrate(grid, vals)
+            assert str(info.value) == (
+                f"non-finite boundary value at node {i} = {tuple(grid.nodes[i])}")
 
 
 def test_window_shape():

@@ -4,11 +4,13 @@ import gc
 import math
 import re
 import weakref
+from itertools import permutations
 
 import numpy as np
 import pytest
 
 from greenvar.conformal import (
+    RECENT_TRACES,
     ConformalMap,
     DomainFamily,
     as_map,
@@ -340,7 +342,7 @@ def test_fd_oracle_fails_as_one_map_at_a_time_does():
     assert seen == {" point outside the mapped disk", " source point must lie in the open domain"}
 
 
-def test_fd_oracle_runs_one_newton_call_and_no_inverse(monkeypatch):
+def test_fd_oracle_runs_one_newton_call_and_no_inverse(monkeypatch, rebind):
     # the base map holds the poles: every (t, pole) row of every step is
     # solved by one Newton call on coefficient rows, none by ConformalMap.inverse
     fam = curved_family()
@@ -348,8 +350,7 @@ def test_fd_oracle_runs_one_newton_call_and_no_inverse(monkeypatch):
     rows, inverted = [], []
     newton, inverse = conformal._newton_rows, ConformalMap.inverse
     counted = lambda c, x, z: rows.append(len(c)) or newton(c, x, z)
-    monkeypatch.setattr(conformal, "_newton_rows", counted)
-    monkeypatch.setattr(variation, "_newton_rows", counted)
+    rebind(newton, counted)
     monkeypatch.setattr(ConformalMap, "inverse",
                         lambda self, x: inverted.append(self) or inverse(self, x))
     fd_oracle(fam, CURVED_A, CURVED_B)
@@ -1441,3 +1442,87 @@ def test_non_conformal_matrix_metric_has_no_pullback():
     conformal = constant_metric(2.0 * np.eye(2))
     assert mutual_energy(fmap, CURVED_A, CURVED_B, metric=conformal) == pytest.approx(
         mutual_energy(fmap, CURVED_A, CURVED_B), rel=1e-14)
+
+
+# ------------------------------------------------------ held normal derivatives
+
+def count_traces(rebind):
+    """Record the pole preimage of every Poisson kernel evaluated from here on."""
+    calls = []
+    poisson = greens._poisson
+    rebind(poisson, lambda z, w: calls.append(w) or poisson(z, w))
+    return calls
+
+
+def test_boundary_and_six_triples_evaluate_each_trace_once(rebind):
+    # three poles on one grid: three normal derivatives for boundary_variation(a, b)
+    # and the six orderings of the triple, where each call evaluated its own (20)
+    fam, poles = curved_family(), (CURVED_A, CURVED_B, CURVED_C)
+    calls = count_traces(rebind)
+    values = [boundary_variation(fam, CURVED_A, CURVED_B, m=256)]
+    values += [triple_variation(fam, *order, m=256) for order in permutations(poles)]
+    assert len(calls) == 3
+    # each value has the bits of one computed on a fresh family
+    fresh = [boundary_variation(curved_family(), CURVED_A, CURVED_B, m=256)]
+    fresh += [triple_variation(curved_family(), *order, m=256) for order in permutations(poles)]
+    assert [v.hex() for v in values] == [v.hex() for v in fresh]
+
+
+def test_a_fourth_pole_evicts_the_oldest_trace(rebind):
+    fmap = ConformalMap([1.0, 0.1])
+    green, grid = GreenFunction(fmap), boundary_grid(fmap, m=64)
+    poles = [CURVED_A, CURVED_B, CURVED_C, (0.0, 0.4)]
+    calls = count_traces(rebind)
+    for p in poles + poles[1:]:
+        green.normal_derivative(grid, p)
+    assert len(calls) == 4 and len(grid._traces) == RECENT_TRACES == 3
+    green.normal_derivative(grid, poles[0])
+    assert len(calls) == 5
+    green.normal_derivative(grid, poles[2])
+    assert len(calls) == 5
+
+
+def test_a_third_m_drops_a_grid_with_its_traces(rebind):
+    fmap = ConformalMap([1.0, 0.1])
+    green = GreenFunction(fmap)
+    calls = count_traces(rebind)
+    first = green.normal_derivative(boundary_grid(fmap, m=64), CURVED_A)
+    assert green.normal_derivative(boundary_grid(fmap, m=64), CURVED_A) is first
+    for m in (128, 256):
+        green.normal_derivative(boundary_grid(fmap, m=m), CURVED_A)
+    again = green.normal_derivative(boundary_grid(fmap, m=64), CURVED_A)
+    assert len(calls) == 4 and again is not first
+    assert np.array_equal(again, first)
+
+
+def test_held_trace_is_read_only_and_has_the_bits_of_a_fresh_one():
+    for fmap in (ConformalMap([1.0, 0.1]), cubic_mix_family().base):
+        green, grid = GreenFunction(fmap), boundary_grid(fmap, m=256)
+        w = green.pole_preimage(CURVED_A)
+        held = green.normal_derivative(grid, CURVED_A)
+        assert greens._normal_derivative(grid, w) is held
+        assert not held.flags.writeable
+        with pytest.raises(ValueError):
+            held[0] = 0.0
+        fresh = greens._poisson(grid.params, w) / grid.speed
+        assert np.array_equal(held.view(np.int64), fresh.view(np.int64))
+
+
+def test_a_second_pole_set_evicts_the_first(rebind):
+    # two pole triples, each read on two grids: the second evicts the first's
+    # traces, so running the sequence again recomputes all twelve
+    fam = curved_family()
+    sets = [(CURVED_A, CURVED_B, CURVED_C), ((0.2, -0.1), (-0.1, -0.4), (0.35, 0.3))]
+    calls = count_traces(rebind)
+
+    def sequence():
+        for a, b, c in sets:
+            for m in (256, 1024):
+                boundary_variation(fam, a, b, m=m)
+                for order in permutations((a, b, c)):
+                    triple_variation(fam, *order, m=m)
+
+    sequence()
+    assert len(calls) == 12
+    sequence()
+    assert len(calls) == 24
