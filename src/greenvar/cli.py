@@ -48,8 +48,8 @@ from .errors import ConfigError, GreenvarError
 from .greens import COINCIDENCE_TOL, GreenFunction, green_gradient_field, interior_rule
 from .quadrature import N_PATCH, N_R, N_THETA, Count, check_rule, integrate
 from .tensors import MetricField, conformal_metric, trace_tensor
-from .variation import (DEFAULT_FD_FACTOR, TOL_MUTUAL, TOL_VOLUME,
-                        boundary_nodes, boundary_variation, fd_oracles,
+from .variation import (DEFAULT_FD_FACTOR, TOL_MUTUAL, TOL_VOLUME, _is_fd_step,
+                        _is_tolerance, boundary_nodes, boundary_variation, fd_oracles,
                         flux_variation, triple_variation, variation_report,
                         volume_variation)
 
@@ -294,12 +294,11 @@ def load_experiment(args) -> Experiment:
 
     raw_tols = _section(raw, "tolerances", ("boundary", "volume"), "tolerance")
     tol_mutual, tol_volume = (
-        float(setting(raw_tols, key, f"tolerance '{key}'", f"--tol-{key}",
-                      lambda v: _is_number(v) and 0.0 < v < np.inf,
+        float(setting(raw_tols, key, f"tolerance '{key}'", f"--tol-{key}", _is_tolerance,
                       "must be positive and finite", default))
         for key, default in (("boundary", TOL_MUTUAL), ("volume", TOL_VOLUME)))
     fd_dt = setting(raw, "fd_dt", "fd_dt", "--fd-dt",
-                    lambda v: _is_number(v) and 0.0 < v <= family.t_max,
+                    lambda v: _is_fd_step(v, family.t_max),
                     f"must lie in (0, t_max = {family.t_max:g}]",
                     DEFAULT_FD_FACTOR * family.t_max)
     levels = setting(raw, "levels", "levels", None, LEVELS.accepts, LEVELS.rule,

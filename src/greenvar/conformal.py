@@ -396,8 +396,11 @@ class DomainFamily:
 
 
 def _is_number(v) -> bool:
-    """A number, not a bool, that converts to a double (ints from 2^1024 - 2^970 up
-    overflow); inf and NaN pass, for each field's own rule to refuse."""
+    """A real number, not a bool, that converts to a double: a float, an int (from
+    2^1024 - 2^970 up ints overflow) or a numpy floating scalar (a long double may
+    exceed the double range); inf and NaN pass, for each field's own rule to refuse."""
+    if isinstance(v, np.floating):
+        return not np.isfinite(v) or bool(abs(v) <= np.finfo(float).max)
     return isinstance(v, float) or (type(v) is int and abs(v) < 2**1024 - 2**970)
 
 

@@ -28,8 +28,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .conformal import ConformalMap, as_map, to_complex, to_points
-from .errors import CoincidentPoleError, DimensionMismatchError, DomainError
+from .conformal import ConformalMap, _is_number, as_map, to_complex, to_points
+from .errors import CoincidentPoleError, ConfigError, DimensionMismatchError, DomainError
 from .greens import COINCIDENCE_TOL, _points, green_gradient_field
 from .tensors import MetricField, christoffel, euclidean_metric, trace_tensor
 
@@ -132,7 +132,10 @@ class PolarizedEMT:
         clear both poles (and the boundary, when the domain is known) by
         more than ``FD_CLEARANCE * h``; the distributional content at the
         poles is not FD-resolvable and is checked in integrated form only.
+        An ``h`` that is not a positive finite real number raises :class:`ConfigError`.
         """
+        if not (_is_number(h) and 0.0 < h < np.inf):
+            raise ConfigError(f"h must be a positive finite real number, got {h!r}")
         x = np.asarray(x, dtype=float)
         self._check_clearance(x, h)
         T = self.emt_contra(x)

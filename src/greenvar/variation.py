@@ -98,6 +98,12 @@ DEFAULT_FD_FACTOR = 1e-4
 TOL_MUTUAL = 1e-5
 TOL_VOLUME = 5e-3
 
+
+def _is_tolerance(v) -> bool:
+    """The rule of every tolerance: a positive finite real number, not a bool."""
+    return _is_number(v) and 0.0 < v < math.inf
+
+
 # Denominator floor for relative discrepancies; below it the comparison
 # degenerates to an absolute one (Killing fields drive every estimate
 # to ~1e-12, where ratios of noise are meaningless).
@@ -369,10 +375,14 @@ def fd_oracle(family: DomainFamily, a, b, dt: Optional[float] = None) -> float:
     return fd_oracles(family, a, b, [DEFAULT_FD_FACTOR * family.t_max if dt is None else dt])[0]
 
 
+def _is_fd_step(dt, t_max: float) -> bool:
+    return _is_number(dt) and 0.0 < dt <= t_max
+
+
 def _fd_step(dt, t_max: float) -> float:
-    """``dt`` as a double: :class:`ConfigError` naming it unless it is a real number (a
-    float, a numpy floating scalar or an int in the double range, not a bool) in ``(0, t_max]``."""
-    if not ((_is_number(dt) or isinstance(dt, np.floating)) and 0.0 < dt <= t_max):
+    """``dt`` as a double: :class:`ConfigError` naming it unless it is a real number
+    (:func:`~greenvar.conformal._is_number`) in ``(0, t_max]`` (:func:`_is_fd_step`)."""
+    if not _is_fd_step(dt, t_max):
         raise ConfigError(f"fd step {dt!r} must be a real number in (0, t_max={t_max:g}]")
     return float(dt)
 
@@ -494,14 +504,18 @@ def variation_report(family: DomainFamily, a, b, m: Optional[int] = None,
     The FD oracle is evaluated at ``dt`` and ``dt/2`` and the Richardson
     gap recorded, as a self-estimate of its own discretization error.
     ``m`` defaults to :func:`boundary_nodes` of the two poles.  Before any
-    estimator runs, whatever ``strict``, a domain that is not a family and a
-    metric not conformal at the poles raise :class:`ConfigError`, coincident
-    poles :class:`CoincidentPoleError` and a pole outside the open domain
+    estimator runs, whatever ``strict``, a domain that is not a family, a
+    tolerance that is not a positive finite real number and a metric not
+    conformal at the poles raise :class:`ConfigError`, coincident poles
+    :class:`CoincidentPoleError` and a pole outside the open domain
     :class:`DomainError` (both checked by :meth:`GreenFunction.pole_preimages`):
     bad input is not an estimator failure, nor is a metric an estimator finds
     not conformal (:class:`~greenvar.errors.NonConformalMetricError`).
     """
     _require_family(family, "variation_report")
+    for name, tol in (("tol_mutual", tol_mutual), ("tol_volume", tol_volume)):
+        if not _is_tolerance(tol):
+            raise ConfigError(f"{name} must be a positive finite real number, got {tol!r}")
     pts = _points(a, b)
     GreenFunction(family).pole_preimages(*pts)
     _require_conformal(metric, to_points(pts))

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from greenvar import variation
 from greenvar.cli import (
     CSV_HEADER,
     _build_parser,
@@ -587,6 +588,19 @@ def test_a_config_setting_and_its_flag_share_one_rule(capsys, tmp_path, monkeypa
         code, out, err = run(capsys, "vary", flag, bad)
         assert (code, out, err) == (2, "", f"config error: {flag} {rule}\n")
     assert not (tmp_path / "report.json").exists()
+
+
+def test_tolerances_and_fd_dt_are_read_by_the_library_rules(tmp_path, rebind):
+    # the settings ask variation's own predicates, so the CLI takes what the
+    # library takes: each given value, the config's and the flag's
+    seen = []
+    rebind(variation._is_tolerance, lambda v: seen.append(v) or True)
+    rebind(variation._is_fd_step, lambda v, t_max: seen.append((v, t_max)) or True)
+    doc = dict(default_config(), tolerances={"boundary": 2e-5, "volume": 0.01}, fd_dt=1e-3)
+    argv = ["vary", "--config", write_config(tmp_path, doc), "--tol-volume", "0.02"]
+    exp = load_experiment(_build_parser().parse_args(argv))
+    assert seen == [2e-5, 0.01, 0.02, (1e-3, exp.family.t_max)]
+    assert (exp.tol_mutual, exp.tol_volume, exp.fd_dt) == (2e-5, 0.02, 1e-3)
 
 
 @pytest.mark.parametrize("command", ["verify", "vary", "converge", "triple"])

@@ -293,6 +293,12 @@ def test_family_rejects_bad_t_max():
         DomainFamily([1.0], [1.0], t_max=-0.1)
     with pytest.raises(ConfigError):
         DomainFamily([1.0], [1.0], t_max="wide")
+    # a numpy floating t_max is a real number, read as its double, unless it
+    # is a long double beyond the double range
+    assert DomainFamily([1.0], [1.0], t_max=np.float32(0.25)).t_max == 0.25
+    if np.finfo(np.longdouble).max > np.finfo(float).max:
+        with pytest.raises(ConfigError, match="^t_max must be positive and finite"):
+            DomainFamily([1.0], [1.0], t_max=np.longdouble("1e400"))
 
 
 def test_degree_ceiling():

@@ -1,5 +1,8 @@
 """Polarized energy-momentum tensor: algebra, divergence, pole sources."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -164,6 +167,25 @@ def test_divergence_requires_boundary_clearance():
     emt = disk_pair()
     with pytest.raises(DomainError):
         emt.divergence(np.array([0.9999, 0.0]), h=1e-4)
+
+
+def test_divergence_step_is_a_positive_finite_real_number():
+    # refused by name before any gradient is evaluated
+    calls = []
+
+    def grad(x):
+        calls.append(x)
+        return np.zeros_like(x)
+
+    emt, x = PolarizedEMT((0.0, 0.0), (0.5, 0.0), grad, grad), np.array([[0.2, 0.3]])
+    for bad in (0, 0.0, -1e-4, math.nan, math.inf, -math.inf, "1e-4", True, np.bool_(True),
+                1e-4 + 0j, None, [1e-4]):
+        with pytest.raises(ConfigError, match="^h must be a positive finite real number, "
+                                              f"got {re.escape(repr(bad))}$"):
+            emt.divergence(x, h=bad)
+    assert calls == []
+    emt = disk_pair()
+    assert emt.divergence(x, h=np.float64(1e-4)).tobytes() == emt.divergence(x).tobytes()
 
 
 def test_dilation_pairing_closed_form():

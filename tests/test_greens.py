@@ -112,6 +112,31 @@ def test_coincident_evaluation_rejected():
         GreenFunction(ConformalMap.identity()).value(0.1 + 0.2j, 0.1 + 0.2j)
 
 
+def test_a_non_finite_point_or_pole_is_refused():
+    # NaN compares false, so each check is written to fail on it
+    nan = math.nan
+    for kernel, x in ((disk_green, (0.1, 0.0)), (disk_green_gradient, (0.1, 0.0)),
+                      (poisson_normal_derivative, (1.0, 0.0))):
+        for bad in ((nan, 0.0), (0.0, nan), complex(nan, nan), (math.inf, 0.0)):
+            with pytest.raises(DomainError, match="^source point must lie in the open domain$"):
+                kernel(x, bad)
+            with pytest.raises(DomainError):
+                kernel(bad, (0.1, 0.0))
+    for kernel in (disk_green, disk_green_gradient):
+        with pytest.raises(DomainError, match="^evaluation point outside the closed domain$"):
+            kernel(np.array([[0.1, 0.2], [nan, 0.0]]), 0.3)
+
+
+def test_an_empty_batch_gives_an_empty_array():
+    empty, fmap, a = np.zeros((0, 2)), ConformalMap([1.0, 0.1]), (0.1, 0.05)
+    green, field = GreenFunction(fmap), green_gradient_field(fmap, a)
+    for got, shape in ((disk_green(empty, 0.3), (0,)), (disk_green_gradient(empty, 0.3), (0, 2)),
+                       (poisson_normal_derivative(empty, 0.3), (0,)),
+                       (green.value(empty, a), (0,)), (green.gradient(empty, a), (0, 2)),
+                       (field(empty), (0, 2)), (field.jacobian(empty), (0, 2, 2))):
+        assert got.shape == shape and got.dtype == np.float64
+
+
 def test_poisson_kernel_closed_form():
     a = 0.4 + 0.1j
     th = np.linspace(0.0, TWO_PI, 16, endpoint=False)

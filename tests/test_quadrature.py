@@ -22,6 +22,7 @@ from greenvar.quadrature import (
     WINDOW_FLAT,
     _window,
     boundary_integrate,
+    check_rule,
     disk_rule,
     integrate,
 )
@@ -481,6 +482,62 @@ def test_band_build_is_the_full_grid_build_on_seeded_pole_sets():
         partial += band.sum() < n_r
         edges += np.min(np.abs(np.abs(grid - poles[0]) - rho)) < 1e-15
     assert partial > len(cases) // 2 and edges >= 20
+
+
+def _certificate_cases():
+    """``(n_r, n_theta, n_patch, poles)`` at the extremes of a rule's inputs: 0
+    to 3 poles, gaps from 0.5 down to 1e-9, gaps and separations a factor
+    ``1 +- 1e-3`` either side of the least that ``n_patch`` allows (its
+    innermost ring 1e-10 from its pole), ``n_patch`` 8, 9, the default and 285,
+    and the count floors and defaults."""
+    rng = np.random.default_rng(29)
+    cases = []
+    for n_patch in (8, 9, N_PATCH.default, N_PATCH.ceiling):
+        # s_min^2, the innermost ring's radius over rho (one pole at 0: rho = RHO_FACTOR)
+        s2 = quadrature._patch_layout(np.array([0j]), n_patch)[1][0] / quadrature.RHO_FACTOR
+        least = 1e-10 / (quadrature.RHO_FACTOR * s2)     # the least gap or separation
+        for n_r, n_theta in ((N_R.floor, N_THETA.floor), (N_R.default, N_THETA.default)):
+            cases.append((n_r, n_theta, n_patch, []))
+            for k in (1, 2, 3):
+                u = np.exp(2j * np.pi * rng.uniform(size=k))
+                gaps = 10.0 ** -rng.uniform(0.3, 9.0, size=k)
+                cases.append((n_r, n_theta, n_patch, list((1.0 - gaps) * u)))
+                for f in (1.0 - 1e-3, 1.0 + 1e-3):
+                    edge = (1.0 - least * f) * u[0]
+                    cases.append((n_r, n_theta, n_patch, [edge, *(0.3 * u[1:])]))
+                    if k > 1:   # the last pole that far from the one before it
+                        close = 0.3 * u[k - 2] + least * f * u[k - 1]
+                        cases.append((n_r, n_theta, n_patch, [*(0.3 * u[:k - 1]), close]))
+    return cases
+
+
+def test_patch_layout_certifies_every_node():
+    # disk_rule raises exactly what check_rule raises, and every rule it builds
+    # has its nodes inside the circle and 1e-10 or more from every pole, though
+    # no node is measured after the build
+    def outcome(call):
+        try:
+            call()
+        except Exception as exc:
+            return type(exc), str(exc)
+
+    built, refused, least = 0, 0, np.inf
+    for n_r, n_theta, n_patch, poles in _certificate_cases():
+        quadrature._recent.clear()
+        rules = []
+        expect = outcome(lambda: check_rule(n_r, n_theta, np.array(poles, dtype=complex),
+                                            n_patch))
+        assert outcome(lambda: rules.append(disk_rule(n_r, n_theta, poles, n_patch))) == expect
+        refused += expect is not None
+        for rule in rules:
+            built += 1
+            z = rule.nodes.view(np.complex128)[:, 0]
+            assert np.all(np.abs(z) < 1.0)
+            for p in poles:
+                d = np.min(np.abs(z - p))
+                assert d >= 1e-10
+                least = min(least, d)
+    assert built >= 40 and refused >= 40 and least < 1.1e-10
 
 
 def test_rule_nodes_are_a_view_of_its_complex_buffer():

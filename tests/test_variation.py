@@ -545,6 +545,26 @@ def test_an_fd_step_is_a_real_number():
                                                     "real number in (0, t_max=1]"}
 
 
+@pytest.mark.parametrize("strict", [True, False])
+def test_report_tolerances_are_positive_finite_reals(strict, monkeypatch):
+    # the rule the CLI's tolerance settings read, checked before any estimator
+    # runs whatever strict: a bad tolerance is not an estimator failure
+    fam, a, b = rotation_family(), (0.1, 0.0), (0.0, 0.3)
+    kw = dict(m=64, n_r=16, n_theta=32, n_patch=8, strict=strict)
+    ref = variation_report(fam, a, b, **kw)
+    for name in ("tol_mutual", "tol_volume"):
+        rep = variation_report(fam, a, b, **kw, **{name: np.float32(getattr(ref, name))})
+        assert rep.estimates == ref.estimates and rep.passes == ref.passes
+    for route in ("boundary_variation", "volume_variation", "flux_variation", "fd_oracles"):
+        monkeypatch.setattr(variation, route, lambda *a, **k: pytest.fail("an estimator ran"))
+    for name in ("tol_mutual", "tol_volume"):
+        for bad in ("1e-5", True, np.bool_(True), -1, 0, 0.0, -1e-5, math.nan, math.inf,
+                    1e-5 + 0j, None, 10**400):
+            with pytest.raises(ConfigError, match=f"^{name} must be a positive finite real "
+                                                  f"number, got {re.escape(repr(bad))}$"):
+                variation_report(fam, a, b, **kw, **{name: bad})
+
+
 def test_report_json_layout():
     rep = variation_report(dilation_family(), A0, B0, n_r=32, n_theta=64,
                            n_patch=16, m=128)
