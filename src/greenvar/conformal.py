@@ -88,9 +88,9 @@ def to_complex(points):
 
 
 def to_points(z):
-    """Unpack complex numbers into real points ``(..., 2)``."""
+    """Unpack complex numbers into real points ``(..., 2)``, a C-ordered float copy."""
     z = np.asarray(z, dtype=complex)
-    return np.stack([z.real, z.imag], axis=-1)
+    return np.array(z, order="C", ndmin=1).view(np.float64).reshape(z.shape + (2,))
 
 
 def _multiplication_matrix(w):
@@ -112,12 +112,14 @@ def _holomorphic_field(preimage, value, slope, name: str) -> VectorField:
 
 def _horner(coeffs, z):
     """Ascending-coefficient polynomial at complex ``z``; 0 when empty.  The
-    coefficients run along the first axis, each broadcast against ``z``."""
+    coefficients run along the first axis, each broadcast against ``z``: in place
+    for 1-d ones on an array ``z`` (numpy rounds 0-d complex products apart)."""
     if coeffs.size == 0:
         return np.zeros_like(z)
     acc = np.full_like(z, coeffs[-1])
+    in_place = coeffs.ndim == 1 and acc.ndim
     for c in coeffs[-2::-1]:
-        acc = acc * z + c
+        acc = np.add(np.multiply(acc, z, out=acc), c, out=acc) if in_place else acc * z + c
     return acc
 
 
@@ -217,7 +219,8 @@ class ConformalMap:
 
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
-        return _horner(self.coeffs, z) * z  # Horner on f(z)/z, times z
+        acc = _horner(self.coeffs, z)       # Horner on f(z)/z, times z
+        return np.multiply(acc, z, out=acc) if z.ndim else acc * z
 
     def derivative(self, z):
         return _horner(self._dcoeffs, np.asarray(z, dtype=complex))
@@ -429,7 +432,7 @@ class BoundaryGrid:
     ``params`` the unit-circle parameters ``exp(i theta_m)``, and ``speed``
     the stretch ``|f'(params)|`` of the grid's ``map``.  ``_traces`` holds
     the normal derivatives of the last ``RECENT_TRACES`` poles read on the
-    grid, ``(key, array)`` pairs that the map drops with the grid's arrays.
+    grid, ``(key, array)`` pairs dropped when the map hands out another ``m``'s grid.
     """
 
     nodes: np.ndarray
@@ -462,12 +465,14 @@ def as_map(domain) -> ConformalMap:
 
 
 def boundary_grid(family, m: int = DEFAULT_BOUNDARY_NODES) -> BoundaryGrid:
-    """The M-node periodic trapezoid rule on ``d f(D)``, ``f = as_map(family)``,
-    its arrays held by the map for its last ``RECENT_GRIDS`` ``m``: read-only.
-    Every grid of one ``m`` shares the traces held with the arrays."""
+    """The M-node periodic trapezoid rule on ``d f(D)``, ``f = as_map(family)``, its arrays
+    held by the map for its last ``RECENT_GRIDS`` ``m``: read-only.  Every grid of one ``m``
+    shares the traces held with the arrays; handing out a grid drops the other ``m``'s."""
     BOUNDARY_NODES.check("m", m)
     fmap = as_map(family)
     *arrays, traces = held(fmap._grids, m, RECENT_GRIDS, lambda: (*_grid_arrays(fmap, m), []))
+    for _, (*_, older) in fmap._grids[:-1]:
+        older.clear()
     return BoundaryGrid(*arrays, map=fmap, _traces=traces)
 
 
@@ -499,26 +504,40 @@ def enclosed_area(grid: BoundaryGrid) -> float:
                               grid.weights))
 
 
+def _held_image(slot: list, p: np.ndarray, fmap: ConformalMap, at_image):
+    """``(z, f(z) as points, f'(z), at_image(f(z)))`` at disk points ``p``, read-only, held in
+    ``slot`` for the last ``p`` only, keyed on its shape and bytes (never its identity)."""
+    key = (p.shape, p.tobytes())
+    if slot[:1] != [key]:
+        z = to_complex(p)
+        x = to_points(fmap(z))
+        x.flags.writeable = False       # before at_image, which may be the user's
+        slot[:] = key, (z, x, fmap.derivative(z), at_image(x))
+        for arr in slot[1]:
+            arr.flags.writeable = False
+    return slot[1]
+
+
 def pullback_metric(fmap: ConformalMap, metric: MetricField) -> MetricField:
     """The metric ``f^* g`` on the disk for a conformal ``g = exp(2 phi) delta``.
 
     It is the conformal metric with ``phi~(z) = phi(f(z)) + log|f'(z)|``, whose
     complex-packed gradient is ``conj(f') grad phi(f(z)) + conj(f'' / f')``.
     ``phi`` is :meth:`MetricField.conformal_factor`: a matrix-built metric
-    raises :class:`ConfigError` where it is not conformal.
+    raises :class:`ConfigError` where it is not conformal.  ``f``, ``f'`` and
+    ``phi(f(z))`` are evaluated once per point set, for both (:func:`_held_image`).
     """
     if metric.dim != 2:
         raise DimensionMismatchError("only a planar metric pulls back to the disk")
+    slot = []
 
     def phi(p):
-        z = to_complex(p)
-        return (metric.conformal_factor(to_points(fmap(z)))
-                + np.log(np.abs(fmap.derivative(z))))
+        _, _, fp, phi_x = _held_image(slot, p, fmap, metric.conformal_factor)
+        return phi_x + np.log(np.abs(fp))
 
     def grad_phi(p):
-        z = to_complex(p)
-        fp = fmap.derivative(z)
-        grad = to_complex(metric.conformal_gradient(to_points(fmap(z))))
+        z, x, fp, _ = _held_image(slot, p, fmap, metric.conformal_factor)
+        grad = to_complex(metric.conformal_gradient(x))
         return to_points(np.conj(fp) * grad + np.conj(fmap.second_derivative(z) / fp))
 
     return MetricField(2, phi=phi, grad_phi=grad_phi, name=f"{metric.name}, pulled back")
@@ -528,21 +547,21 @@ def pullback_vector_field(fmap: ConformalMap, v: VectorField) -> VectorField:
     """The vector field ``F^{-1} v(f(z))`` on the disk.
 
     Its Jacobian is ``F^{-1} J_v(f(z)) F + d(F^{-1}) v``, where the second
-    term is multiplication by ``-v f'' / f'^2`` in complex packing.
+    term is multiplication by ``-v f'' / f'^2`` in complex packing.  ``f``,
+    ``f'`` and ``v(f(z))`` are held per point set (:func:`_held_image`).
     """
     if fmap.is_identity:
         return v
+    slot, at_image = [], lambda x: to_complex(v(x))
 
     def func(p):
-        z = to_complex(p)
-        return to_points(to_complex(v(to_points(fmap(z)))) / fmap.derivative(z))
+        _, _, fp, vx = _held_image(slot, p, fmap, at_image)
+        return to_points(vx / fp)
 
     def jac(p):
-        z = to_complex(p)
-        x = to_points(fmap(z))
-        fp = fmap.derivative(z)
+        z, x, fp, vx = _held_image(slot, p, fmap, at_image)
         J = _multiplication_matrix(1.0 / fp) @ v.jacobian(x) @ _multiplication_matrix(fp)
-        return J + _multiplication_matrix(-to_complex(v(x)) * fmap.second_derivative(z) / fp**2)
+        return J + _multiplication_matrix(-vx * fmap.second_derivative(z) / fp**2)
 
     return VectorField(2, func, jac, name=f"{v.name}, pulled back")
 

@@ -157,42 +157,45 @@ def _window(dist, rho):
                                             1.0 - _smoothstep(w)))
 
 
-def _fsum(x: np.ndarray) -> float:
-    """Correctly rounded sum of a 1-d float array: the double ``math.fsum``
-    returns, bit for bit.
+def _fsum(x: np.ndarray, w: Optional[np.ndarray] = None) -> float:
+    """Correctly rounded sum of a 1-d float array, or of its products ``w * x``
+    with weights ``w``: the double ``math.fsum`` returns, bit for bit.
 
     Below ``FSUM_EXTRACT_MIN`` values it is ``math.fsum`` over a buffer view.
     From there on it is an error-free extraction sum (Rump, Ogita and Oishi,
     SIAM J. Sci. Comput. 2008) over blocks of ``BLOCK``: with ``e`` the
     exponent of ``top = max |r| < 2^e`` and ``2^shift >= n + 2`` for a
     block's ``n`` values, ``sigma = 2^(e + shift)`` splits the residual ``r``
-    (first the block) exactly into ``q = (sigma + r) - sigma``, a multiple of
-    ``2^-53 sigma``, and ``r - q``.  The values of ``q`` sum to less than
-    ``sigma``, so every partial sum is exact in any order; each pass leaves
-    ``|r| <= 2^(e + shift - 53)``, until ``r`` is all zero.  ``math.fsum``
-    rounds the pass sums, whose total is exact, once.  Non-finite input and
-    ``e + shift > 1023`` over the whole array go to ``math.fsum``, which
-    returns or raises for them as it always has.
+    (first the block, its products formed in one reused buffer) exactly into ``q = (sigma
+    + r) - sigma``, a multiple of ``2^-53 sigma``, and ``r - q``.  The values of ``q`` sum
+    to less than ``sigma``, so every partial sum is exact in any order; each pass leaves
+    ``|r| <= 2^(e + shift - 53)``, until ``r`` is all zero.  ``math.fsum`` rounds the pass
+    sums, whose total is exact, once.  Non-finite values and ``e + shift > 1023`` over the
+    whole array go to ``math.fsum``, which returns or raises for them as it always has.
     """
     n = x.size
+    exact = lambda: math.fsum(memoryview(x if w is None else w * x))
     if n < FSUM_EXTRACT_MIN:
-        return math.fsum(memoryview(x))
+        return exact()
     shift = (n + 1).bit_length()            # ceil(log2(n + 2))
-    taus, q, r = [], np.empty(BLOCK), np.empty(BLOCK)
+    taus, negative, q, r = [], True, np.empty(BLOCK), np.empty(BLOCK)
     for lo in range(0, n, BLOCK):
-        rb = x[lo:lo + BLOCK]
+        rb = x[lo:lo + BLOCK]               # x stays as given
+        if w is not None:
+            rb = np.multiply(w[lo:lo + BLOCK], rb, out=r[:rb.size])
         qb, block_shift = q[:rb.size], (rb.size + 1).bit_length()
         while True:
             top = max(float(rb.max()), -float(rb.min()))    # max |rb|; NaN if any is
             if not math.isfinite(top) or math.frexp(top)[1] + shift > 1023:
-                return math.fsum(memoryview(x))
-            if not top:
+                return exact()
+            if not top:     # rb is all zeros: with no pass sum yet, so was every block
+                negative = negative and not taus and bool(np.signbit(rb).all())
                 break
             sigma = math.ldexp(1.0, math.frexp(top)[1] + block_shift)
             taus.append(float(np.subtract(np.add(rb, sigma, out=qb), sigma, out=qb).sum()))
-            rb = np.subtract(rb, qb, out=r[:qb.size])   # x stays as given
-    if not taus:    # all zeros: math.fsum's zero, which may be -0.0 only if every term is
-        return math.fsum([-0.0] if np.signbit(x).all() else [0.0])
+            rb = np.subtract(rb, qb, out=r[:qb.size])
+    if not taus:    # all zeros: math.fsum's zero, which is -0.0 only if every term is
+        return math.fsum([-0.0] if negative else [0.0])
     return math.fsum(taus)
 
 
@@ -294,24 +297,30 @@ def disk_rule(n_r: int = N_R.default, n_theta: int = N_THETA.default,
     call (``n_patch`` against its range also without poles), and only a rule
     whose build succeeded is held.
     """
-    check_rule(n_r, n_theta, (), n_patch)   # the counts; the build lays out the poles
-    pole_arr = np.array(poles, dtype=complex)
-    if pole_arr.ndim != 1:
-        raise ConfigError(f"poles must be a sequence of complex numbers, got {poles!r}")
+    pole_arr = _rule_poles(n_r, n_theta, poles, n_patch)    # the build lays out the poles
     key = (n_r, n_theta, n_patch, pole_arr.shape, pole_arr.tobytes())
     return held(_recent, key, RECENT_RULES,
                 lambda: _build_rule(n_r, n_theta, pole_arr, n_patch))
 
 
 def check_rule(n_r: int, n_theta: int, poles: Sequence, n_patch: int):
-    """Raise exactly what :func:`disk_rule` raises for these counts and 1-d
-    complex poles, before it builds the background grid: a count out of range,
-    by name, or an error of the pole patches (see :func:`_patch_layout`)."""
+    """Raise exactly what :func:`disk_rule` raises, before it builds the background
+    grid: a count out of range, by name, poles that are not a 1-d sequence of
+    complex numbers, or an error of the pole patches (see :func:`_patch_layout`)."""
+    pole_arr = _rule_poles(n_r, n_theta, poles, n_patch)
+    if pole_arr.size:
+        _patch_layout(pole_arr, n_patch)
+
+
+def _rule_poles(n_r: int, n_theta: int, poles: Sequence, n_patch: int) -> np.ndarray:
+    """``poles`` as a 1-d complex array, the counts checked: on every :func:`disk_rule` call."""
     for name, n, count in (("n_r", n_r, N_R), ("n_theta", n_theta, N_THETA),
                            ("n_patch", n_patch, N_PATCH)):
         count.check(name, n)
-    if len(poles):
-        _patch_layout(np.array(poles, dtype=complex), n_patch)
+    pole_arr = np.array(poles, dtype=complex)
+    if pole_arr.ndim != 1:
+        raise ConfigError(f"poles must be a sequence of complex numbers, got {poles!r}")
+    return pole_arr
 
 
 def held(store: list, key, keep: int, build: Callable):
@@ -474,7 +483,7 @@ def _weighted_sum(rule, f, what: str) -> float:
         raise EvaluationError(
             f"{what} has shape {vals.shape}, expected {rule.weights.shape}")
     try:
-        total, failure = _fsum(rule.weights * vals), None
+        total, failure = _fsum(vals, rule.weights), None
     except (OverflowError, ValueError) as exc:     # an overflow, or inf - inf
         total, failure = math.nan, exc
     if not math.isfinite(total):

@@ -104,6 +104,12 @@ def _is_tolerance(v) -> bool:
     return _is_number(v) and 0.0 < v < math.inf
 
 
+def _check_tolerances(**tols):
+    for name, tol in tols.items():
+        if not _is_tolerance(tol):
+            raise ConfigError(f"{name} must be a positive finite real number, got {tol!r}")
+
+
 # Denominator floor for relative discrepancies; below it the comparison
 # degenerates to an absolute one (Killing fields drive every estimate
 # to ~1e-12, where ratios of noise are meaningless).
@@ -214,10 +220,14 @@ def _tensor_route(family, wa, wb, metric: Optional[MetricField],
     return lambda z: (disk.emt_contra(z), strain_tensor(g, v, z), volume_density(g, z))
 
 
-def _pole_product(z, wa, wb):
-    """``(C, P)``, ``conj(g_a g_b) = C / P`` in the rational form of the module docstring."""
+def _pole_product(z, wa, wb, p=None, t=None):
+    """``(C, P)``, ``conj(g_a g_b) = C / P`` (module docstring); ``P`` into ``p``, scratch ``t``."""
     c = (1.0 - abs(wa) ** 2) * (1.0 - abs(wb) ** 2) / (4.0 * math.pi ** 2)
-    return c, (z - wa) * (1.0 - z * np.conj(wa)) * (z - wb) * (1.0 - z * np.conj(wb))
+    p = np.subtract(z, wa, out=p)
+    p *= np.subtract(1.0, np.multiply(z, np.conj(wa), out=t), out=t)
+    p *= np.subtract(z, wb, out=t)
+    p *= np.subtract(1.0, np.multiply(z, np.conj(wb), out=t), out=t)
+    return c, p
 
 
 def _complex_emt(z, wa, wb):
@@ -229,15 +239,19 @@ def _complex_emt(z, wa, wb):
     return c / p
 
 
-def _beltrami_kernel(z, wa, wb, J, fp):
+def _beltrami_kernel(z, wa, wb, J, fp, out, tmp):
     """``2 Re(conj(g_a g_b) dbar v conj(f') / f')`` from the Jacobian ``J`` of ``v``
     at ``f(z)`` and ``fp = f'(z)``, with no complex division: ``2 C Re(dbar
-    conj(P u^2)) / |P|^2``, ``u = f' / |f'|``, ``2 dbar = (J_11 - J_22) + i (J_21 + J_12)``."""
-    c, p = _pole_product(z, wa, wb)
-    u = fp * (1.0 / np.abs(fp))
-    w = p * u * u
-    return c * ((J[:, 0, 0] - J[:, 1, 1]) * w.real
-                + (J[:, 1, 0] + J[:, 0, 1]) * w.imag) / (p.real ** 2 + p.imag ** 2)
+    conj(P u^2)) / |P|^2``, ``u = f' / |f'|``, ``2 dbar = (J_11 - J_22) + i (J_21 + J_12)``:
+    into ``out`` in that order, with ``tmp``, complex ``(3, n)`` and real ``(2, n)``, as scratch."""
+    (p, t, u), (a, b) = (buf[:, :z.size] for buf in tmp)
+    c, p = _pole_product(z, wa, wb, p, t)
+    np.multiply(fp, np.divide(1.0, np.abs(fp, out=a), out=a), out=u)
+    w = np.multiply(np.multiply(p, u, out=t), u, out=t)
+    np.multiply(np.subtract(J[:, 0, 0], J[:, 1, 1], out=a), w.real, out=a)
+    a += np.multiply(np.add(J[:, 1, 0], J[:, 0, 1], out=b), w.imag, out=b)
+    np.multiply(c, a, out=out)
+    return np.divide(out, np.add(np.square(p.real, out=a), np.square(p.imag, out=b), out=a), out)
 
 
 def _contract(T, D, vol):
@@ -283,9 +297,10 @@ def _closed_form_integrand(family, fmap: ConformalMap, rule,
     def integrand(points):
         vals = np.zeros(len(points))
         if velocity is not None:
+            tmp = np.empty((3, BLOCK), complex), np.empty((2, BLOCK))
             for lo, zb, x in _images(fmap, points):
-                vals[lo:lo + zb.size] = _beltrami_kernel(zb, wa, wb, velocity.jacobian(x),
-                                                         fmap.derivative(zb))
+                _beltrami_kernel(zb, wa, wb, velocity.jacobian(x), fmap.derivative(zb),
+                                 vals[lo:lo + zb.size], tmp)
         idx = np.unique(np.linspace(0, len(points) - 1, CROSS_CHECK_NODES).astype(int))
         T, D, vol = pieces(points[idx])
         ref = _contract(T, D, vol)
@@ -454,6 +469,7 @@ class VariationReport:
         missing = set(self._NAMES) - set(self.estimates)
         if missing:
             raise ConfigError(f"report missing estimates: {sorted(missing)}")
+        _check_tolerances(tol_mutual=self.tol_mutual, tol_volume=self.tol_volume)
 
     @property
     def discrepancies(self) -> Dict[str, object]:
@@ -513,9 +529,7 @@ def variation_report(family: DomainFamily, a, b, m: Optional[int] = None,
     not conformal (:class:`~greenvar.errors.NonConformalMetricError`).
     """
     _require_family(family, "variation_report")
-    for name, tol in (("tol_mutual", tol_mutual), ("tol_volume", tol_volume)):
-        if not _is_tolerance(tol):
-            raise ConfigError(f"{name} must be a positive finite real number, got {tol!r}")
+    _check_tolerances(tol_mutual=tol_mutual, tol_volume=tol_volume)
     pts = _points(a, b)
     GreenFunction(family).pole_preimages(*pts)
     _require_conformal(metric, to_points(pts))

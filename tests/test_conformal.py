@@ -467,3 +467,66 @@ def test_dilation_and_bump_shapes():
     assert quadratic_bump_family().perturbation.tolist() == [0.0j, 0.1 + 0.0j]
     assert cubic_mix_family().perturbation.tolist() == [0.0j, 0.05 + 0.0j,
                                                         0.03 + 0.0j]
+
+
+# ---------------------------------------------- in-place Horner, bit for bit
+
+def _loop_horner(coeffs, z):
+    """The allocating loop: ``acc * z + c`` at every step."""
+    if coeffs.size == 0:
+        return np.zeros_like(z)
+    acc = np.full_like(z, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        acc = acc * z + c
+    return acc
+
+
+def _bits(v):
+    return type(v), np.shape(v), np.asarray(v).tobytes()
+
+
+cplx = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+
+
+@given(st.lists(st.complex_numbers(max_magnitude=10.0, allow_nan=False,
+                                   allow_infinity=False), min_size=1, max_size=8),
+       st.lists(cplx, min_size=6, max_size=6), st.sampled_from(["0-d", "1-d", "2-d", "slice"]))
+def test_in_place_horner_and_map_have_the_bits_of_the_loop(coeffs, zs, shape):
+    c = np.array(coeffs, dtype=complex)
+    z = {"0-d": np.asarray(zs[0]), "1-d": np.array(zs), "2-d": np.array(zs).reshape(2, 3),
+         "slice": np.array(zs)[::2]}[shape]
+    fmap = ConformalMap(c, check=False)
+    assert _bits(conformal._horner(c, z)) == _bits(_loop_horner(c, z))
+    assert _bits(fmap(z)) == _bits(_loop_horner(c, z) * z)
+    assert _bits(fmap.derivative(z)) == _bits(_loop_horner(fmap._dcoeffs, z))
+    if shape == "0-d":      # a Python number is read as the 0-d array
+        assert _bits(fmap(zs[0])) == _bits(_loop_horner(c, z) * z)
+    # coefficient rows, as the row Newton passes them, keep the loop
+    rows = np.array([c, c[::-1]]).T[:, :, None]
+    zr = np.array([zs[:3], zs[3:]])
+    assert _bits(conformal._horner(rows, zr)) == _bits(_loop_horner(rows, zr))
+
+
+def test_to_points_copies_the_float_view():
+    z = np.array([[0.1 - 0.2j, -0.0 + 3j], [np.inf, 1e-300j]])
+    for arr in (z, z[:, 0], z.T, np.asarray(0.5 - 0.25j), z[0, 1]):
+        got = to_points(arr)
+        want = np.stack([np.real(arr), np.imag(arr)], axis=-1)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert got.flags.writeable and not np.shares_memory(got, z)
+
+
+# ------------------------------- held normal derivatives on the newest grid
+
+def test_only_the_newest_grid_holds_normal_derivatives():
+    # a boundary ladder kept the traces of both held grids until each was
+    # dropped; now a grid of another m drops the other grid's traces
+    from greenvar.variation import boundary_variation, flux_variation
+    fam = cubic_mix_family()
+    for m in (64, 128, 256):
+        boundary_variation(fam, (0.1, 0.05), (-0.3, 0.2), m=m)
+        flux_variation(fam, (0.1, 0.05), (-0.3, 0.2), m=m)
+        assert [len(grid[-1]) for _, grid in fam.base._grids] == [0, 2][-len(fam.base._grids):]
+    older = boundary_grid(fam, m=128)       # handed out again: the newest now
+    assert [len(grid[-1]) for _, grid in fam.base._grids] == [0, 0]
+    assert older._traces is fam.base._grids[-1][1][-1]

@@ -1,0 +1,17 @@
+"""The output digest script in ``tools/``."""
+
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def test_digest_of_boundary_routes_is_reproducible():
+    cmd = [sys.executable, os.path.join(ROOT, "tools", "digest.py"), "--seed", "3",
+           "--only", "boundary_routes"]
+    runs = [subprocess.run(cmd, capture_output=True, text=True, check=True, timeout=120).stdout
+            for _ in range(2)]
+    assert runs[0] == runs[1]
+    seed, name, digest = runs[0].split()[1:]
+    assert (seed, name, len(digest)) == ("3", "boundary_routes", 64)

@@ -674,3 +674,65 @@ def test_fsum_overflow_check_reads_the_whole_array():
     _assert_fsum(x)
     with pytest.raises(OverflowError):
         quadrature._fsum(x)
+
+
+# _fsum with weights must return math.fsum of the products w * x, bit for bit,
+# though it forms them block by block in one buffer: signed zeros, inf, NaN and
+# finite products whose sum overflows included.
+SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, -1e308, 2.0**1023, 5e-324]
+
+
+def _assert_weighted_fsum(x, w):
+    with np.errstate(all="ignore"):     # inf * 0 and the like: the values are the point
+        got = _sum_bits(lambda v: quadrature._fsum(v, w), x)
+        assert got == _sum_bits(math.fsum, w * x)
+
+
+@given(st.integers(0, FSUM_MAX_N), st.integers(0, 2**32 - 1), st.integers(-1074, 1000),
+       st.integers(0, 120), st.lists(st.sampled_from(SPECIAL), max_size=6),
+       st.sampled_from(["mixed", "positive weights", "zeros", "negative zeros"]))
+def test_weighted_fsum_is_math_fsum_of_the_products(n, seed, lo, span, special, kind):
+    rng = np.random.default_rng(seed)
+    x = np.ldexp(rng.uniform(-1.0, 1.0, n),
+                 rng.integers(lo, min(lo + span, 1023), n, endpoint=True))
+    w = np.ldexp(rng.uniform(-1.0, 1.0, n), rng.integers(-60, 20, n, endpoint=True))
+    if kind == "positive weights":
+        w = np.abs(w)
+    elif kind != "mixed":
+        x = np.zeros(n)
+        x[rng.uniform(size=n) < 0.5] = -0.0
+        w = np.where(rng.uniform(size=n) < 0.5, -1.0, 1.0) * w
+        if kind == "negative zeros":
+            x, w = np.full(n, -0.0), np.abs(w)
+    for arr in (x, w):
+        at = rng.integers(0, max(n, 1), len(special))
+        if n:
+            arr[at] = special
+    x_before, w_before = x.copy(), w.copy()
+    _assert_weighted_fsum(x, w)
+    assert x.tobytes() == x_before.tobytes() and w.tobytes() == w_before.tobytes()
+
+
+def test_weighted_fsum_explicit_cases():
+    n = FSUM_EXTRACT_MIN + 5
+    u = np.random.default_rng(1).uniform(0.0, 1.0, n)
+    for x, w in ((np.zeros(n), np.full(n, -1.0)), (np.full(n, -0.0), u),
+                 (np.full(n, -0.0), -u), (np.zeros(0), np.zeros(0)),
+                 (np.full(n, 1e308), np.full(n, 2.0)), (np.full(n, np.inf), np.zeros(n))):
+        _assert_weighted_fsum(x, w)
+    rule = disk_rule(64, 128, poles=[0.3 + 0.1j], n_patch=32)
+    vals = np.random.default_rng(2).standard_normal(rule.node_count)
+    assert quadrature._fsum(vals, rule.weights) == math.fsum(rule.weights * vals)
+
+
+def test_check_rule_refuses_poles_that_are_not_1_d_as_disk_rule_does():
+    # a 2-d or 0-d pole array raised numpy's ValueError or CoincidentPoleError
+    # in check_rule, where disk_rule raised this ConfigError
+    for poles in ([[0.1, 0.2]], [[0.1, 0.2], [0.3, 0.4]], 0.1, np.zeros((1, 1))):
+        msgs = []
+        for call in (lambda: check_rule(16, 32, poles, 8),
+                     lambda: disk_rule(16, 32, poles=poles, n_patch=8)):
+            with pytest.raises(ConfigError) as info:
+                call()
+            msgs.append(str(info.value))
+        assert msgs[0] == msgs[1] == f"poles must be a sequence of complex numbers, got {poles!r}"

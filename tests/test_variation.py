@@ -1402,6 +1402,23 @@ def _complex_division_kernel(z, wa, wb, J, fp):
     return 2.0 * np.real(variation._complex_emt(z, wa, wb) * dbar * np.conj(fp) / fp)
 
 
+def _allocating_kernel(z, wa, wb, J, fp):
+    """The closed-form kernel as a chain of allocating numpy expressions: the
+    in-place kernel must give its bits."""
+    c = (1.0 - abs(wa) ** 2) * (1.0 - abs(wb) ** 2) / (4.0 * math.pi ** 2)
+    p = (z - wa) * (1.0 - z * np.conj(wa)) * (z - wb) * (1.0 - z * np.conj(wb))
+    u = fp * (1.0 / np.abs(fp))
+    w = p * u * u
+    return c * ((J[:, 0, 0] - J[:, 1, 1]) * w.real
+                + (J[:, 1, 0] + J[:, 0, 1]) * w.imag) / (p.real ** 2 + p.imag ** 2)
+
+
+def _kernel(z, wa, wb, J, fp):
+    n = z.size
+    return variation._beltrami_kernel(z, wa, wb, J, fp, np.empty(n),
+                                      (np.empty((3, n), complex), np.empty((2, n))))
+
+
 def test_division_free_kernel_matches_the_complex_division_form():
     # 2 C Re(dbar conj(P u^2)) / |P|^2 against 2 Re(C / P dbar conj(f') / f'),
     # to 1e-15 of |C / P| |J|, through the closed form's blocks (one full and a
@@ -1421,9 +1438,12 @@ def test_division_free_kernel_matches_the_complex_division_form():
     J, fp = v.jacobian(to_points(fmap(z))), fmap.derivative(z)
     scale = np.abs(variation._complex_emt(z, wa, wb)) * np.linalg.norm(J, axis=(1, 2))
     assert np.all(np.abs(got - _complex_division_kernel(z, wa, wb, J, fp)) <= 1e-15 * scale)
+    # in place, block by block, the kernel has the bits of the allocating chain
+    assert got.tobytes() == _allocating_kernel(z, wa, wb, J, fp).tobytes()
     # with |f'| and |J| scaled up to 1e150, every value is finite where the
     # complex-division form's is (here everywhere), and scales with |J|
-    big = variation._beltrami_kernel(z, wa, wb, 1e150 * J, 1e150 * fp)
+    big = _kernel(z, wa, wb, 1e150 * J, 1e150 * fp)
+    assert big.tobytes() == _allocating_kernel(z, wa, wb, 1e150 * J, 1e150 * fp).tobytes()
     old = _complex_division_kernel(z, wa, wb, 1e150 * J, 1e150 * fp)
     assert np.all(np.isfinite(big) >= np.isfinite(old)) and np.all(np.isfinite(big))
     assert np.all(np.abs(big - 1e150 * got) <= 1e-15 * 1e150 * scale)
@@ -1546,3 +1566,125 @@ def test_a_second_pole_set_evicts_the_first(rebind):
     assert len(calls) == 12
     sequence()
     assert len(calls) == 24
+
+
+def test_report_dataclass_checks_its_tolerances():
+    # VariationReport took any tolerance: a str raised TypeError from passes,
+    # NaN made passes False; now both raise variation_report's ConfigError
+    est = {"boundary": 1.0, "volume": 1.0, "flux": 1.0, "fd_oracle": 1.0}
+    for name in ("tol_mutual", "tol_volume"):
+        for bad in ("1e-5", math.nan, math.inf, 0.0, -1e-5, True, None):
+            with pytest.raises(ConfigError, match=f"^{name} must be a positive finite real "
+                                                  f"number, got {re.escape(repr(bad))}$"):
+                VariationReport(est, **{name: bad})
+        assert VariationReport(est, **{name: np.float32(1e-3)}).passes
+
+
+# ------------------------------------------- one evaluation per point set
+
+def counting_metric(calls):
+    base = curved_metric()
+
+    def phi(p):
+        calls["phi"] += 1
+        return base.conformal_factor(p)
+
+    def grad_phi(p):
+        calls["grad_phi"] += 1
+        return base.conformal_gradient(p)
+
+    return conformal_metric(phi, grad_phi)
+
+
+def counting_velocity(calls):
+    v = square_velocity()
+
+    def func(p):
+        calls["v"] += 1
+        return v(p)
+
+    def jac(p):
+        calls["jac"] += 1
+        return v.jacobian(p)
+
+    return VectorField(2, func, jac)
+
+
+def test_one_tensor_route_evaluation_evaluates_phi_and_f_once(monkeypatch):
+    # the pulled-back metric's scale was computed for inverse, __call__ and
+    # volume_density, each calling phi at f(z): phi 3 times, f 6 times
+    fam = curved_family()
+    wa, wb = GreenFunction(fam).pole_preimages(CURVED_A, CURVED_B)
+    z = to_points(interior_points(np.random.default_rng(7), 32, radius=0.9, min_radius=0.6))
+    calls = dict(phi=0, grad_phi=0, v=0, jac=0, f=0)
+    call = ConformalMap.__call__
+    monkeypatch.setattr(ConformalMap, "__call__", lambda self, x: (
+        calls.__setitem__("f", calls["f"] + (self is fam.base)) or call(self, x)))
+    for velocity in (None, counting_velocity(calls)):
+        for key in calls:
+            calls[key] = 0
+        T, D, vol = variation._tensor_route(fam, wa, wb, counting_metric(calls), velocity)(z)
+        assert calls["phi"] == calls["grad_phi"] == 1
+        if velocity is None:
+            assert calls["f"] == 1
+        else:   # once for the metric and once for the velocity
+            assert calls["f"] == 2 and calls["v"] == calls["jac"] == 1
+        plain = variation._tensor_route(fam, wa, wb, curved_metric(), square_velocity()
+                                        if velocity is not None else None)(z)
+        for got, want in zip((T, D, vol), plain):
+            assert got.tobytes() == want.tobytes()
+
+
+def test_held_pullback_values_follow_points_changed_in_place():
+    # held by the points' shape and bytes, not by the array: the same array
+    # with new values is evaluated afresh; the held arrays are read-only
+    fmap = ConformalMap([1.0, 0.1])
+    g = pullback_metric(fmap, curved_metric())
+    v = pullback_vector_field(fmap, square_velocity())
+    rng = np.random.default_rng(8)
+    first, second = (to_points(interior_points(rng, 16, radius=0.9)) for _ in range(2))
+    x = first.copy()
+    held = [volume_density(g, x), g.conformal_gradient(x), v(x), v.jacobian(x)]
+    x[...] = second
+    again = [volume_density(g, x), g.conformal_gradient(x), v(x), v.jacobian(x)]
+    g2 = pullback_metric(fmap, curved_metric())
+    v2 = pullback_vector_field(fmap, square_velocity())
+    fresh = [volume_density(g2, second), g2.conformal_gradient(second), v2(second),
+             v2.jacobian(second)]
+    for got, want, old in zip(again, fresh, held):
+        assert got.tobytes() == want.tobytes() and got.tobytes() != old.tobytes()
+    # the first points again, in a new array: the values held for them are gone
+    assert volume_density(g, first.copy()).tobytes() == held[0].tobytes()
+    assert g.conformal_gradient(first[:8]).shape == (8, 2)
+
+
+def test_pullback_callbacks_receive_the_held_points_read_only():
+    # the pullbacks hand every user callback the held f(z), read-only: one that
+    # writes its input raises ValueError there, instead of changing a held value
+    fmap = ConformalMap([1.0, 0.1])
+    base, vel = curved_metric(), square_velocity()
+
+    def writes(func):
+        def call(p):
+            p += 0.0
+            return func(p)
+        return call
+
+    x = to_points(interior_points(np.random.default_rng(9), 8, radius=0.9))
+    g = pullback_metric(fmap, conformal_metric(base.conformal_factor, base.conformal_gradient))
+    v = pullback_vector_field(fmap, VectorField(2, vel, vel.jacobian))
+    reads = [lambda: volume_density(g, x), lambda: g.conformal_gradient(x),
+             lambda: v(x), lambda: v.jacobian(x)]
+    plain = [read().tobytes() for read in reads]
+    g_phi, g_grad = (pullback_metric(fmap, conformal_metric(*fs)) for fs in (
+        (writes(base.conformal_factor), base.conformal_gradient),
+        (base.conformal_factor, writes(base.conformal_gradient))))
+    v_func, v_jac = (pullback_vector_field(fmap, VectorField(2, *fs)) for fs in (
+        (writes(vel), vel.jacobian), (vel, writes(vel.jacobian))))
+    for read in (lambda: volume_density(g_phi, x), lambda: g_grad.conformal_gradient(x),
+                 lambda: v_func(x), lambda: v_jac.jacobian(x)):
+        with pytest.raises(ValueError, match="read-only"):
+            read()
+    assert [read().tobytes() for read in reads] == plain
+    # without a pullback the callbacks get the caller's points, as before
+    conformal_metric(writes(base.conformal_factor), base.conformal_gradient)._scale(x.copy())
