@@ -1,8 +1,8 @@
 """Polynomial conformal images of the disk and their deformation fields.
 
 A domain family is f_t(z) = f(z) + t h(z) with f, h polynomials fixing
-f(0) = 0.  The family carries an injectivity budget t_max (declared or
-scanned) and produces boundary grids and deformation velocity fields.
+f(0) = 0.  The family carries an injectivity budget t_max (declared, or
+half the first |t| at which f_t' has a zero on the closed disk) and produces boundary grids and deformation velocity fields.
 """
 
 import numpy as np
@@ -41,10 +41,11 @@ exact = np.pi * float(np.sum(ks * np.abs(fmap.coeffs) ** 2))
 print("\narea via boundary rule:", enclosed_area(grid))
 print("area via pi sum k |c_k|^2:", exact)
 
-# --- 3. families: declared t_max is range-checked, missing t_max is scanned
+# --- 3. families: a declared t_max must stay below t*, the first |t| at which
+# f_t' has a zero on the closed disk; a missing t_max is half of t* (at most 2)
 
-fam = DomainFamily([1.0], [0.0, 1.0])         # f_t = z + t z^2, t_max scanned
-print("\nscanned t_max for z + t z^2:", fam.t_max)
+fam = DomainFamily([1.0], [0.0, 1.0])         # f_t = z + t z^2, t* = 0.5
+print("\nt_max for z + t z^2:", fam.t_max)
 
 # --- 4. the deformation velocity v = h(f^{-1}(x)) and its normal speed
 

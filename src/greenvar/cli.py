@@ -272,6 +272,9 @@ def load_experiment(args) -> Experiment:
     green = GreenFunction(family.base)
     for name, point in named:
         _check_margin(green, point, name)
+    r = max([min(c, 1.0 / c) for c in np.abs(family.base._critical_points)], default=0.0)
+    _require(r <= 1.0 - POLE_MARGIN, f"a zero of f' too close to the boundary: "
+             f"min(|c|, 1/|c|) = {r:.4f} > {1.0 - POLE_MARGIN}")
 
     def setting(section, key, name, flag, valid, rule, default=None):
         """``section[key]`` (else ``default``), or the flag's value where given.

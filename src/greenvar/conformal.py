@@ -70,12 +70,14 @@ RECENT_POLES = 8
 RECENT_GRIDS = 2
 RECENT_TRACES = 3
 
-# Families constructed without an explicit t_max scan |t| up to this cap.
-T_SCAN_CAP = 4.0
-T_SCAN_STEPS = 64
+# An omitted t_max is 0.5 min(t*, T_MAX_CAP) (DomainFamily).  t* reads a root within
+# CROSSING_TOL of the circle as on it and a t within CROSSING_TOL |t| of the real line as
+# real; a declared t_max stays below (1 - CROSSING_TOL) t*, for a double root's rounding.
+T_MAX_CAP = 4.0
+CROSSING_TOL = 1e-6
 
 # Most coefficients of a map or perturbation, and largest conformal_phi exponent:
-# 4x the largest in use (16); the t_max scan solves 128 companion matrices at once.
+# 4x the largest in use (16); t* solves one crossing polynomial of degree <= 126.
 MAX_DEGREE = 64
 
 
@@ -133,24 +135,6 @@ def _as_coeffs(coeffs) -> np.ndarray:
 def _derivative(coeffs) -> np.ndarray:
     """``d/dz sum_k a_k z^k`` from ``(a_1, a_2, ...)`` on the last axis."""
     return coeffs * np.arange(1, coeffs.shape[-1] + 1)
-
-
-def _derivative_certificate(d):
-    """``(bound, mu)`` per row ``(c_1, 2 c_2, ...)`` of ``f' = c_1 prod_j (1 - mu_j z)``.
-    ``mu`` are the eigenvalues of the reversed companion matrix (backward stable:
-    Edelman and Murakami, Math. Comp. 1995): 0 for a vanishing leading coefficient,
-    inf where the matrix is not finite (``c_1 = 0``).  ``bound = |c_1| prod_j max(1 -
-    |mu_j|, 0) <= |f'|`` on the closed disk, positive iff ``f'`` has no zero there;
-    NaN for a non-finite coefficient."""
-    n = d.shape[1] - 1
-    with np.errstate(all="ignore"):
-        companion = np.zeros((len(d), n, n), dtype=complex) + np.eye(n, k=-1)
-        companion[:, :1] = (-d[:, 1:] / d[:, :1])[:, None]
-        ok = np.isfinite(companion).all(axis=(1, 2))
-        mu = np.full((len(d), n), np.inf, dtype=complex)
-        mu[ok] = np.linalg.eigvals(companion[ok])
-        bound = np.abs(d[:, 0]) * np.prod(np.maximum(1.0 - np.abs(mu), 0.0), axis=1)
-    return np.where(np.isfinite(d).all(axis=1), bound, np.nan), mu
 
 
 def _newton_rows(coeffs, x, z):
@@ -238,11 +222,21 @@ class ConformalMap:
 
     @cached_property
     def _certificate(self):
-        """The gate's bound and the zeros of ``f'``: the finite ``1 / mu``."""
-        bound, mu = _derivative_certificate(self._dcoeffs[None])
+        """The gate's bound and the zeros of ``f' = c_1 prod_j (1 - mu_j z)``, the finite ``1 /
+        mu``.  ``mu`` are the eigenvalues of the reversed companion matrix (backward stable:
+        Edelman and Murakami, Math. Comp. 1995): 0 for a vanishing leading coefficient, inf
+        where the matrix is not finite (``c_1 = 0``).  ``bound = |c_1| prod_j max(1 - |mu_j|, 0)
+        <= |f'|`` on the closed disk, positive iff no zero is there; NaN for a non-finite f'."""
+        d = self._dcoeffs
         with np.errstate(all="ignore"):  # mu = 0 or subnormal: no finite zero
-            zeros = 1.0 / mu[0]
-        return float(bound[0]), zeros[np.isfinite(zeros)]
+            companion = np.eye(d.size - 1, k=-1, dtype=complex)
+            companion[:1] = -d[1:] / d[0]
+            mu = (np.linalg.eigvals(companion) if np.isfinite(companion).all()
+                  else np.full(d.size - 1, np.inf, dtype=complex))
+            # abs of the 1-d d[:1]: numpy's scalar abs of d[0] rounds apart
+            bound = np.abs(d[:1]) * np.prod(np.maximum(1.0 - np.abs(mu), 0.0))
+            zeros = 1.0 / mu
+        return float(bound[0]) if np.isfinite(d).all() else np.nan, zeros[np.isfinite(zeros)]
 
     _critical_points = property(lambda self: self._certificate[1])
 
@@ -289,21 +283,24 @@ class DomainFamily:
     """One-parameter family ``Omega(t) = (base + t * perturbation)(D)``.
 
     ``h`` is the perturbation map, built once; ``perturbation`` is its
-    read-only ``coeffs``.  ``t_max`` bounds the admissible parameter range.
-    When omitted it is set to half the smallest ``|t|`` at which the
-    injectivity gate first fails on a coarse scan (cap ``T_SCAN_CAP`` when the
-    gate never fails).
+    read-only ``coeffs``.  Every ``|t| < t*`` passes the injectivity gate
+    (:meth:`_first_crossing`).  ``t_max``, the admissible range, is ``0.5 min(t*, T_MAX_CAP)``
+    when omitted; a declared one needs ``t_max (1 + 1e-12) < (1 - CROSSING_TOL) t*``
+    (:meth:`map_at` reaches ``1e-12`` past it), else :class:`InjectivityError` names ``t*``.
     """
 
     def __init__(self, base, perturbation, t_max: Optional[float] = None):
         self.base = base if isinstance(base, ConformalMap) else ConformalMap(base)
         self.h = ConformalMap(perturbation, check=False)
+        t_star = self._first_crossing()
         if t_max is None:
-            t_max = self._scan_t_max()
+            t_max = 0.5 * min(t_star, T_MAX_CAP)
         if not (_is_number(t_max) and 0 < t_max < np.inf):
             raise ConfigError(f"t_max must be positive and finite, got {t_max!r}")
         self.t_max = float(t_max)
-        self._check_range()
+        if not self.t_max * (1.0 + 1e-12) < (1.0 - CROSSING_TOL) * t_star:
+            raise InjectivityError(f"injectivity gate fails inside |t| <= {self.t_max:.6g}: f' + "
+                                   f"t h' has a zero on the closed disk at |t| = t* = {t_star:.6g}")
 
     perturbation = property(lambda self: self.h.coeffs)
 
@@ -314,22 +311,24 @@ class DomainFamily:
         c[:, : self.perturbation.size] += np.asarray(ts, dtype=float)[:, None] * self.perturbation
         return c
 
-    def _gate_ok(self, ts) -> np.ndarray:
-        """Per ``t``, ``map_at(t).passes_gate()``: the same rows, certified at once."""
-        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite row fails
-            return _derivative_certificate(_derivative(self._coeffs_at(ts)))[0] > 0
-
-    def _scan_t_max(self) -> float:
-        ts = T_SCAN_CAP * np.arange(1, T_SCAN_STEPS + 1) / T_SCAN_STEPS
-        ok = self._gate_ok(np.concatenate([ts, -ts])).reshape(2, -1).all(axis=0)
-        return 0.5 * (T_SCAN_CAP if ok.all() else float(ts[np.argmin(ok)]))
-
-    def _check_range(self):
-        ts = np.linspace(-self.t_max, self.t_max, 17)
-        ok = self._gate_ok(ts)
-        if not ok.all():
-            raise InjectivityError(f"injectivity gate fails inside |t| <= {self.t_max} "
-                                   f"(at t = {ts[np.argmin(ok)]:.6g})")
+    def _first_crossing(self) -> float:
+        """``t*``, the least ``|t|`` with a zero of ``f' + t h'`` on the closed disk (inf if none).
+        The zeros lie outside at ``t = 0`` and move continuously (Hurwitz), so one enters across the
+        circle, where ``t = -f'/h'`` is real: at a root of ``z^(n-1) (f' conj(h') - conj(f') h')``
+        (``p = f'``, ``q = h'`` padded to ``n``), or at ``z = 0`` if that is 0 (``h' = lam f'``)."""
+        if not self.base.passes_gate():
+            raise InjectivityError("injectivity gate fails at t = 0")
+        p, q = np.zeros((2, max(self.base.degree, self.h.degree)), dtype=complex)
+        p[: self.base.degree], q[: self.h.degree] = self.base._dcoeffs, self.h._dcoeffs
+        with np.errstate(all="ignore"):  # h' = 0 at a candidate: t is not finite
+            cross = np.convolve(p, q[::-1].conj()) - np.convolve(p[::-1].conj(), q)
+            if not np.isfinite(cross).all():
+                raise InjectivityError("f' + t h' is not finite: h' is not, or overflows")
+            z = np.roots(cross[::-1]).astype(complex)
+            z = np.append(z[np.abs(np.abs(z) - 1.0) <= CROSSING_TOL], 0.0)
+            t = -_horner(p, z) / _horner(q, z)
+            real = np.abs(t.imag) <= CROSSING_TOL * np.abs(t)
+        return float(np.min(np.abs(t.real[real]), initial=np.inf))
 
     def map_at(self, t: float) -> ConformalMap:
         if abs(t) > self.t_max * (1.0 + 1e-12):

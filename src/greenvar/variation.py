@@ -60,7 +60,8 @@ from .conformal import (BOUNDARY_SLACK, DEFAULT_BOUNDARY_NODES, MAX_BOUNDARY_NOD
                         boundary_grid, normal_speed, pullback_metric, pullback_vector_field,
                         to_complex, to_points)
 from .energy_momentum import PolarizedEMT
-from .errors import ConfigError, EvaluationError, GreenvarError, NonConformalMetricError
+from .errors import (ConfigError, DomainError, EvaluationError, GreenvarError,
+                     NonConformalMetricError)
 from .greens import (GreenFunction, _check_pole, _check_separation, _disk_value,
                      _normal_derivative, _points)
 from .quadrature import (BLOCK, N_PATCH, N_R, N_THETA, IntegrationResult, boundary_integrate,
@@ -153,10 +154,16 @@ def boundary_nodes(fmap: ConformalMap, *poles) -> int:
     min(|s|, 1/|s|)`` for the singularity ``s`` of the integrand nearest the
     circle: a pole preimage, or a zero of ``f'`` (the integrand carries
     ``h/f'`` and ``1/|f'|``).  The poles are checked as by
-    :meth:`GreenFunction.pole_preimages`, whose preimages the map holds."""
+    :meth:`GreenFunction.pole_preimages`, whose preimages the map holds.
+    :class:`DomainError` names ``r`` where even the cap's rate is above ``TOL_MUTUAL``."""
     green = GreenFunction(fmap)
-    r = max([abs(w) for w in green.pole_preimages(*poles)]
-            + [min(c, 1.0 / c) for c in np.abs(green.map._critical_points)])
+    r, source = max([(abs(w), "a pole preimage") for w in green.pole_preimages(*poles)]
+                    + [(min(c, 1.0 / c), "a zero of f'")
+                       for c in np.abs(green.map._critical_points)])
+    rate = r**MAX_BOUNDARY_NODES
+    if rate > TOL_MUTUAL:
+        raise DomainError(f"the boundary rule cannot resolve r = {r:.6g} ({source}): "
+                          f"rate r^{MAX_BOUNDARY_NODES} = {rate:.2g} > {TOL_MUTUAL:g}")
     m = DEFAULT_BOUNDARY_NODES
     while m < MAX_BOUNDARY_NODES and r**m > BOUNDARY_RATE_TARGET:
         m *= 2

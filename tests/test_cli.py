@@ -648,7 +648,7 @@ def quadrature(**fields):
      "family field 'base' entry 0 must be finite"),
     ({"family": {"base": [[1, 0], [float("nan"), 0]], "perturbation": [[1, 0]]}}, VARY,
      "family field 'base' entry 1 must be finite"),
-    # without t_max these ran the injectivity scan and exited 2 naming a t
+    # refused by the coefficient rule, before the family's t range is certified
     ({"family": {"base": [[1, 0]], "perturbation": [[0, 0], [float("inf"), 0]]}}, VARY,
      "family field 'perturbation' entry 1 must be finite"),
     ({"family": {"base": [[1, 0]], "perturbation": [[0, float("-inf")]]}}, VARY,
@@ -677,7 +677,7 @@ def quadrature(**fields):
     (dict(quadrature(m_boundary=2**20), levels=3), ("converge",),
      "quadrature 'm_boundary' x 4 (converge level 2) must be an integer in [4, 2097152]"),
     # polynomial degree: an exponent beyond the double range, 2,000 coefficients
-    # (128 companion matrices of order 1,999 in the t_max scan), one above the ceiling
+    # (a crossing polynomial of degree 3,998 for the family's t*), one above the ceiling
     ({"metric": {"conformal_phi": [[HUGE, 0, 1.0]]}}, VARY,
      "conformal_phi term 0 must be [i, j, coeff] with 0 <= i, j <= 64"),
     ({"metric": {"conformal_phi": [[0, 65, 1.0]]}}, VARY,
@@ -724,6 +724,20 @@ def test_over_ceiling_counts_are_refused_before_any_gauss_legendre_solve(
     with pytest.raises(ConfigError, match="converge level"):
         cli.run_convergence(exp)
     assert solves == []
+
+
+@pytest.mark.parametrize("a, r", [(0.4999, "0.9998"), (0.48, "0.9600")])
+def test_rejects_a_zero_of_f_prime_near_the_circle(capsys, tmp_path, a, r):
+    # POLE_MARGIN holds for the zeros of f' as for the pole preimages: at a = 0.4999
+    # the zero -1/(2a) sits 2e-4 outside the circle, and no boundary rule resolves it
+    doc = dict(default_config(), family={"base": [[1, 0], [a, 0]],
+                                         "perturbation": [[0, 0], [0.05, 0], [0.03, 0]],
+                                         "t_max": 1e-4},
+               poles={"a": [0.1, 0.05], "b": [-0.3, 0.2]})
+    code, out, err = run(capsys, "vary", "--config", write_config(tmp_path, doc))
+    assert (code, out) == (2, "")
+    assert err == ("config error: a zero of f' too close to the boundary: "
+                   f"min(|c|, 1/|c|) = {r} > 0.95\n")
 
 
 def test_rejects_bad_tolerance(capsys):

@@ -238,54 +238,119 @@ def test_family_t_max_declared_and_range_checked():
         DomainFamily([1.0], [0.0, 1.0], t_max=0.8)
 
 
-def test_family_gate_matches_maps_built_per_t():
-    # the family certifies every t in one call; each decision must equal the
-    # gate of the map f + t h formed as map_at forms it
-    def gate(base, pert, t):
-        c = np.zeros(max(len(base), len(pert)), dtype=complex)
-        c[: len(base)] += base
-        c[: len(pert)] += t * np.asarray(pert)
-        return ConformalMap(c, check=False).passes_gate()
+@pytest.mark.parametrize("t_max", [0.5 * (1.0 - 1e-13), 0.5])
+def test_family_refuses_a_range_map_at_reaches_past_t_star(t_max):
+    # map_at accepts |t| up to t_max (1 + 1e-12), and at t = 0.5 f' = 1 + z
+    # vanishes at -1: t* = 0.5 is refused even 1e-13 below it
+    assert not ConformalMap([1.0, 0.5], check=False).passes_gate()
+    with pytest.raises(InjectivityError, match=r"at \|t\| = t\* = 0\.5$"):
+        DomainFamily([1.0], [0.0, 1.0], t_max=t_max)
 
-    ts = np.linspace(-4.0, 4.0, 129)
+
+def _gate(base, pert, t):
+    """The gate of the map ``f + t h`` formed as ``map_at`` forms it."""
+    c = np.zeros(max(len(base), len(pert)), dtype=complex)
+    c[: len(base)] += base
+    c[: len(pert)] += t * np.asarray(pert)
+    return ConformalMap(c, check=False).passes_gate()
+
+
+def _assert_t_star_is_the_gate_edge(base, pert, grid=33, crosses=True):
+    """The gate passes at every t of a grid over |t| <= (1 - CROSSING_TOL) t*
+    (over the cap's range where t* is inf) and, where a zero crosses the circle
+    there, fails just past -t* or t*."""
+    t_star = DomainFamily(base, pert, t_max=1e-6)._first_crossing()
+    edge = (1.0 - conformal.CROSSING_TOL) * min(t_star, conformal.T_MAX_CAP)
+    assert all(_gate(base, pert, t) for t in np.linspace(-edge, edge, grid))
+    if crosses and t_star < np.inf:
+        past = (1.0 + conformal.CROSSING_TOL) * t_star
+        assert not (_gate(base, pert, past) and _gate(base, pert, -past))
+    return t_star
+
+
+def test_family_gate_matches_maps_built_per_t():
+    # t* is the edge of the gate of each map f + t h, built per t as map_at builds it.
     # f' = 1 + 2 t q z vanishes at z = w for t = t0 when q = -1 / (2 t0 w): on
     # the circle and 1e-10 relative inside and outside it, for t0 = +-0.75
     w = np.exp(0.7j)
     zeros = {(t0, rel): ([1.0], [0.0, -1.0 / (2.0 * t0 * w * rel)])
              for t0 in (0.75, -0.75) for rel in (1.0, 1.0 - 1e-10, 1.0 + 1e-10)}
     drop = ([1.0, 0.1, 0.03], [0.0, 0.0, -0.03])  # degree 3 -> 2 at t = 1
-    cases = [([1.0], [1.0]), ([1.0], [0.0, 1.0]), ([1.0, 0.1], [0.0, 0.05, 0.03]),
+    cases = [([1.0], [0.0, 1.0]), ([1.0, 0.1], [0.0, 0.05, 0.03]),
              ([1.0, 0.1], [10.0, 0.5, 0.3]), ([1.0, 0.2j], [0.3, -0.4, 0.1j]),
              drop, *zeros.values()]
     for base, pert in cases:
-        fam = DomainFamily(base, pert, t_max=1e-3)
-        assert list(fam._gate_ok(ts)) == [gate(base, pert, t) for t in ts]
-    # the zero crosses the circle at t0: inside fails, outside passes
+        _assert_t_star_is_the_gate_edge(base, pert)
+    # the zero crosses the circle at |t| = |t0| rel: inside fails, outside passes
     for (t0, rel), (base, pert) in zeros.items():
+        t_star = _assert_t_star_is_the_gate_edge(base, pert)
+        assert t_star == pytest.approx(abs(t0) * rel, rel=1e-12)
         if rel != 1.0:
-            assert gate(base, pert, t0) == (rel > 1.0)
-            assert not gate(base, pert, 1.01 * t0) and gate(base, pert, 0.99 * t0)
-    assert gate(*drop, 1.0)  # z + 0.1 z^2: the vanishing c_3 is mu = 0
-    assert not gate([1.0], [1.0], -1.0)  # c_1(t) = 0
+            assert _gate(base, pert, t0) == (rel > 1.0)
+    # z + 0.1 z^2: the vanishing c_3 is mu = 0, not a crossing
+    assert _gate(*drop, 1.0) and _assert_t_star_is_the_gate_edge(*drop) > 1.0
+    # c_1(t) = 1 + t = 0: h' = f', the crossing polynomial is 0, z = 0 is the
+    # candidate, and the gate fails at t = -1 alone (every z is a zero there)
+    assert not _gate([1.0], [1.0], -1.0)
+    assert _assert_t_star_is_the_gate_edge([1.0], [1.0], crosses=False) == 1.0
+
+
+def test_family_t_star_on_seeded_families():
+    # Hurwitz: at every t short of t* the gate passes, and just past -t* or t*
+    # it fails; bases of degree 2 to 7, a random complex h of degree 1 to 7
+    rng = np.random.default_rng(31)
+    crossed = families = 0
+    while families < 500:
+        deg = int(rng.integers(2, 8))
+        base = np.append(1.0, (rng.normal(size=deg - 1) + 1j * rng.normal(size=deg - 1))
+                         * 0.4 / np.arange(2, deg + 1) ** 2)
+        if not ConformalMap(base, check=False).passes_gate():
+            continue
+        k = int(rng.integers(1, 8))
+        pert = (rng.normal(size=k) + 1j * rng.normal(size=k)) * rng.uniform(0.05, 2.0)
+        crossed += _assert_t_star_is_the_gate_edge(base, pert, grid=17) < np.inf
+        families += 1
+    assert crossed > 400
+
+
+def test_family_t_star_of_a_zero_both_samplings_stepped_over():
+    # the zero of f_t' is at (t - c) / 0.005: inside the disk only for t in [0.302, 0.308]
+    c = 0.305 + 0.004j
+    base, pert = [1.0, 0.0025 / c], [-1.0 / c]
+    fam = DomainFamily(base, pert)
+    assert fam.t_max == pytest.approx(0.151, rel=1e-12)
+    assert not _gate(base, pert, 0.305)
+    with pytest.raises(InjectivityError, match=r"at \|t\| = t\* = 0\.302$"):
+        DomainFamily(base, pert, t_max=2.0)
 
 
 def test_family_gate_tests_every_non_finite_point():
-    # a NaN h' makes f' + t h' non-finite, so every t fails, scanned or declared
+    # a NaN h' makes f' + t h' non-finite, so every t fails, omitted or declared
     for t_max in (None, 1e-3):
         with pytest.raises(InjectivityError):
             DomainFamily([1.0], [0.0, np.nan], t_max=t_max)
 
 
+def test_family_refuses_a_base_that_fails_the_gate():
+    with pytest.raises(InjectivityError, match="at t = 0"):
+        DomainFamily(ConformalMap([1.0, 0.6], check=False), [0.0, 0.1])
+
+
 def test_family_t_max_autoscan():
     fam = DomainFamily([1.0], [0.0, 1.0])
-    assert 0.0 < fam.t_max <= 0.5
+    assert fam.t_max == pytest.approx(0.25, rel=1e-15)
     fam.map_at(fam.t_max)
-    # the FD step follows t_max: pin the scanned values
+    # the FD step follows t_max: pin half the crossing t*, capped at 2, and t*
     assert DomainFamily([1.0, 0.1], [0.0, 0.05, 0.03]).t_max == 2.0
     scanned = {name: DomainFamily(f().base, f().perturbation).t_max
                for name, f in BUILTIN_FAMILIES.items()}
     assert scanned == {"dilation": 0.5, "rotation": 2.0, "quadratic_bump": 2.0,
                        "cubic_mix": 2.0}
+    crossings = {name: DomainFamily(f().base, f().perturbation)._first_crossing()
+                 for name, f in BUILTIN_FAMILIES.items()}
+    crossings["curved"] = DomainFamily([1.0, 0.1], [0.0, 0.05, 0.03])._first_crossing()
+    assert crossings == pytest.approx({"dilation": 1.0, "rotation": np.inf, "quadratic_bump": 5.0,
+                                       "cubic_mix": 100 / 19, "curved": 120 / 19}, rel=1e-12)
 
 
 def test_family_rejects_bad_t_max():

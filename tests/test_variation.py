@@ -696,6 +696,31 @@ def test_boundary_nodes_follow_the_critical_points():
                                                                  rel=1e-2)
 
 
+@pytest.mark.parametrize("a, rate", [(0.4999, "0.038"), (0.49999, "0.72")])
+def test_boundary_nodes_refuse_a_rate_the_cap_cannot_reach(a, rate):
+    # z + a z^2 has f' = 0 at -1/(2a), just outside the circle: at MAX_BOUNDARY_NODES
+    # the trapezoid rate r^m is still above TOL_MUTUAL, so every boundary route and
+    # the report refuse the family (strict or not) in place of a wrong value
+    fam = DomainFamily([1.0, a], [0.0, 0.05, 0.03], t_max=1e-4)
+    p, q, c = (0.1, 0.05), (-0.3, 0.2), (0.25, -0.35)
+    message = (rf"cannot resolve r = {2.0 * a:.6g} \(a zero of f'\): "
+               rf"rate r\^16384 = {rate} > 1e-05")
+    for route in (lambda: boundary_variation(fam, p, q), lambda: flux_variation(fam, p, q),
+                  lambda: triple_variation(fam, p, q, c),
+                  lambda: variation_report(fam, p, q, strict=True),
+                  lambda: variation_report(fam, p, q, strict=False)):
+        with pytest.raises(DomainError, match=message):
+            route()
+
+
+def test_boundary_nodes_keep_the_cap_where_its_rate_holds():
+    # r = 0.998 (rate 5.7e-15) and a pole preimage at 0.999 (7.6e-8) stay at the cap
+    fam = DomainFamily([1.0, 0.499], [0.0, 0.05, 0.03], t_max=1e-4)
+    assert boundary_nodes(fam.base, (0.1, 0.05), (-0.3, 0.2)) == 2**14
+    with pytest.raises(DomainError, match=r"r = 0\.99999 \(a pole preimage\)"):
+        boundary_nodes(dilation_family().base, (0.99999, 0.0))
+
+
 def constant_metric(matrix):
     """An untagged ``MetricField`` with the constant ``matrix``."""
     g = np.asarray(matrix, dtype=float)

@@ -15,13 +15,17 @@ sha256 of what they returned:
 * ``boundary_routes``: every value, by ``float.hex``;
 * ``cli_suite``: every exit code and the bytes of every artifact, in order.
 
-Two probes of the kernels below the workloads follow:
+Three probes of the kernels below the workloads follow:
 
 * ``volume_integrand``: the tensor-route integrand on the curved family at
   seeded disk points, with and without the workloads' metric and their
   non-holomorphic velocity, by the ``float.hex`` of every value;
 * ``fd_oracles``: the FD oracle at two steps on the five families, at the
-  seeded poles of ``boundary_routes``.
+  seeded poles of ``boundary_routes``;
+* ``families``: the ``t_max`` of each family built without one, by
+  ``float.hex``: the five families of the workloads, then ``SEEDED_FAMILIES``
+  drawn from the seed (bases of degree 2 to 7 that pass the injectivity gate,
+  perturbations of degree 1 to 7).
 
 An operation that raises a ``GreenvarError`` enters the digest as its class
 and message.  Run the same seeds on two checkouts and compare the lines.
@@ -48,6 +52,8 @@ import workloads  # noqa: E402
 
 # Disk points per volume_integrand probe: inside radius 0.95, clear of the poles.
 INTEGRAND_POINTS = 64
+# Seeded families per families probe, after the workloads' five.
+SEEDED_FAMILIES = 200
 
 
 def _hex(value) -> str:
@@ -125,8 +131,30 @@ def fd_oracles(seed: int, workdir: str):
             yield _record(label, error, [] if values is None else [_hex(v) for v in values])
 
 
+def _seeded_families(seed: int, count: int):
+    """``(label, (base, perturbation))`` of ``count`` families drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    drawn = []
+    while len(drawn) < count:
+        deg, k = int(rng.integers(2, 8)), int(rng.integers(1, 8))
+        base = np.append(1.0, (rng.normal(size=deg - 1) + 1j * rng.normal(size=deg - 1))
+                         * rng.uniform(0.1, 0.6) / np.arange(2, deg + 1) ** rng.uniform(1.0, 2.0))
+        pert = (rng.normal(size=k) + 1j * rng.normal(size=k)) * rng.uniform(0.01, 3.0)
+        if greenvar.ConformalMap(base, check=False).passes_gate():
+            drawn.append((f"seeded/{len(drawn)}", (base, pert)))
+    return drawn
+
+
+def families(seed: int, workdir: str):
+    specs = list(workloads.FAMILIES.items()) + _seeded_families(seed, SEEDED_FAMILIES)
+    ops = [(label, lambda base=base, pert=pert: greenvar.DomainFamily(base, pert).t_max)
+           for label, (base, pert) in specs]
+    for label, t_max, error in _run(ops):
+        yield _record(label, error, [] if t_max is None else [_hex(t_max)])
+
+
 DIGESTS = {f.__name__: f for f in (volume_ladder, boundary_routes, cli_suite,
-                                     volume_integrand, fd_oracles)}
+                                     volume_integrand, fd_oracles, families)}
 
 
 def digest(name: str, seed: int) -> str:
