@@ -351,16 +351,21 @@ class DomainFamily:
         """The velocity pulled back to the disk by ``f``: ``h(z) / f'(z)``.
 
         Holomorphic, so its Jacobian is multiplication by the complex
-        derivative ``(h' f' - h f'') / f'^2``; nothing is inverted.
+        derivative ``(h' f' - h f'') / f'^2``; nothing is inverted.  ``f'`` and
+        ``h`` are evaluated once per point set, for both (:func:`_held`).
         """
-        base, pert = self.base, self.h
+        base, pert, slot = self.base, self.h, []
+        held = lambda z: _held(slot, z, lambda z: (base.derivative(z), pert(z)))
+
+        def value(z):
+            fp, hz = held(z)
+            return hz / fp
 
         def slope(z):
-            fp = base.derivative(z)
-            return (pert.derivative(z) * fp - pert(z) * base.second_derivative(z)) / fp**2
+            fp, hz = held(z)
+            return (pert.derivative(z) * fp - hz * base.second_derivative(z)) / fp**2
 
-        return _holomorphic_field(to_complex, lambda z: pert(z) / base.derivative(z),
-                                  slope, "family velocity on the disk")
+        return _holomorphic_field(to_complex, value, slope, "family velocity on the disk")
 
     def to_json(self) -> dict:
         pack = lambda c: [[float(v.real), float(v.imag)] for v in c]
@@ -503,18 +508,26 @@ def enclosed_area(grid: BoundaryGrid) -> float:
                               grid.weights))
 
 
-def _held_image(slot: list, p: np.ndarray, fmap: ConformalMap, at_image):
-    """``(z, f(z) as points, f'(z), at_image(f(z)))`` at disk points ``p``, read-only, held in
-    ``slot`` for the last ``p`` only, keyed on its shape and bytes (never its identity)."""
+def _held(slot: list, p: np.ndarray, compute):
+    """The arrays ``compute(p)``, read-only (0-d for one point), held in ``slot`` for the
+    last ``p`` only, keyed on its shape and bytes (never its identity)."""
     key = (p.shape, p.tobytes())
     if slot[:1] != [key]:
-        z = to_complex(p)
-        x = to_points(fmap(z))
-        x.flags.writeable = False       # before at_image, which may be the user's
-        slot[:] = key, (z, x, fmap.derivative(z), at_image(x))
+        slot[:] = key, tuple(map(np.asarray, compute(p)))
         for arr in slot[1]:
             arr.flags.writeable = False
     return slot[1]
+
+
+def _held_image(slot: list, p: np.ndarray, fmap: ConformalMap, at_image):
+    """``(z, f(z) as points, f'(z), at_image(f(z)))`` at disk points ``p``, held (:func:`_held`)."""
+    def compute(p):
+        z = to_complex(p)
+        x = to_points(fmap(z))
+        x.flags.writeable = False       # before at_image, which may be the user's
+        return z, x, fmap.derivative(z), at_image(x)
+
+    return _held(slot, p, compute)
 
 
 def pullback_metric(fmap: ConformalMap, metric: MetricField) -> MetricField:

@@ -11,21 +11,25 @@ uses a smooth radial partition-of-unity window: the background integrates
 outright), the patch integrates ``chi f``.  Patch weights
 are normalized so the whole rule integrates constants exactly, independent
 of how well the background grid resolves the window.  The window is 0
-beyond ``rho``: the build windows and masks only the patches and the
-background rings within ``rho`` of a pole's modulus, and writes the others
-straight into the rule's buffers, allocated once.  It measures no node, as
-the patch layout bounds them all before anything is allocated.
+beyond ``rho``: the build windows only the background rings within ``rho`` of
+each pole's modulus and the patches.  It sizes every piece first, allocates
+the rule's buffers once and writes each node into them once: no piece is
+built aside and copied in.  It measures no node, as the patch layout bounds
+them all before anything is allocated.
 
 Boundary integrals use the periodic trapezoid rule (spectrally accurate for
 analytic boundary data), assembled by :func:`greenvar.conformal.boundary_grid`.
 
 Summation is exactly rounded and therefore deterministic: every sum is the
-double ``math.fsum`` returns.  Arrays shorter than ``FSUM_EXTRACT_MIN`` go
-to ``math.fsum`` itself; longer ones to an error-free extraction sum in
-numpy, which splits every value into parts on a few fixed grids, sums each
-grid's parts exactly in any order and rounds the exact total once.
-Non-finite values, and magnitudes where the splitting constant would
-overflow, fall back to ``math.fsum`` (see ``_fsum``).
+double ``math.fsum`` returns.  Fewer than ``FSUM_EXTRACT_MIN`` values go to
+``math.fsum`` itself; more to an error-free extraction sum in numpy, which
+splits every value into parts on a few fixed grids, sums each grid's parts
+exactly in any order and rounds the exact total once.  Non-finite values,
+and magnitudes where the splitting constant would overflow, fall back to
+``math.fsum`` (see ``_fsum``).  As the order does not matter, the sum takes
+its values block by block: of an array, or of a stream that writes each
+block into one reused buffer, as the volume route's closed form does.  So
+the only array the size of a rule on that route is the rule itself.
 
 Rules are shared and read-only.  :func:`disk_rule` holds the
 ``RECENT_RULES`` (two) rules it built last and hands out a held rule again
@@ -41,8 +45,10 @@ once, and sums each integrand on it once.
 
 from __future__ import annotations
 
+import itertools
 import math
 import weakref
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, NamedTuple, Optional, Sequence, Union
@@ -87,10 +93,13 @@ PATCH_ANGULAR_FACTOR = 2
 FSUM_EXTRACT_MIN = 2048
 
 # _fsum and the closed form run over blocks of this many nodes, so that their
-# temporaries stay in a 4 MB L2 cache.  On the 196,041 nodes of a 256x512x128
-# rule (2-core Xeon, best of 7): closed form 11.3 ms, 10.7-13.8 in blocks of
-# 2,048 to 32,768, 24.1 unblocked; _fsum 0.72, 0.76-0.89 (8,192-65,536), 2.35.
-BLOCK = 16384
+# temporaries stay in a 4 MB L2 cache, and the closed form streams into the sum
+# one block at a time.  On the 196,041 nodes of a 256x512x128 rule (2-core
+# x86_64, best of 15, on a noisy host), at 8,192 and then at the other sizes
+# from 2,048 to 32,768: closed form 7.5 ms, 7.7-9.5; _fsum of an array with
+# weights 1.2 ms, 1.0-2.6; the closed form streamed into _fsum 9.1 ms, 9.0-12.8.
+# 8,192 halves the scratch of 16,384 at no measurable cost.
+BLOCK = 8192
 
 # disk_rule holds the rules it built last, this many.  Two hold a
 # convergence ladder's working set: its rung's rule, asked for once per
@@ -157,37 +166,44 @@ def _window(dist, rho):
                                             1.0 - _smoothstep(w)))
 
 
-def _fsum(x: np.ndarray, w: Optional[np.ndarray] = None) -> float:
-    """Correctly rounded sum of a 1-d float array, or of its products ``w * x``
-    with weights ``w``: the double ``math.fsum`` returns, bit for bit.
+def _blocks(x):
+    """The blocks of ``x``: of an array, views of at most ``BLOCK`` values; of a stream (a
+    function returning an iterator over blocks of values, see :func:`_fsum`), a new run."""
+    return x() if callable(x) else (x[lo:lo + BLOCK] for lo in range(0, x.size, BLOCK))
 
-    Below ``FSUM_EXTRACT_MIN`` values it is ``math.fsum`` over a buffer view.
-    From there on it is an error-free extraction sum (Rump, Ogita and Oishi,
-    SIAM J. Sci. Comput. 2008) over blocks of ``BLOCK``: with ``e`` the
-    exponent of ``top = max |r| < 2^e`` and ``2^shift >= n + 2`` for a
-    block's ``n`` values, ``sigma = 2^(e + shift)`` splits the residual ``r``
-    (first the block, its products formed in one reused buffer) exactly into ``q = (sigma
-    + r) - sigma``, a multiple of ``2^-53 sigma``, and ``r - q``.  The values of ``q`` sum
-    to less than ``sigma``, so every partial sum is exact in any order; each pass leaves
-    ``|r| <= 2^(e + shift - 53)``, until ``r`` is all zero.  ``math.fsum`` rounds the pass
-    sums, whose total is exact, once.  Non-finite values and ``e + shift > 1023`` over the
-    whole array go to ``math.fsum``, which returns or raises for them as it always has.
+
+def _fsum(x, w: Optional[np.ndarray] = None) -> float:
+    """Correctly rounded sum of ``x``, or of its products ``w * x`` with weights ``w``:
+    the double ``math.fsum`` returns, bit for bit.  ``x`` is a 1-d float array or a
+    stream of ``w.size`` values: a function returning an iterator over consecutive
+    blocks of at most ``BLOCK`` of them, each read before the next is asked for (so
+    one buffer may hold them all in turn), called again wherever ``math.fsum`` decides.
+
+    Below ``FSUM_EXTRACT_MIN`` values it is ``math.fsum``.  From there on it is an
+    error-free extraction sum (Rump, Ogita and Oishi, SIAM J. Sci. Comput. 2008) over
+    the blocks: with ``e`` the exponent of ``top = max |r| < 2^e`` and ``2^shift >= n +
+    2`` for a block's ``n`` values, ``sigma = 2^(e + shift)`` splits the residual ``r``
+    (first the block, its products formed in one reused buffer) exactly into ``q =
+    (sigma + r) - sigma``, a multiple of ``2^-53 sigma``, and ``r - q``.  The values of
+    ``q`` sum to less than ``sigma``, so every partial sum is exact in any order; each
+    pass leaves ``|r| <= 2^(e + shift - 53)``, until ``r`` is all zero.  ``math.fsum``
+    rounds the pass sums, whose total is exact, once.  Non-finite values and ``e + shift
+    > 1023`` over all values go to ``math.fsum``, which returns or raises for them as it
+    always has.
     """
-    n = x.size
-    exact = lambda: math.fsum(memoryview(x if w is None else w * x))
+    n = w.size if callable(x) else x.size
     if n < FSUM_EXTRACT_MIN:
-        return exact()
+        return _exact(x, w)
     shift = (n + 1).bit_length()            # ceil(log2(n + 2))
-    taus, negative, q, r = [], True, np.empty(BLOCK), np.empty(BLOCK)
-    for lo in range(0, n, BLOCK):
-        rb = x[lo:lo + BLOCK]               # x stays as given
-        if w is not None:
-            rb = np.multiply(w[lo:lo + BLOCK], rb, out=r[:rb.size])
-        qb, block_shift = q[:rb.size], (rb.size + 1).bit_length()
+    taus, negative, q, r, lo = [], True, np.empty(BLOCK), np.empty(BLOCK), 0
+    for rb in _blocks(x):                   # every block, so a stream runs to its end
+        if w is not None:                   # x stays as given
+            rb = np.multiply(w[lo:lo + rb.size], rb, out=r[:rb.size])
+        qb, block_shift, lo = q[:rb.size], (rb.size + 1).bit_length(), lo + rb.size
         while True:
             top = max(float(rb.max()), -float(rb.min()))    # max |rb|; NaN if any is
             if not math.isfinite(top) or math.frexp(top)[1] + shift > 1023:
-                return exact()
+                return _exact(x, w)
             if not top:     # rb is all zeros: with no pass sum yet, so was every block
                 negative = negative and not taus and bool(np.signbit(rb).all())
                 break
@@ -197,6 +213,18 @@ def _fsum(x: np.ndarray, w: Optional[np.ndarray] = None) -> float:
     if not taus:    # all zeros: math.fsum's zero, which is -0.0 only if every term is
         return math.fsum([-0.0] if negative else [0.0])
     return math.fsum(taus)
+
+
+def _exact(x, w: Optional[np.ndarray]) -> float:
+    """``math.fsum`` of ``x`` or ``w * x``, ``x`` an array or a stream (see :func:`_fsum`)."""
+    if not callable(x):
+        return math.fsum(memoryview(x if w is None else w * x))
+
+    def products(lo=0):
+        for b in x():
+            yield memoryview(w[lo:lo + b.size] * b)
+            lo += b.size
+    return math.fsum(itertools.chain.from_iterable(products()))
 
 
 @lru_cache(maxsize=64)
@@ -393,8 +421,9 @@ def _build_rule(n_r: int, n_theta: int, pole_arr: np.ndarray,
                 n_patch: int) -> QuadratureRule:
     """The rule :func:`disk_rule` describes, from validated counts and a
     1-d complex pole array that the rule takes over.  The pole patches are
-    laid out (and certified) before the background, and the node and weight
-    buffers are allocated once, at their exact size."""
+    laid out (and certified) and every piece is sized before the node and
+    weight buffers are allocated, once, at their exact size; each node is
+    written into them once."""
     if pole_arr.size:
         rho, rad, wrad, ring = _patch_layout(pole_arr, n_patch)
     r, wr = _gauss_legendre(n_r, 0.0, 1.0)
@@ -404,59 +433,62 @@ def _build_rule(n_r: int, n_theta: int, pole_arr: np.ndarray,
         return _frozen_rule((r[:, None] * e[None, :]).ravel(), np.repeat(w_ring, n_theta),
                             pole_arr, None, n_r, n_theta, n_patch)
 
-    # background: a run of rings off the band (see _band) is kept as it is, as
-    # its radii and ring weights until it is written into the buffers; in each
-    # run of band rings, multiply by (1 - sum of windows) and drop the dead
-    # nodes.  A window is exactly 0 beyond rho, and each pole's nodes within
-    # rho lie in one run, so b_chi sums them once.
-    band = _band(r, pole_arr, rho)
-    b_chi, pieces = np.zeros(pole_arr.size), []
-    cuts = [0, *(np.flatnonzero(np.diff(band)) + 1), n_r]
-    for lo, hi in zip(cuts, cuts[1:]):
-        pieces.append(_windowed(r[lo:hi], e, w_ring[lo:hi], pole_arr, rho, b_chi)
-                      if band[lo] else (r[lo:hi], w_ring[lo:hi]))
+    # background node j * n_theta + t, at r_j e_t: each pole's window, on its own
+    # band rings (see _band), is exactly 0 beyond rho and patches never overlap,
+    # so a node has at most one window chi; it keeps its weight times 1 - chi,
+    # or is dead (dropped) where 1 - chi <= 1e-14.  b_chi is each window's weight.
+    near, fac, b_chi = [], [], np.zeros(pole_arr.size)
+    for i, (p, rows) in enumerate(zip(pole_arr, _band(r, pole_arr, rho))):
+        rows = np.flatnonzero(rows)
+        dist = np.abs((r[rows, None] * e).ravel() - p)
+        k = np.flatnonzero(dist < rho)
+        chi = _window(dist[k], rho)
+        near.append(rows[k // n_theta] * n_theta + k % n_theta)
+        b_chi[i] = _fsum(w_ring[near[-1] // n_theta] * chi)
+        fac.append(1.0 - chi)
+    near, fac = np.concatenate(near), np.concatenate(fac)
+    dead = np.sort(near[fac <= 1e-14])
+    near, fac = near[fac > 1e-14], fac[fac > 1e-14]
 
-    # pole patches: graded polar rule over B(p, rho), windowed by chi,
-    # rescaled so the patch contributes exactly what the background gave up
-    w_patch = np.repeat(wrad * _window(rad, rho) * (2.0 * np.pi / ring.size), ring.size)
-    raw = _fsum(w_patch)
-    for i, p in enumerate(pole_arr):
-        # Normalize so the patch contributes exactly the weight the windowed
-        # background gave up.  A background too coarse to see the window at
-        # all (b_chi = 0) degrades gracefully: the patch drops out.
-        w = w_patch * (b_chi[i] / raw)
-        pieces.append(((p + rad[:, None] * ring[None, :]).ravel()[w > 0.0], w[w > 0.0]))
+    # pole patches: graded polar rule over B(p, rho), windowed by chi, rescaled
+    # so the patch contributes exactly the weight the windowed background gave
+    # up.  A background too coarse to see the window at all (b_chi = 0)
+    # degrades gracefully: the patch drops out.  Weights are constant on a
+    # ring, so a ring is kept whole or dropped whole where its weight is 0.
+    w_patch = wrad * _window(rad, rho) * (2.0 * np.pi / ring.size)
+    raw = _fsum(np.repeat(w_patch, ring.size))
+    w_rings = [w_patch * (b / raw) for b in b_chi]
+    size = n_r * n_theta - dead.size + ring.size * sum(np.count_nonzero(w > 0.0) for w in w_rings)
 
-    sizes = [z.size * (n_theta if z.dtype.kind == "f" else 1) for z, _ in pieces]
-    z_all, w_all = np.empty(sum(sizes), dtype=complex), np.empty(sum(sizes))
-    for (z, w), end, size in zip(pieces, np.cumsum(sizes), sizes):
-        if z.dtype.kind == "f":         # the radii and ring weights of a run off the band
-            np.multiply(z[:, None], e, out=z_all[end - size:end].reshape(-1, n_theta))
-            w_all[end - size:end].reshape(-1, n_theta)[...] = w[:, None]
-        else:
-            z_all[end - size:end], w_all[end - size:end] = z, w
+    z_all, w_all = np.empty(size, dtype=complex), np.empty(size)
+    at, lo = 0, 0       # the next node written, the next ring
+    for j in [*np.unique(dead // n_theta), n_r]:    # each ring with a dead node, compressed
+        run = z_all[at:at + (j - lo) * n_theta].reshape(-1, n_theta)
+        np.multiply(r[lo:j, None], e, out=run)
+        w_all[at:at + run.size].reshape(-1, n_theta)[...] = w_ring[lo:j, None]
+        at += run.size
+        if j < n_r:
+            keep = np.ones(n_theta, dtype=bool)
+            keep[dead[dead // n_theta == j] % n_theta] = False
+            k = np.count_nonzero(keep)
+            np.compress(keep, r[j] * e, out=z_all[at:at + k])
+            w_all[at:at + k] = w_ring[j]
+            at, lo = at + k, j + 1
+    w_all[near - np.searchsorted(dead, near)] *= fac
+    for p, w in zip(pole_arr, w_rings):
+        kept = w > 0.0
+        patch = z_all[at:at + ring.size * np.count_nonzero(kept)].reshape(-1, ring.size)
+        np.add(np.multiply(rad[kept, None], ring, out=patch), p, out=patch)
+        w_all[at:at + patch.size].reshape(-1, ring.size)[...] = w[kept, None]
+        at += patch.size
     return _frozen_rule(z_all, w_all, pole_arr, rho, n_r, n_theta, n_patch)
 
 
-def _windowed(r, e, w_ring, pole_arr, rho, b_chi):
-    """The nodes and weights of rings ``r`` times ``1 -`` the sum of the pole
-    windows, the dead nodes dropped; adds each pole's windowed weight to ``b_chi``."""
-    z, w = (r[:, None] * e).ravel(), np.repeat(w_ring, e.size)
-    fac = np.ones_like(w)
-    for i, p in enumerate(pole_arr):
-        dist = np.abs(z - p)
-        near = np.flatnonzero(dist < rho)
-        chi = _window(dist[near], rho)
-        b_chi[i] += _fsum(w[near] * chi)
-        fac[near] -= chi
-    keep = fac > 1e-14
-    return z[keep], w[keep] * fac[keep]
-
-
 def _band(r: np.ndarray, pole_arr: np.ndarray, rho: float) -> np.ndarray:
-    """The rings (radii ``r``) within ``1.001 rho`` of a pole's modulus: all with a
-    node within ``rho``, since ``rho > 1e-10`` and ``|z - p|`` rounds by 1e-16."""
-    return np.any(np.abs(r[:, None] - np.abs(pole_arr)) < 1.001 * rho, axis=1)
+    """``(poles, rings)``: the rings (radii ``r``) within ``1.001 rho`` of each pole's
+    modulus: all with a node within ``rho`` of that pole, since ``rho > 1e-10`` and
+    ``|z - p|`` rounds by 1e-16."""
+    return np.abs(r - np.abs(pole_arr)[:, None]) < 1.001 * rho
 
 
 @dataclass(frozen=True)
@@ -473,32 +505,52 @@ class IntegrationResult:
 
 
 def _weighted_sum(rule, f, what: str) -> float:
-    """``sum(weights * values)`` over a rule or grid, ``f`` the values or a callable
-    on the nodes; :class:`EvaluationError` unless they match the weights and are finite.
-    The values are scanned only when the sum is not finite or ``_fsum`` raises, one
-    of which any non-finite value causes; finite values whose sum overflows give
-    what ``_fsum`` gives."""
-    vals = np.asarray(f(rule.nodes) if callable(f) else f, dtype=float)
-    if vals.shape != rule.weights.shape:
-        raise EvaluationError(
-            f"{what} has shape {vals.shape}, expected {rule.weights.shape}")
+    """``sum(weights * values)`` over a rule or grid: ``f`` the values, or a callable on
+    the nodes that returns them or a stream of them (an iterator over consecutive blocks,
+    see :func:`_fsum`; a new run calls ``f`` again).  :class:`EvaluationError` unless
+    they match the weights and are finite.  The values are scanned only when the sum is
+    not finite or ``_fsum`` raises, one of which any non-finite value causes; finite
+    values whose sum overflows give what ``_fsum`` gives.  A stream's own error comes
+    first, as an array's would have come before its sum: it ends the run, and the scan
+    runs a stream to its end."""
+    vals, raised = f(rule.nodes) if callable(f) else f, []
+    if isinstance(vals, Iterator):
+        first = [vals]
+
+        def vals():
+            try:
+                yield from (first.pop() if first else f(rule.nodes))
+            except (OverflowError, ValueError) as exc:  # not to be taken for the sum's own
+                raised.append(exc)
+    else:
+        vals = np.asarray(vals, dtype=float)
+        if vals.shape != rule.weights.shape:
+            raise EvaluationError(
+                f"{what} has shape {vals.shape}, expected {rule.weights.shape}")
     try:
         total, failure = _fsum(vals, rule.weights), None
     except (OverflowError, ValueError) as exc:     # an overflow, or inf - inf
         total, failure = math.nan, exc
-    if not math.isfinite(total):
-        bad = np.flatnonzero(~np.isfinite(vals))
-        if bad.size:
-            i = int(bad[0])
-            raise EvaluationError(f"non-finite {what} at node {i} = {tuple(rule.nodes[i])}")
-        if failure is not None:
-            raise failure
+    bad, lo = [], 0
+    if not (raised or math.isfinite(total)):
+        for b in _blocks(vals):
+            bad += [lo + int(i) for i in np.flatnonzero(~np.isfinite(b))[:1]]
+            lo += b.size
+    if raised:
+        raise raised[0]
+    if bad:
+        raise EvaluationError(f"non-finite {what} at node {bad[0]} = "
+                              f"{tuple(rule.nodes[bad[0]])}")
+    if failure is not None:
+        raise failure
     return total
 
 
 def integrate(rule: QuadratureRule, f: Callable, check: bool = True,
               key: Optional[tuple] = None) -> IntegrationResult:
-    """Apply the rule to a vectorized integrand ``f((N, 2) nodes) -> (N,)``.
+    """Apply the rule to a vectorized integrand ``f((N, 2) nodes) -> (N,)``, or to one
+    that returns an iterator over its values in consecutive blocks of at most
+    ``BLOCK`` (see :func:`_fsum`): then no array of ``N`` values is formed.
 
     The convergence flag compares against the same rule at half resolution;
     it is True when the relative change is below ``CONVERGENCE_TOL``, and

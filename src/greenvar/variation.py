@@ -295,31 +295,39 @@ def _closed_form_integrand(family, fmap: ConformalMap, rule,
     """``2 Re(A B (dbar v)(f(z)) conj(f'(z)) / f'(z))`` at disk points, by
     :func:`_beltrami_kernel` with the poles of ``rule``; 0 for the (holomorphic)
     family velocity.  It reads no metric value: the closed form has no conformal
-    factor.  Each call also evaluates :func:`_tensor_route` (against ``metric``)
-    at ``CROSS_CHECK_NODES`` nodes and raises :class:`EvaluationError` where the
-    two disagree; :func:`volume_variation` sums it once per rule."""
+    factor.  A stream (see :func:`integrate`): each call yields the values in blocks
+    of ``BLOCK``, written into one reused buffer.  After the last block it evaluates
+    :func:`_tensor_route` (against ``metric``) at ``CROSS_CHECK_NODES`` nodes and raises
+    :class:`EvaluationError` where the two disagree, reading the values it yielded
+    there; :func:`volume_variation` sums it once per rule."""
     wa, wb = rule.poles
     pieces = _tensor_route(family, wa, wb, metric, velocity)
 
     def integrand(points):
-        vals = np.zeros(len(points))
+        n = len(points)
+        idx = np.unique(np.linspace(0, n - 1, CROSS_CHECK_NODES).astype(int))
+        got, out = np.empty(idx.size), np.zeros(min(n, BLOCK))     # 0 for the family's
         if velocity is not None:
-            tmp = np.empty((3, BLOCK), complex), np.empty((2, BLOCK))
-            for lo, zb, x in _images(fmap, points):
+            images = _images(fmap, points)
+            tmp = np.empty((3, out.size), complex), np.empty((2, out.size))
+        for lo in range(0, n, BLOCK):
+            vals = out[:min(BLOCK, n - lo)]
+            if velocity is not None:
+                _, zb, x = next(images)
                 _beltrami_kernel(zb, wa, wb, velocity.jacobian(x), fmap.derivative(zb),
-                                 vals[lo:lo + zb.size], tmp)
-        idx = np.unique(np.linspace(0, len(points) - 1, CROSS_CHECK_NODES).astype(int))
+                                 vals, tmp)
+            at = slice(*np.searchsorted(idx, (lo, lo + vals.size)))
+            got[at] = vals[idx[at] - lo]
+            yield vals
         T, D, vol = pieces(points[idx])
         ref = _contract(T, D, vol)
         scale = np.linalg.norm(T, axis=(-2, -1)) * np.linalg.norm(D, axis=(-2, -1)) * vol
-        bad = np.flatnonzero(np.isfinite(vals[idx])
-                             & ~(np.abs(vals[idx] - ref) <= CROSS_CHECK_TOL * scale))
+        bad = np.flatnonzero(np.isfinite(got) & ~(np.abs(got - ref) <= CROSS_CHECK_TOL * scale))
         if bad.size:
             i = int(idx[bad[0]])
             raise EvaluationError(
-                f"closed-form interior integrand {vals[i]:.17g} disagrees with the "
+                f"closed-form interior integrand {got[bad[0]]:.17g} disagrees with the "
                 f"tensor route {ref[bad[0]]:.17g} at node {i} = {tuple(points[i])}")
-        return vals
 
     return integrand
 
@@ -383,6 +391,7 @@ def flux_variation(family, a, b, m: Optional[int] = None,
     _require_conformal(metric, grid.nodes)
     e = grid.params
     vals = np.real(_complex_emt(e, wa, wb) * to_complex(v(to_points(e))) * e)
+    del v       # a field holds its values at e (conformal._held): not through the sum
     return boundary_integrate(grid, vals / grid.speed)
 
 

@@ -219,24 +219,52 @@ def nonfinite_values(n):
         yield vals, min(bad)
 
 
+def blocks_of(vals, size=quadrature.BLOCK, end=None):
+    """A stream of ``vals``: an iterator over blocks of ``size`` of them, each
+    written into one reused buffer, then ``end`` raised if one is given."""
+    buf = np.empty(min(vals.size, size))
+    for lo in range(0, vals.size, size):
+        block = buf[:min(size, vals.size - lo)]
+        block[...] = vals[lo:lo + block.size]
+        yield block
+    if end is not None:
+        raise end
+
+
 def test_nonfinite_integrand_rejected():
-    # a sum that is not finite, or raises, names the first non-finite node;
-    # 128 nodes go to math.fsum, 8,192 to the extraction sum
-    for rule in (disk_rule(8, 16), disk_rule(64, 128)):
+    # a sum that is not finite, or raises, names the first non-finite node, of
+    # an array or a stream of blocks; 128 nodes go to math.fsum, 8,192 and
+    # 12,288 (a block and a half) to the extraction sum
+    for rule in (disk_rule(8, 16), disk_rule(64, 128), disk_rule(96, 128)):
         assert (rule.node_count < FSUM_EXTRACT_MIN) == (rule.n_r == 8)
         for vals, i in nonfinite_values(rule.node_count):
-            with pytest.raises(EvaluationError) as info:
-                integrate(rule, lambda pts: vals)
-            assert str(info.value) == (
-                f"non-finite integrand value at node {i} = {tuple(rule.nodes[i])}")
+            for f in (lambda pts: vals, lambda pts: blocks_of(vals)):
+                with pytest.raises(EvaluationError) as info:
+                    integrate(rule, f)
+                assert str(info.value) == (
+                    f"non-finite integrand value at node {i} = {tuple(rule.nodes[i])}")
+
+
+def test_a_streams_own_error_comes_before_the_sums():
+    # a stream that raises after its last block raises that, whatever its
+    # values: non-finite, finite with an overflowing sum, or summable
+    own = EvaluationError("the stream's own")
+    for rule in (disk_rule(8, 16), disk_rule(96, 128)):
+        n = rule.node_count
+        for vals in [v for v, _ in nonfinite_values(n)] + [np.full(n, 1e308), np.ones(n)]:
+            with pytest.raises(EvaluationError, match="the stream's own"):
+                integrate(rule, lambda pts: blocks_of(vals, end=own), check=False)
+            assert rule._held == []
 
 
 def test_finite_sums_that_overflow_raise_what_fsum_raises():
     # finite values whose sum overflows pass the scan: math.fsum's OverflowError
     # on both paths, as when every sum was scanned first
-    for rule in (disk_rule(8, 16), disk_rule(64, 128)):
-        with pytest.raises(OverflowError, match="intermediate overflow in fsum"):
-            integrate(rule, lambda pts: np.full(len(pts), 1e308), check=False)
+    for rule in (disk_rule(8, 16), disk_rule(64, 128), disk_rule(96, 128)):
+        for f in (lambda pts: np.full(len(pts), 1e308),
+                  lambda pts: blocks_of(np.full(len(pts), 1e308))):
+            with pytest.raises(OverflowError, match="intermediate overflow in fsum"):
+                integrate(rule, f, check=False)
     grid = boundary_grid(ConformalMap.identity(), m=16)
     with pytest.raises(OverflowError, match="intermediate overflow in fsum"):
         boundary_integrate(grid, np.full(16, 1e308))
@@ -249,6 +277,7 @@ def test_finite_values_are_not_scanned(monkeypatch):
     monkeypatch.setattr(np, "isfinite", lambda x: scans.append(np.size(x)) or isfinite(x))
     for rule in rules:
         integrate(rule, lambda pts: np.ones(len(pts)), check=False)
+        integrate(rule, lambda pts: blocks_of(np.ones(len(pts))), check=False)
     for grid in grids:
         boundary_integrate(grid, lambda x: np.ones(len(x)))
     assert scans == []
@@ -377,9 +406,9 @@ def test_held_keeps_at_most_keep_values():
 
 
 def test_cold_build_peaks_near_twice_the_rule():
-    # no background grid is formed: the rings off the band are written straight
-    # into the rule's buffers, allocated once, and the band and patch pieces
-    # are copied in once
+    # no background grid is formed: every node is written straight into the
+    # rule's buffers, allocated once (the peak reads 1.29 times the rule here,
+    # 1.83 when the band and patch pieces were built aside and copied in)
     disk_rule(128, 256, CURVED_POLES, 64)
     quadrature._recent.clear()
     tracemalloc.start()
@@ -435,9 +464,10 @@ def _full_grid_rule(n_r, n_theta, poles, n_patch):
 
 def _seeded_pole_sets():
     """``(n_r, n_theta, n_patch, poles)``: 1 to 3 seeded poles, a pole at 0,
-    poles near the 0.95 margin, and single poles on the ray of a background
+    poles near the 0.95 margin, single poles on the ray of a background
     node with ``|p| + rho`` or ``|p| - rho`` one ulp either side of a Gauss
-    radius, so that node sits at distance ``rho`` to rounding."""
+    radius, so that node sits at distance ``rho`` to rounding, seeded rules up
+    to 200x400, and the curved config's rung rules, 16x32x8 to 256x512x128."""
     rng = np.random.default_rng(22)
     cases = []
     for k in (1, 2, 3):
@@ -456,15 +486,22 @@ def _seeded_pole_sets():
                 if 0.0 < m < 0.95:
                     for mm in (np.nextafter(m, 0.0), m, np.nextafter(m, 1.0)):
                         cases.append((n_r, n_theta, 8, [mm * np.exp(2j * np.pi * 5 / n_theta)]))
+    # seeded sizes up to 200x400, and the curved config's ladder rungs
+    for _ in range(24):
+        k = int(rng.integers(1, 4))
+        w = 0.95 * np.sqrt(rng.uniform(size=k)) * np.exp(2j * np.pi * rng.uniform(size=k))
+        cases.append((int(rng.integers(4, 201)), int(rng.integers(8, 401)),
+                      int(rng.integers(8, 65)), list(w)))
+    cases += [(16 << k, 32 << k, 8 << k, CURVED_POLES) for k in range(5)]
     return cases
 
 
 def test_band_build_is_the_full_grid_build_on_seeded_pole_sets():
-    # every node strictly inside and clear of every pole; the band holds every
-    # background node within rho of a pole (brute force); and nodes and
+    # every node strictly inside and clear of every pole; each pole's band holds
+    # every background node within rho of it (brute force); and nodes and
     # weights are those of windowing the whole background grid, bit for bit
-    cases, edges, partial = _seeded_pole_sets(), 0, 0
-    assert len(cases) > 40
+    cases, edges, partial, dead = _seeded_pole_sets(), 0, 0, 0
+    assert len(cases) > 70
     for n_r, n_theta, n_patch, poles in cases:
         quadrature._recent.clear()
         rule = disk_rule(n_r, n_theta, poles=poles, n_patch=n_patch)
@@ -476,12 +513,13 @@ def test_band_build_is_the_full_grid_build_on_seeded_pole_sets():
         assert z.tobytes() == z_full.tobytes() and rule.weights.tobytes() == w_full.tobytes()
         th = 2.0 * np.pi * np.arange(n_theta) / n_theta
         grid = r[:, None] * np.exp(1j * th)[None, :]
-        near = np.any(np.abs(grid[:, :, None] - np.array(poles)) < rho, axis=(1, 2))
+        dist = np.abs(grid[None] - np.array(poles)[:, None, None])    # (poles, rings, nodes)
         band = quadrature._band(r, np.array(poles, dtype=complex), rho)
-        assert np.all(band[near])
-        partial += band.sum() < n_r
+        assert band.shape == (len(poles), n_r) and np.all(band[:, :, None] | (dist >= rho))
+        partial += band.any(axis=0).sum() < n_r
         edges += np.min(np.abs(np.abs(grid - poles[0]) - rho)) < 1e-15
-    assert partial > len(cases) // 2 and edges >= 20
+        dead += np.any(dist < quadrature.WINDOW_FLAT * rho)     # rings with a dead node
+    assert partial > len(cases) // 2 and edges >= 20 and dead >= 20
 
 
 def _certificate_cases():
@@ -620,11 +658,12 @@ def test_fsum_explicit_cases():
         _assert_fsum(x)
 
 
-@pytest.mark.parametrize("n", [quadrature.BLOCK - 1, quadrature.BLOCK,
-                               quadrature.BLOCK + 1, 2 * quadrature.BLOCK + 3])
+@pytest.mark.parametrize("n", [k * quadrature.BLOCK + d for k in (1, 2) for d in (-1, 0, 1)]
+                         + [2 * quadrature.BLOCK + 3, 4 * quadrature.BLOCK + 3])
 def test_fsum_matches_math_fsum_at_block_edges(n):
-    # _fsum extracts block by block: sums of one value short of a block, one
-    # block, one value past it, and two blocks and a remainder
+    # _fsum extracts block by block: sums of one value short of one and of two
+    # blocks, one and two blocks, one value past each, and two and four blocks
+    # and a remainder
     B = quadrature.BLOCK
     rng = np.random.default_rng(n)
     for zeros in (np.zeros(n), np.full(n, -0.0)):
@@ -662,15 +701,22 @@ def test_fsum_matches_math_fsum_at_block_edges(n):
 
 
 def test_fsum_overflow_check_reads_the_whole_array():
-    # values just below 2^1008 over five blocks: every block sum is finite,
-    # but the running sum passes the double range inside the fifth block and
-    # comes back by its end, so math.fsum raises: e + shift > 1023 is judged
-    # with the whole array's shift (17 here), not a block's (15)
-    B, v = quadrature.BLOCK, 2.0**1008 * (1.0 - 2.0**-53)
+    # values just below 2^e over five blocks, e the largest exponent that a
+    # block's own shift lets through: every block sum is finite, but the running
+    # sum passes the double range (t values) inside the fifth block and comes
+    # back by its end, so math.fsum raises: e + shift > 1023 is judged with the
+    # whole array's shift, not a block's
+    B = quadrature.BLOCK
+    block_shift, shift = (B + 1).bit_length(), (5 * B + 1).bit_length()
+    e = 1023 - block_shift
+    assert e + shift > 1023
+    v, t = 2.0**e * (1.0 - 2.0**-53), 2 ** (1024 - e)
+    m = (t - 7 * B // 2 + (t - 5 * B // 2) // 2) // 2   # positives in the fifth block
+    assert 7 * B // 2 + m > t > 5 * B // 2 + 2 * m
     x = np.zeros(5 * B)
-    x[:3 * B + B // 2] = v
-    x[4 * B:4 * B + 9000] = v
-    x[4 * B + 9000:] = -v
+    x[:7 * B // 2] = v
+    x[4 * B:4 * B + m] = v
+    x[4 * B + m:] = -v
     _assert_fsum(x)
     with pytest.raises(OverflowError):
         quadrature._fsum(x)
@@ -683,9 +729,12 @@ SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, -1e308, 2.0**1023, 5e-324]
 
 
 def _assert_weighted_fsum(x, w):
+    # also of x as a stream, in blocks of BLOCK and of 1,000 values
     with np.errstate(all="ignore"):     # inf * 0 and the like: the values are the point
-        got = _sum_bits(lambda v: quadrature._fsum(v, w), x)
-        assert got == _sum_bits(math.fsum, w * x)
+        want = _sum_bits(math.fsum, w * x)
+        assert _sum_bits(lambda v: quadrature._fsum(v, w), x) == want
+        for size in (quadrature.BLOCK, 1000):
+            assert _sum_bits(lambda v: quadrature._fsum(lambda: blocks_of(v, size), w), x) == want
 
 
 @given(st.integers(0, FSUM_MAX_N), st.integers(0, 2**32 - 1), st.integers(-1074, 1000),

@@ -3,6 +3,7 @@
 import gc
 import math
 import re
+import tracemalloc
 import weakref
 from itertools import permutations
 
@@ -728,6 +729,18 @@ def constant_metric(matrix):
                        lambda p: np.zeros(p.shape[:-1] + (2, 2, 2)))
 
 
+def streamed(integrand, points):
+    """The values the closed form yields at ``points``, joined: it yields them in
+    blocks of ``BLOCK`` (the last may be short), all views of one buffer."""
+    vals, buffers = [], set()
+    for block in integrand(points):
+        vals.append(block.copy())
+        buffers.add(id(block.base))
+    assert [b.size for b in vals[:-1]] == [variation.BLOCK] * (len(vals) - 1)
+    assert len(buffers) == 1 and 0 < vals[-1].size <= variation.BLOCK
+    return np.concatenate(vals)
+
+
 def test_closed_form_integrand_matches_the_tensor_route(monkeypatch):
     # 2 Re(A B dbar v conj(f') / f') against T^{ij} D_ij vol of f^*g, node by
     # node, on a velocity whose integrand is not 0, under a tagged and a
@@ -743,14 +756,14 @@ def test_closed_form_integrand_matches_the_tensor_route(monkeypatch):
             want = volume_integrand(fam, CURVED_A, CURVED_B, metric=metric,
                                     velocity=v)(rule.nodes)
             integrand = variation._closed_form_integrand(fam, fmap, rule, metric, v)
-            got = integrand(rule.nodes)
+            got = streamed(integrand, rule.nodes)
             assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
             assert np.max(np.abs(want)) > 0.0
     assert rule.node_count > block and rule.node_count % block
     assert (integrate(rule, integrand, check=False).value
-            == math.fsum(rule.weights * integrand(rule.nodes)))
+            == math.fsum(rule.weights * streamed(integrand, rule.nodes)))
     monkeypatch.setattr(variation, "BLOCK", rule.node_count)
-    assert np.array_equal(integrand(rule.nodes), got)
+    assert np.array_equal(streamed(integrand, rule.nodes), got)
 
 
 def _kernel_points(rng, wa, wb):
@@ -808,7 +821,7 @@ def test_closed_form_reads_any_node_layout_to_the_same_bits():
     integrand = variation._closed_form_integrand(fam, fmap, rule, met, v)
     fortran = np.asfortranarray(rule.nodes)
     assert not fortran.flags.c_contiguous
-    assert integrand(fortran).tobytes() == integrand(rule.nodes).tobytes()
+    assert streamed(integrand, fortran).tobytes() == streamed(integrand, rule.nodes).tobytes()
 
 
 def test_tensor_route_cross_check_fires(monkeypatch):
@@ -1264,7 +1277,7 @@ def test_the_closed_form_reads_no_metric_and_a_rule_holds_its_check(monkeypatch)
     for velocity in (None, v):
         integrand = variation._closed_form_integrand(fam, fmap, rule, met, velocity)
         for points in layouts:
-            assert np.any(integrand(points)) == (velocity is v)
+            assert np.any(streamed(integrand, points)) == (velocity is v)
     assert calls == [] and rule._held == []
     kw = dict(n_r=32, n_theta=64, n_patch=16, check=False)
     for expect in (rule.node_count, 0, 0):
@@ -1305,14 +1318,22 @@ def test_volume_variation_checks_the_metric_on_each_rule_it_integrates(monkeypat
 
 
 def count_closed_forms(monkeypatch):
-    """The node count of every closed-form integrand call, and one entry per
-    tensor-route cross-check (a ``strain_tensor`` call)."""
+    """The number of values each run of a closed-form integrand yields (its node
+    count, once it has run to its end), and one entry per tensor-route
+    cross-check (a ``strain_tensor`` call)."""
     sums, strains = [], []
     make, strain = variation._closed_form_integrand, variation.strain_tensor
 
     def counted(*args):
         integrand = make(*args)
-        return lambda points: sums.append(len(points)) or integrand(points)
+
+        def run(points):
+            k = len(sums)
+            sums.append(0)
+            for block in integrand(points):
+                sums[k] += block.size
+                yield block
+        return run
 
     monkeypatch.setattr(variation, "_closed_form_integrand", counted)
     monkeypatch.setattr(variation, "strain_tensor",
@@ -1367,7 +1388,7 @@ def test_a_failing_integrand_holds_no_sum(monkeypatch):
     for _ in range(2):
         with pytest.raises(EvaluationError, match="tensor route"):
             volume_variation(fam, CURVED_A, CURVED_B, metric=met, velocity=v, **kw)
-    assert len(sums) == len(strains) == 2 and held_sums(rule) == []
+    assert sums == [rule.node_count] * 2 and len(strains) == 2 and held_sums(rule) == []
     monkeypatch.setattr(variation, "strain_tensor", strain)
 
     def partly(p):
@@ -1384,6 +1405,131 @@ def test_a_failing_integrand_holds_no_sum(monkeypatch):
         assert sums == []
         for r in (rule, rule.coarse()):
             assert [(tag, refs[0]()) for tag, refs, _ in r._held] == [("metric", met)]
+
+
+def poisoned_velocity(x0):
+    """``(x^2, x y)`` with a NaN Jacobian at the point ``x0``."""
+    v = square_velocity()
+
+    def jac(p):
+        J = v.jacobian(p)
+        J[np.all(p == x0, axis=-1)] = np.nan
+        return J
+
+    return VectorField(2, v, jac)
+
+
+def test_streamed_sum_names_a_non_finite_value_in_the_last_block(monkeypatch):
+    # a NaN closed-form value at the rule's second-to-last node (in its last,
+    # partial block, at no cross-check node) raises the error that names it,
+    # after the stream has run to its end; with a cross-check disagreement as
+    # well, the cross-check's error comes first
+    fam, met = curved_family(), curved_metric()
+    kw = dict(n_r=128, n_theta=256, n_patch=64)
+    rule = quadrature.disk_rule(poles=GreenFunction(fam).pole_preimages(CURVED_A, CURVED_B),
+                                **kw)
+    kw["check"], n = False, rule.node_count
+    i = n - 2
+    assert n % variation.BLOCK and n > quadrature.FSUM_EXTRACT_MIN and i // variation.BLOCK
+    assert i not in np.linspace(0, n - 1, variation.CROSS_CHECK_NODES).astype(int)
+    *_, (lo, _, x) = variation._images(fam.base, rule.nodes)    # the closed form's images
+    v = poisoned_velocity(x[i - lo])
+    sums, strains = count_closed_forms(monkeypatch)
+    with pytest.raises(EvaluationError) as info:
+        volume_variation(fam, CURVED_A, CURVED_B, metric=met, velocity=v, **kw)
+    assert str(info.value) == (f"non-finite integrand value at node {i} = "
+                               f"{tuple(rule.nodes[i])}")
+    assert sums[0] == n and held_sums(rule) == []
+    strain = variation.strain_tensor
+    monkeypatch.setattr(variation, "strain_tensor", lambda *args: 2.0 * strain(*args))
+    with pytest.raises(EvaluationError, match="disagrees with the tensor route"):
+        volume_variation(fam, CURVED_A, CURVED_B, metric=met, velocity=v, **kw)
+    assert held_sums(rule) == []
+
+
+def test_streamed_sum_that_overflows_raises_what_fsum_raises(monkeypatch):
+    # finite closed-form values whose weighted sum passes the double range:
+    # math.fsum's OverflowError, on a rule below FSUM_EXTRACT_MIN and one above
+    def huge(z, wa, wb, J, fp, out, tmp):
+        out[...] = 1e308
+        return out
+
+    monkeypatch.setattr(variation, "_beltrami_kernel", huge)
+    monkeypatch.setattr(variation, "CROSS_CHECK_TOL", np.inf)     # 1e308 is no integrand
+    for n_r, n_theta, n_patch in ((8, 16, 8), (64, 128, 32)):
+        with pytest.raises(OverflowError, match="intermediate overflow in fsum"):
+            volume_variation(curved_family(), CURVED_A, CURVED_B, velocity=square_velocity(),
+                             n_r=n_r, n_theta=n_theta, n_patch=n_patch, check=False)
+
+
+def test_the_cross_check_reads_the_values_that_were_summed(monkeypatch):
+    # the closed form moved by 1e-9, relative, from the second block on: the
+    # cross-check names the first of its nodes there and quotes the value
+    # yielded at it; unmoved, the held sum is math.fsum of the yielded values
+    fam, met, v = curved_family(), curved_metric(), square_velocity()
+    kw = dict(n_r=128, n_theta=256, n_patch=64)
+    wa, wb = GreenFunction(fam).pole_preimages(CURVED_A, CURVED_B)
+    rule = quadrature.disk_rule(poles=[wa, wb], **kw)
+    kernel, yielded, calls = variation._beltrami_kernel, [], []
+
+    def moved(z, *args):
+        out = kernel(z, *args)
+        if calls:   # one call per block
+            out *= 1.0 + 1e-9
+        calls.append(z.size)
+        return out
+
+    make = variation._closed_form_integrand
+
+    def recording(*args):
+        integrand = make(*args)
+
+        def run(points):
+            for block in integrand(points):
+                yielded.append(block.copy())
+                yield block
+        return run
+
+    monkeypatch.setattr(variation, "_closed_form_integrand", recording)
+    monkeypatch.setattr(variation, "_beltrami_kernel", moved)
+    with pytest.raises(EvaluationError) as info:
+        volume_variation(fam, CURVED_A, CURVED_B, metric=met, velocity=v, check=False, **kw)
+    vals = np.concatenate(yielded)
+    idx = np.unique(np.linspace(0, rule.node_count - 1, variation.CROSS_CHECK_NODES).astype(int))
+    i = int(idx[idx >= variation.BLOCK][0])
+    assert str(info.value).startswith(f"closed-form interior integrand {vals[i]:.17g} "
+                                      "disagrees with the tensor route")
+    assert str(info.value).endswith(f"at node {i} = {tuple(rule.nodes[i])}")
+    assert held_sums(rule) == []
+    monkeypatch.setattr(variation, "_beltrami_kernel", kernel)
+    del yielded[:]
+    est = volume_variation(fam, CURVED_A, CURVED_B, metric=met, velocity=v, check=False, **kw)
+    vals = np.concatenate(yielded)
+    assert vals.size == rule.node_count
+    assert est.quadrature.value == math.fsum(rule.weights * vals) and len(held_sums(rule)) == 1
+
+
+def test_checked_estimate_holds_no_rule_sized_temporary():
+    # the 256x512x128 rung of the curved config from an empty rule store: its
+    # traced peak is the two rules it builds (the rule and its coarse twin)
+    # plus at most 2 MB, the closed form's and the sum's block scratch (it was
+    # 3.8 MB over the rules with an array of N values and a build that copied
+    # its pieces)
+    fam, met, v = curved_family(), curved_metric(), square_velocity()
+    volume_variation(fam, CURVED_A, CURVED_B, metric=met, velocity=v, n_r=32, n_theta=64,
+                     n_patch=16)
+    quadrature._recent.clear()
+    tracemalloc.start()
+    try:
+        volume_variation(fam, CURVED_A, CURVED_B, metric=met, velocity=v, n_r=256,
+                         n_theta=512, n_patch=128)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rule = max((r for _, r in quadrature._recent), key=lambda r: r.node_count)
+    assert rule.n_r == 256 and rule.coarse().n_r == 128
+    chain = sum(r.nodes.nbytes + r.weights.nbytes for r in (rule, rule.coarse()))
+    assert peak < chain + 2.0e6
 
 
 def test_held_sums_keep_no_object_alive():
@@ -1459,7 +1605,7 @@ def test_division_free_kernel_matches_the_complex_division_form():
     near = [w + 1e-10 * np.exp(2j * np.pi * rng.uniform(size=64)) for w in (wa, wb)]
     z = np.concatenate([rng.choice(nodes, variation.BLOCK + 1000, replace=False), outer] + near)
     assert outer.size == 256 and z.size % variation.BLOCK
-    got = variation._closed_form_integrand(fam, fmap, rule, None, v)(to_points(z))
+    got = streamed(variation._closed_form_integrand(fam, fmap, rule, None, v), to_points(z))
     J, fp = v.jacobian(to_points(fmap(z))), fmap.derivative(z)
     scale = np.abs(variation._complex_emt(z, wa, wb)) * np.linalg.norm(J, axis=(1, 2))
     assert np.all(np.abs(got - _complex_division_kernel(z, wa, wb, J, fp)) <= 1e-15 * scale)
@@ -1658,6 +1804,37 @@ def test_one_tensor_route_evaluation_evaluates_phi_and_f_once(monkeypatch):
                                         if velocity is not None else None)(z)
         for got, want in zip((T, D, vol), plain):
             assert got.tobytes() == want.tobytes()
+
+
+def test_family_disk_velocity_evaluates_f_prime_and_h_once_per_point_set(monkeypatch):
+    # its value h / f' and its slope (h' f' - h f'') / f'^2 share one f' and one
+    # h per point set, with the bits of evaluating each afresh; so a
+    # family-velocity tensor-route evaluation computes f' twice (once held by the
+    # pulled-back metric) and h once, where it computed them 3 and 2 times
+    fam = curved_family()
+    calls = dict(fp=0, h=0)
+    derivative, call = ConformalMap.derivative, ConformalMap.__call__
+    monkeypatch.setattr(ConformalMap, "derivative", lambda self, z: (
+        calls.__setitem__("fp", calls["fp"] + (self is fam.base)) or derivative(self, z)))
+    monkeypatch.setattr(ConformalMap, "__call__", lambda self, z: (
+        calls.__setitem__("h", calls["h"] + (self is fam.h)) or call(self, z)))
+    rng = np.random.default_rng(12)
+    p, q = (to_points(interior_points(rng, 32, radius=0.9)) for _ in range(2))
+    v = fam.disk_velocity_field()
+    got = [v(p), v.jacobian(p), v.jacobian(p), v(p)]
+    assert calls == dict(fp=1, h=1)
+    v(q)
+    assert calls == dict(fp=2, h=2)
+    z = to_complex(p)
+    fp, h = derivative(fam.base, z), call(fam.h, z)
+    slope = (fam.h.derivative(z) * fp - h * fam.base.second_derivative(z)) / fp**2
+    assert got[0].tobytes() == got[3].tobytes() == to_points(h / fp).tobytes()
+    assert got[1].tobytes() == got[2].tobytes() == conformal._multiplication_matrix(slope).tobytes()
+    wa, wb = GreenFunction(fam).pole_preimages(CURVED_A, CURVED_B)
+    for key in calls:
+        calls[key] = 0
+    variation._tensor_route(fam, wa, wb, None, None)(p)
+    assert calls == dict(fp=2, h=1)
 
 
 def test_held_pullback_values_follow_points_changed_in_place():
