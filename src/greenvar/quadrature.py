@@ -41,12 +41,21 @@ and ``poles`` are not writeable.  A rule holds what was worked out on its
 the volume route's metric check, run on each rule before it is integrated, and
 the sums of :func:`integrate` with a ``key``.  So a ladder checks each rule
 once, and sums each integrand on it once.
+
+A rebuilt rule may reuse a dead rule's memory, never what was computed: a
+build of at least ``REUSE_MIN`` nodes writes into the node and weight buffers
+of an earlier rule of exactly its size that nothing refers to any more (see
+:func:`_rule_buffers`), and writes every element of them.  A live rule, a kept
+``weights`` or a slice of ``nodes`` refers to its buffer and keeps it out of
+reach.  A rule and all it holds still die with it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import sys
+import threading
 import weakref
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -106,8 +115,19 @@ BLOCK = 8192
 # velocity, and that rule's coarse twin, which is the previous rung's rule
 # (kept alive by the finer rule's _coarse in any case).  Every held rule
 # stays alive while the next rung's rule is built, so more slots cost peak
-# memory for hits that only repeated identical estimates would find.
+# memory for hits that only repeated identical estimates would find.  A ladder
+# run again rebuilds its rules, but its large rules' buffers are reused
+# (_rule_buffers): only memory, never anything computed.
 RECENT_RULES = 2
+
+# _rule_buffers reuses the node and weight buffers of a dead rule of at least
+# REUSE_MIN nodes for a new rule of exactly its size, and tracks the pairs of the
+# last REUSE_PAIRS such rules built.  A rule's buffers are fresh pages, 1.2 MB at
+# 128x256x64 and 4.7 MB at 256x512x128: writing them faulted about 1,000 times a
+# volume_ladder pass, at about 2 us a fault (2-core x86_64).  Smaller rules come
+# from the heap without faults, and tracking them only held their memory.
+REUSE_MIN = 4 * BLOCK
+REUSE_PAIRS = 8
 
 
 class Count(NamedTuple):
@@ -298,6 +318,8 @@ class QuadratureRule:
 
 
 _recent = []        # (key, rule) of the rules disk_rule holds, oldest first
+_pairs = []         # (z, w) buffers of the last REUSE_PAIRS large rules, oldest first
+_pairs_lock = threading.Lock()
 
 
 def disk_rule(n_r: int = N_R.default, n_theta: int = N_THETA.default,
@@ -430,8 +452,10 @@ def _build_rule(n_r: int, n_theta: int, pole_arr: np.ndarray,
     e = np.exp(1j * (2.0 * np.pi * np.arange(n_theta) / n_theta))
     w_ring = wr * r * (2.0 * np.pi / n_theta)
     if pole_arr.size == 0:
-        return _frozen_rule((r[:, None] * e[None, :]).ravel(), np.repeat(w_ring, n_theta),
-                            pole_arr, None, n_r, n_theta, n_patch)
+        z_all, w_all = _rule_buffers(n_r * n_theta)
+        np.multiply(r[:, None], e, out=z_all.reshape(n_r, n_theta))
+        w_all.reshape(n_r, n_theta)[...] = w_ring[:, None]
+        return _frozen_rule(z_all, w_all, pole_arr, None, n_r, n_theta, n_patch)
 
     # background node j * n_theta + t, at r_j e_t: each pole's window, on its own
     # band rings (see _band), is exactly 0 beyond rho and patches never overlap,
@@ -460,7 +484,7 @@ def _build_rule(n_r: int, n_theta: int, pole_arr: np.ndarray,
     w_rings = [w_patch * (b / raw) for b in b_chi]
     size = n_r * n_theta - dead.size + ring.size * sum(np.count_nonzero(w > 0.0) for w in w_rings)
 
-    z_all, w_all = np.empty(size, dtype=complex), np.empty(size)
+    z_all, w_all = _rule_buffers(size)
     at, lo = 0, 0       # the next node written, the next ring
     for j in [*np.unique(dead // n_theta), n_r]:    # each ring with a dead node, compressed
         run = z_all[at:at + (j - lo) * n_theta].reshape(-1, n_theta)
@@ -482,6 +506,32 @@ def _build_rule(n_r: int, n_theta: int, pole_arr: np.ndarray,
         w_all[at:at + patch.size].reshape(-1, ring.size)[...] = w[kept, None]
         at += patch.size
     return _frozen_rule(z_all, w_all, pole_arr, rho, n_r, n_theta, n_patch)
+
+
+def _references(pair) -> list:
+    """The strong and weak reference counts of each array of ``pair``."""
+    return [(sys.getrefcount(a), weakref.getweakrefcount(a)) for a in pair]
+
+
+_FREE = _references((np.empty(0), np.empty(0)))    # of a pair nothing else refers to
+
+
+def _rule_buffers(size: int):
+    """Writeable node and weight buffers ``(z, w)`` of ``size`` elements, for a build that
+    writes every one.  From ``REUSE_MIN`` on, the oldest pair in ``_pairs`` of this size
+    that nothing else refers to (a live rule's ``nodes`` and ``weights``, and every view,
+    slice or memoryview of them, refer to their buffer); else a new pair, tracked."""
+    if size < REUSE_MIN:
+        return np.empty(size, dtype=complex), np.empty(size)
+    with _pairs_lock:       # bound to z and w inside, a pair it hands out is not free
+        free = [i for i, pair in enumerate(_pairs)
+                if pair[0].size == size and _references(pair) == _FREE]
+        pair = _pairs.pop(free[0]) if free else (np.empty(size, dtype=complex), np.empty(size))
+        _pairs.append(pair)
+        del _pairs[:max(len(_pairs) - REUSE_PAIRS, 0)]
+        z, w = pair
+    z.flags.writeable = w.flags.writeable = True
+    return z, w
 
 
 def _band(r: np.ndarray, pole_arr: np.ndarray, rho: float) -> np.ndarray:

@@ -33,10 +33,13 @@ def interior_points(rng, count, radius=0.85, min_radius=0.0):
 
 @pytest.fixture(autouse=True)
 def no_held_rules():
-    """Every test starts and ends with no rule held by ``disk_rule``."""
+    """Every test starts and ends with no rule held by ``disk_rule``, and no
+    buffers that a rule build could reuse."""
     quadrature._recent.clear()
+    quadrature._pairs.clear()
     yield
     quadrature._recent.clear()
+    quadrature._pairs.clear()
 
 
 @pytest.fixture

@@ -1,8 +1,12 @@
 """Disk quadrature: exactness, positivity, pole patches, convergence."""
 
+import hashlib
 import math
 import re
+import threading
+import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -584,6 +588,149 @@ def test_rule_nodes_are_a_view_of_its_complex_buffer():
     assert z.dtype == np.complex128 and z.size == rule.node_count
     assert rule.nodes.flags.c_contiguous and not z.flags.writeable
     assert np.array_equal(z, rule.nodes[:, 0] + 1j * rule.nodes[:, 1])
+
+
+def _addresses(rule):
+    return rule.nodes.__array_interface__["data"][0], rule.weights.__array_interface__["data"][0]
+
+
+def _sha256(rule):
+    return [hashlib.sha256(arr.tobytes()).hexdigest() for arr in (rule.nodes, rule.weights)]
+
+
+def _fill_free_buffers(value) -> int:
+    """Fill each pair of buffers that a build may reuse with ``value``; their count."""
+    free = [pair for pair in quadrature._pairs
+            if quadrature._references(pair) == quadrature._FREE]
+    for pair in free:
+        for arr in pair:
+            arr.flags.writeable = True
+            arr.fill(value)
+    return len(free)
+
+
+def test_a_dead_rules_buffers_are_reused_by_a_rule_of_its_size():
+    # without poles at the floor (128 x 256 nodes), and with poles above it
+    assert 128 * 256 == quadrature.REUSE_MIN
+    for args in ((128, 256, (), 32), (128, 256, CURVED_POLES, 64)):
+        addresses = _addresses(disk_rule(*args))
+        quadrature._recent.clear()
+        assert _addresses(disk_rule(*args)) == addresses
+
+
+@pytest.mark.parametrize("keep", [lambda rule: rule.nodes[:4], lambda rule: rule.weights,
+                                  lambda rule: memoryview(rule.weights)[2:]],
+                         ids=["nodes_slice", "weights", "memoryview"])
+def test_a_kept_part_of_a_dead_rule_blocks_the_reuse_of_its_buffers(keep):
+    rule = disk_rule(128, 256, CURVED_POLES, 64)
+    kept = keep(rule)
+    before = bytes(kept)
+    del rule
+    quadrature._recent.clear()
+    again = disk_rule(128, 256, CURVED_POLES, 64)
+    assert not any(np.shares_memory(arr, np.asarray(kept)) for arr in (again.nodes, again.weights))
+    assert bytes(kept) == before
+
+
+def _reuse_cases():
+    """``(n_r, n_theta, poles, n_patch)`` of rules of at least ``REUSE_MIN`` nodes: the
+    curved config's 128x256x64 and 256x512x128 rungs, 24 seeded pole sets of 1 to 3
+    poles on seeded grids up to 256x512, and two grids without poles."""
+    rng = np.random.default_rng(33)
+    cases = [(128, 256, CURVED_POLES, 64), (256, 512, CURVED_POLES, 128),
+             (128, 256, [], 8), (200, 301, [], 8)]
+    while len(cases) < 28:
+        k = int(rng.integers(1, 4))
+        w = 0.95 * np.sqrt(rng.uniform(size=k)) * np.exp(2j * np.pi * rng.uniform(size=k))
+        if np.min(np.abs(w[:, None] - w[None, :]) + 9 * np.eye(k)) > 0.05:
+            cases.append((int(rng.integers(128, 257)), int(rng.integers(256, 513)), list(w),
+                          int(rng.integers(8, 65))))
+    return cases
+
+
+def test_reused_buffers_are_written_whole():
+    # a reused pair filled with NaN gives the rule a build into new buffers gives
+    for n_r, n_theta, poles, n_patch in _reuse_cases():
+        quadrature._recent.clear()
+        quadrature._pairs.clear()
+        rule = disk_rule(n_r, n_theta, poles, n_patch)
+        assert rule.node_count >= quadrature.REUSE_MIN
+        expect, addresses = _sha256(rule), _addresses(rule)
+        del rule
+        quadrature._recent.clear()
+        assert _fill_free_buffers(np.nan) == 1
+        rule = disk_rule(n_r, n_theta, poles, n_patch)
+        assert _addresses(rule) == addresses and _sha256(rule) == expect
+
+
+def test_buffers_of_rules_below_the_floor_die_with_their_rule():
+    # 64 x 511 nodes is one ring short of the floor; at 64 x 512 the pair outlives
+    # its rule, but a weak reference to it blocks its reuse as a strong one does
+    assert 64 * 511 < quadrature.REUSE_MIN == 64 * 512
+    for args in ((64, 511, (), 8), (64, 128, CURVED_POLES, 32), (64, 512, (), 8)):
+        rule = disk_rule(*args)
+        refs, addresses = [weakref.ref(rule.nodes.base), weakref.ref(rule.weights)], _addresses(rule)
+        del rule
+        quadrature._recent.clear()
+        alive = [ref() is not None for ref in refs]
+        assert alive == [args[:2] == (64, 512)] * 2
+        if any(alive):
+            assert _addresses(disk_rule(*args)) != addresses
+    assert [pair[0].size for pair in quadrature._pairs] == [64 * 512] * 2
+
+
+class _YieldingLock:
+    """A lock that lets another thread run as soon as it is released."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+
+    def __enter__(self):
+        self._lock.acquire()
+
+    def __exit__(self, *exc):
+        self._lock.release()
+        time.sleep(1e-4)
+
+
+def test_threads_building_rules_of_one_size_never_share_buffers(monkeypatch):
+    # each thread holds its rule while the other builds, and the other runs each
+    # time the buffer lock is released: no two live rules share a buffer, and
+    # each is the rule built alone
+    poles = np.array(CURVED_POLES)
+    expect = _sha256(quadrature._build_rule(128, 256, poles.copy(), 64))
+    quadrature._pairs.clear()
+    monkeypatch.setattr(quadrature, "_pairs_lock", _YieldingLock())
+    live, lock, clashes, wrong, errors = set(), threading.Lock(), [], [], []
+    start = threading.Barrier(2)
+
+    def build():
+        start.wait()
+        try:
+            builds()
+        except Exception as exc:    # e.g. a write into a buffer the other thread froze
+            errors.append(exc)
+
+    def builds():
+        for _ in range(100):
+            rule = quadrature._build_rule(128, 256, poles.copy(), 64)
+            addresses = _addresses(rule)
+            with lock:
+                clashes.extend(a for a in addresses if a in live)
+                live.update(addresses)
+            if _sha256(rule) != expect:
+                wrong.append(addresses)
+            with lock:
+                live.difference_update(addresses)
+            del rule
+
+    threads = [threading.Thread(target=build) for _ in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert clashes == [] and wrong == [] and errors == []
+    assert 1 <= len(quadrature._pairs) <= 2
 
 
 # _fsum must return the double math.fsum returns, on both sides of the size

@@ -12,6 +12,9 @@ sha256 of what they returned:
 
 * ``volume_ladder``: each estimate's value, pairing, quadrature sum and
   coarse sum, by ``float.hex``;
+* ``volume_ladder_repeat``: the same, of the ladder's operations run a second
+  time in the process, so that its large rules are rebuilt into the buffers of
+  the first run's dead rules: it must equal ``volume_ladder``;
 * ``boundary_routes``: every value, by ``float.hex``;
 * ``cli_suite``: every exit code and the bytes of every artifact, in order.
 
@@ -73,12 +76,18 @@ def _record(label, error, parts):
     return f"{label} {error}" if error is not None else " ".join([label, *parts])
 
 
-def volume_ladder(seed: int, workdir: str):
+def volume_ladder(seed: int, workdir: str, repeat: bool = False):
     work = workloads.VolumeLadder(greenvar, seed, workdir)
+    if repeat:
+        list(_run(work.ops))
     for label, est, error in _run(work.ops):
         yield _record(label, error, [] if est is None else [
             _hex(est.value), _hex(est.pairing), _hex(est.quadrature.value),
             _hex(est.quadrature.coarse_value)])
+
+
+def volume_ladder_repeat(seed: int, workdir: str):
+    return volume_ladder(seed, workdir, repeat=True)
 
 
 def boundary_routes(seed: int, workdir: str):
@@ -153,8 +162,8 @@ def families(seed: int, workdir: str):
         yield _record(label, error, [] if t_max is None else [_hex(t_max)])
 
 
-DIGESTS = {f.__name__: f for f in (volume_ladder, boundary_routes, cli_suite,
-                                     volume_integrand, fd_oracles, families)}
+DIGESTS = {f.__name__: f for f in (volume_ladder, volume_ladder_repeat, boundary_routes,
+                                     cli_suite, volume_integrand, fd_oracles, families)}
 
 
 def digest(name: str, seed: int) -> str:
