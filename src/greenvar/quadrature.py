@@ -43,11 +43,13 @@ the sums of :func:`integrate` with a ``key``.  So a ladder checks each rule
 once, and sums each integrand on it once.
 
 A rebuilt rule may reuse a dead rule's memory, never what was computed: a
-build of at least ``REUSE_MIN`` nodes writes into the node and weight buffers
-of an earlier rule of exactly its size that nothing refers to any more (see
-:func:`_rule_buffers`), and writes every element of them.  A live rule, a kept
-``weights`` or a slice of ``nodes`` refers to its buffer and keeps it out of
-reach.  A rule and all it holds still die with it.
+build of ``REUSE_MIN`` to ``REUSE_MAX`` nodes writes into the node and weight
+buffers of an earlier rule of exactly its size that nothing refers to any more
+(see :func:`_rule_buffers`), and writes every element of them.  A live rule, a
+kept ``weights`` or a slice of ``nodes`` refers to its buffer and keeps it out
+of reach.  Only the pairs of the last two such builds are tracked, and a build
+of a size no free pair has drops the free pairs, so at most two pairs outlive
+their rules.  A rule and all it holds still die with it.
 """
 
 from __future__ import annotations
@@ -120,14 +122,19 @@ BLOCK = 8192
 # (_rule_buffers): only memory, never anything computed.
 RECENT_RULES = 2
 
-# _rule_buffers reuses the node and weight buffers of a dead rule of at least
-# REUSE_MIN nodes for a new rule of exactly its size, and tracks the pairs of the
-# last REUSE_PAIRS such rules built.  A rule's buffers are fresh pages, 1.2 MB at
-# 128x256x64 and 4.7 MB at 256x512x128: writing them faulted about 1,000 times a
-# volume_ladder pass, at about 2 us a fault (2-core x86_64).  Smaller rules come
-# from the heap without faults, and tracking them only held their memory.
+# _rule_buffers reuses the node and weight buffers of a dead rule of REUSE_MIN to
+# REUSE_MAX nodes for a new rule of exactly its size, and tracks the pairs of the
+# last two such rules built: a ladder's two large rungs.  A rule's buffers are
+# fresh pages, 1.2 MB at 128x256x64 and 4.7 MB at 256x512x128: writing them
+# faulted about 1,000 times a volume_ladder pass, at about 2 us a fault (2-core
+# x86_64).  Smaller rules come from the heap without faults, and tracking them
+# only held their memory.  REUSE_MAX bounds the memory held past its rules at
+# two pairs of 6.3 MB.  It admits a 256x512x128 rung, the top of the curved
+# config's convergence ladder: 245,178 nodes there, about 196,000 with two and
+# 261,000 with four poles placed at random.  Larger rules, up to 50 MB a pair,
+# give their memory back as before.
 REUSE_MIN = 4 * BLOCK
-REUSE_PAIRS = 8
+REUSE_MAX = 32 * BLOCK
 
 
 class Count(NamedTuple):
@@ -318,7 +325,7 @@ class QuadratureRule:
 
 
 _recent = []        # (key, rule) of the rules disk_rule holds, oldest first
-_pairs = []         # (z, w) buffers of the last REUSE_PAIRS large rules, oldest first
+_pairs = []         # (z, w) buffers of the last two large rules, oldest first
 _pairs_lock = threading.Lock()
 
 
@@ -518,17 +525,23 @@ _FREE = _references((np.empty(0), np.empty(0)))    # of a pair nothing else refe
 
 def _rule_buffers(size: int):
     """Writeable node and weight buffers ``(z, w)`` of ``size`` elements, for a build that
-    writes every one.  From ``REUSE_MIN`` on, the oldest pair in ``_pairs`` of this size
-    that nothing else refers to (a live rule's ``nodes`` and ``weights``, and every view,
-    slice or memoryview of them, refer to their buffer); else a new pair, tracked."""
-    if size < REUSE_MIN:
+    writes every one.  From ``REUSE_MIN`` to ``REUSE_MAX``, the oldest pair in ``_pairs``
+    of this size that nothing else refers to (a live rule's ``nodes`` and ``weights``,
+    and every view, slice or memoryview of them, refer to their buffer); else a new
+    pair, and the free pairs are dropped.  ``_pairs`` tracks the last two pairs handed
+    out, so at most two pairs outlive their rules."""
+    if not REUSE_MIN <= size <= REUSE_MAX:
         return np.empty(size, dtype=complex), np.empty(size)
     with _pairs_lock:       # bound to z and w inside, a pair it hands out is not free
-        free = [i for i, pair in enumerate(_pairs)
-                if pair[0].size == size and _references(pair) == _FREE]
-        pair = _pairs.pop(free[0]) if free else (np.empty(size, dtype=complex), np.empty(size))
+        free = [i for i, pair in enumerate(_pairs) if _references(pair) == _FREE]
+        hit = [i for i in free if _pairs[i][0].size == size]
+        if hit:
+            pair = _pairs.pop(hit[0])
+        else:               # a new size: the free pairs were not reused, and go
+            _pairs[:] = [pair for i, pair in enumerate(_pairs) if i not in free]
+            pair = np.empty(size, dtype=complex), np.empty(size)
         _pairs.append(pair)
-        del _pairs[:max(len(_pairs) - REUSE_PAIRS, 0)]
+        del _pairs[:-2]     # a ladder's two large rungs
         z, w = pair
     z.flags.writeable = w.flags.writeable = True
     return z, w

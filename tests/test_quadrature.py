@@ -594,6 +594,10 @@ def _addresses(rule):
     return rule.nodes.__array_interface__["data"][0], rule.weights.__array_interface__["data"][0]
 
 
+def _addresses_of(pair):
+    return tuple(arr.__array_interface__["data"][0] for arr in pair)
+
+
 def _sha256(rule):
     return [hashlib.sha256(arr.tobytes()).hexdigest() for arr in (rule.nodes, rule.weights)]
 
@@ -677,6 +681,46 @@ def test_buffers_of_rules_below_the_floor_die_with_their_rule():
         if any(alive):
             assert _addresses(disk_rule(*args)) != addresses
     assert [pair[0].size for pair in quadrature._pairs] == [64 * 512] * 2
+
+
+def test_a_ladders_two_large_rungs_reuse_their_buffers_pass_after_pass():
+    # disk_rule holds two rules, so each pass rebuilds every rung; the two above
+    # the floor are rebuilt into the buffers of the previous pass's rules
+    passes = []
+    for _ in range(3):
+        passes.append([_addresses(disk_rule(n, 2 * n, (), 8)) for n in (16, 32, 64, 128, 256)])
+    assert passes[1][3:] == passes[2][3:] == passes[0][3:]
+    assert [pair[0].size for pair in quadrature._pairs] == [128 * 256, 256 * 512]
+
+
+def test_buffers_held_past_their_rules_stay_bounded():
+    # a pole sweep above the floor, nearly every node count new: the pairs tracked are
+    # those of the two rules disk_rule holds; once those die, their two pairs
+    # are all that is held, and a build of another size drops them
+    rng, counts = np.random.default_rng(5), []
+    for radius in np.linspace(0.2, 0.9, 8):
+        rule = disk_rule(128, 256, [radius * np.exp(2j * np.pi * rng.uniform())], 64)
+        counts.append(rule.node_count)
+        held_rules = [_addresses(r) for _, r in quadrature._recent]
+        assert [_addresses_of(pair) for pair in quadrature._pairs] == held_rules
+        del rule
+    assert len(set(counts)) >= 6 and min(counts) >= quadrature.REUSE_MIN
+    quadrature._recent.clear()
+    assert sum(a.nbytes for pair in quadrature._pairs for a in pair) == 24 * sum(counts[-2:])
+    rule = disk_rule(128, 300, (), 8)
+    assert [_addresses_of(pair) for pair in quadrature._pairs] == [_addresses(rule)]
+
+
+def test_buffers_of_rules_above_the_ceiling_die_with_their_rule():
+    # 512 x 513 nodes is one ring past the ceiling, 512 x 512 is at it
+    assert 512 * 512 == quadrature.REUSE_MAX
+    for n_theta in (513, 512):
+        rule = disk_rule(512, n_theta, (), 8)
+        ref = weakref.ref(rule.weights)
+        del rule
+        quadrature._recent.clear()
+        assert (ref() is None) == (n_theta == 513)
+    assert [pair[0].size for pair in quadrature._pairs] == [512 * 512]
 
 
 class _YieldingLock:

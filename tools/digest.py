@@ -76,10 +76,8 @@ def _record(label, error, parts):
     return f"{label} {error}" if error is not None else " ".join([label, *parts])
 
 
-def volume_ladder(seed: int, workdir: str, repeat: bool = False):
+def volume_ladder(seed: int, workdir: str):
     work = workloads.VolumeLadder(greenvar, seed, workdir)
-    if repeat:
-        list(_run(work.ops))
     for label, est, error in _run(work.ops):
         yield _record(label, error, [] if est is None else [
             _hex(est.value), _hex(est.pairing), _hex(est.quadrature.value),
@@ -87,7 +85,8 @@ def volume_ladder(seed: int, workdir: str, repeat: bool = False):
 
 
 def volume_ladder_repeat(seed: int, workdir: str):
-    return volume_ladder(seed, workdir, repeat=True)
+    list(_run(workloads.VolumeLadder(greenvar, seed, workdir).ops))
+    yield from volume_ladder(seed, workdir)
 
 
 def boundary_routes(seed: int, workdir: str):
