@@ -351,21 +351,16 @@ class DomainFamily:
         """The velocity pulled back to the disk by ``f``: ``h(z) / f'(z)``.
 
         Holomorphic, so its Jacobian is multiplication by the complex
-        derivative ``(h' f' - h f'') / f'^2``; nothing is inverted.  ``f'`` and
-        ``h`` are evaluated once per point set, for both (:func:`_held`).
+        derivative ``(h' f' - h f'') / f'^2``; nothing is inverted.
         """
-        base, pert, slot = self.base, self.h, []
-        held = lambda z: _held(slot, z, lambda z: (base.derivative(z), pert(z)))
-
-        def value(z):
-            fp, hz = held(z)
-            return hz / fp
+        base, pert = self.base, self.h
 
         def slope(z):
-            fp, hz = held(z)
-            return (pert.derivative(z) * fp - hz * base.second_derivative(z)) / fp**2
+            fp = base.derivative(z)
+            return (pert.derivative(z) * fp - pert(z) * base.second_derivative(z)) / fp**2
 
-        return _holomorphic_field(to_complex, value, slope, "family velocity on the disk")
+        return _holomorphic_field(to_complex, lambda z: pert(z) / base.derivative(z),
+                                  slope, "family velocity on the disk")
 
     def to_json(self) -> dict:
         pack = lambda c: [[float(v.real), float(v.imag)] for v in c]
@@ -508,48 +503,26 @@ def enclosed_area(grid: BoundaryGrid) -> float:
                               grid.weights))
 
 
-def _held(slot: list, p: np.ndarray, compute):
-    """The arrays ``compute(p)``, read-only (0-d for one point), held in ``slot`` for the
-    last ``p`` only, keyed on its shape and bytes (never its identity)."""
-    key = (p.shape, p.tobytes())
-    if slot[:1] != [key]:
-        slot[:] = key, tuple(map(np.asarray, compute(p)))
-        for arr in slot[1]:
-            arr.flags.writeable = False
-    return slot[1]
-
-
-def _held_image(slot: list, p: np.ndarray, fmap: ConformalMap, at_image):
-    """``(z, f(z) as points, f'(z), at_image(f(z)))`` at disk points ``p``, held (:func:`_held`)."""
-    def compute(p):
-        z = to_complex(p)
-        x = to_points(fmap(z))
-        x.flags.writeable = False       # before at_image, which may be the user's
-        return z, x, fmap.derivative(z), at_image(x)
-
-    return _held(slot, p, compute)
-
-
 def pullback_metric(fmap: ConformalMap, metric: MetricField) -> MetricField:
     """The metric ``f^* g`` on the disk for a conformal ``g = exp(2 phi) delta``.
 
     It is the conformal metric with ``phi~(z) = phi(f(z)) + log|f'(z)|``, whose
     complex-packed gradient is ``conj(f') grad phi(f(z)) + conj(f'' / f')``.
     ``phi`` is :meth:`MetricField.conformal_factor`: a matrix-built metric
-    raises :class:`ConfigError` where it is not conformal.  ``f``, ``f'`` and
-    ``phi(f(z))`` are evaluated once per point set, for both (:func:`_held_image`).
+    raises :class:`ConfigError` where it is not conformal.
     """
     if metric.dim != 2:
         raise DimensionMismatchError("only a planar metric pulls back to the disk")
-    slot = []
 
     def phi(p):
-        _, _, fp, phi_x = _held_image(slot, p, fmap, metric.conformal_factor)
-        return phi_x + np.log(np.abs(fp))
+        z = to_complex(p)
+        return (metric.conformal_factor(to_points(fmap(z)))
+                + np.log(np.abs(fmap.derivative(z))))
 
     def grad_phi(p):
-        z, x, fp, _ = _held_image(slot, p, fmap, metric.conformal_factor)
-        grad = to_complex(metric.conformal_gradient(x))
+        z = to_complex(p)
+        fp = fmap.derivative(z)
+        grad = to_complex(metric.conformal_gradient(to_points(fmap(z))))
         return to_points(np.conj(fp) * grad + np.conj(fmap.second_derivative(z) / fp))
 
     return MetricField(2, phi=phi, grad_phi=grad_phi, name=f"{metric.name}, pulled back")
@@ -559,21 +532,21 @@ def pullback_vector_field(fmap: ConformalMap, v: VectorField) -> VectorField:
     """The vector field ``F^{-1} v(f(z))`` on the disk.
 
     Its Jacobian is ``F^{-1} J_v(f(z)) F + d(F^{-1}) v``, where the second
-    term is multiplication by ``-v f'' / f'^2`` in complex packing.  ``f``,
-    ``f'`` and ``v(f(z))`` are held per point set (:func:`_held_image`).
+    term is multiplication by ``-v f'' / f'^2`` in complex packing.
     """
     if fmap.is_identity:
         return v
-    slot, at_image = [], lambda x: to_complex(v(x))
 
     def func(p):
-        _, _, fp, vx = _held_image(slot, p, fmap, at_image)
-        return to_points(vx / fp)
+        z = to_complex(p)
+        return to_points(to_complex(v(to_points(fmap(z)))) / fmap.derivative(z))
 
     def jac(p):
-        z, x, fp, vx = _held_image(slot, p, fmap, at_image)
+        z = to_complex(p)
+        x = to_points(fmap(z))
+        fp = fmap.derivative(z)
         J = _multiplication_matrix(1.0 / fp) @ v.jacobian(x) @ _multiplication_matrix(fp)
-        return J + _multiplication_matrix(-vx * fmap.second_derivative(z) / fp**2)
+        return J + _multiplication_matrix(-to_complex(v(x)) * fmap.second_derivative(z) / fp**2)
 
     return VectorField(2, func, jac, name=f"{v.name}, pulled back")
 

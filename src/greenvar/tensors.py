@@ -106,7 +106,7 @@ class MetricField:
         ``grad_phi`` to ``(..., n)`` (omitted: centered differences of
         ``phi``).  The matrix, inverse, derivative, volume density and
         Christoffel symbols of such a metric are evaluated in closed form.
-        No callback may write to its points: a pullback's are read-only.
+        No callback may write to its points.
     """
 
     def __init__(self, dim: int, matrix: Optional[Callable] = None,
@@ -209,7 +209,7 @@ class VectorField:
 
     ``jacobian`` maps points to ``(..., n, n)`` arrays with
     ``J[i, j] = d v^i / d x^j``; omitted means centered finite differences.
-    No callback may write to its points: a pullback's are read-only.
+    No callback may write to its points.
     """
 
     def __init__(self, dim: int, func: Callable, jacobian: Optional[Callable] = None,

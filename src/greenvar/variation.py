@@ -283,10 +283,10 @@ def volume_integrand(family, a, b, metric: Optional[MetricField] = None,
 
 
 def _images(fmap: ConformalMap, points):
-    """``(lo, z, f(z))`` per block of ``BLOCK`` disk points: ``z`` complex, ``f(z)`` real points."""
+    """``(z, f(z))`` per block of ``BLOCK`` disk points: ``z`` complex, ``f(z)`` real points."""
     z = np.ascontiguousarray(points, dtype=float).view(np.complex128)[:, 0]
     for lo in range(0, z.size, BLOCK):
-        yield lo, z[lo:lo + BLOCK], fmap(z[lo:lo + BLOCK]).view(np.float64).reshape(-1, 2)
+        yield z[lo:lo + BLOCK], fmap(z[lo:lo + BLOCK]).view(np.float64).reshape(-1, 2)
 
 
 def _closed_form_integrand(family, fmap: ConformalMap, rule,
@@ -313,7 +313,7 @@ def _closed_form_integrand(family, fmap: ConformalMap, rule,
         for lo in range(0, n, BLOCK):
             vals = out[:min(BLOCK, n - lo)]
             if velocity is not None:
-                _, zb, x = next(images)
+                zb, x = next(images)
                 _beltrami_kernel(zb, wa, wb, velocity.jacobian(x), fmap.derivative(zb),
                                  vals, tmp)
             at = slice(*np.searchsorted(idx, (lo, lo + vals.size)))
@@ -360,7 +360,7 @@ def volume_variation(family, a, b, metric: Optional[MetricField] = None,
     if metric is not None:      # conformal at every image node, checked once per rule
         for r in (rule, rule.coarse()) if check else (rule,):
             r.recall("metric", (metric, fmap), lambda: all(
-                _require_conformal(metric, x) for _, _, x in _images(fmap, r.nodes)))
+                _require_conformal(metric, x) for _, x in _images(fmap, r.nodes)))
     integrand = _closed_form_integrand(family, fmap, rule, metric, velocity)
     quad = integrate(rule, integrand, check=check, key=(family, metric, velocity))
     # numpy scalars, so the value is PolarizedEMT.source_pairing's to the bit
@@ -391,7 +391,6 @@ def flux_variation(family, a, b, m: Optional[int] = None,
     _require_conformal(metric, grid.nodes)
     e = grid.params
     vals = np.real(_complex_emt(e, wa, wb) * to_complex(v(to_points(e))) * e)
-    del v       # a field holds its values at e (conformal._held): not through the sum
     return boundary_integrate(grid, vals / grid.speed)
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from greenvar import variation
+from greenvar import cli, variation
 from greenvar.cli import (
     CSV_HEADER,
     _build_parser,
@@ -493,6 +493,20 @@ def test_run_time_failure_is_a_run_error(capsys, tmp_path):
         "params"]["skips"]["fd_oracle"]
 
 
+def test_a_check_that_raises_is_recorded_as_failed(capsys, monkeypatch):
+    # any exception in a check is its error entry; the others still run
+    def boom(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "integrate", boom)     # quadrature_area's sum
+    code, out, _ = run(capsys, "verify")
+    report = json.loads(out)
+    assert code == 1 and report["status"] == "fail"
+    assert report["checks"].pop("quadrature_area") == {"passed": False,
+                                                       "error": "RuntimeError: boom"}
+    assert len(report["checks"]) == 6 and all(c["passed"] for c in report["checks"].values())
+
+
 # ------------------------------------------------------------ config errors
 
 def test_rejects_unknown_fields(capsys, tmp_path):
@@ -517,6 +531,15 @@ def test_rejects_pole_near_boundary(capsys, tmp_path):
     code, _, err = run(capsys, "verify", "--config", write_config(tmp_path, doc))
     assert code == 2
     assert "preimage modulus 0.9700 > 0.95" in err
+
+
+def test_rejects_pole_outside_the_domain(capsys, tmp_path):
+    doc = default_config()
+    doc["poles"]["a"] = [2.0, 0.0]
+    code, out, err = run(capsys, "verify", "--config", write_config(tmp_path, doc))
+    assert code == 2 and out == ""
+    assert err == ("config error: pole 'a' is not inside the domain: point outside the "
+                   "mapped disk: preimage modulus 2\n")
 
 
 def test_rejects_missing_config(capsys, tmp_path):

@@ -196,6 +196,20 @@ def test_least_root_polishes_with_the_maps_own_arithmetic():
         assert ConformalMap._least_root(fmap.coeffs, xi).tobytes() == want.tobytes()
 
 
+def test_an_unconverged_newton_row_falls_back_to_the_least_root(monkeypatch):
+    # with one step the residual test never holds: the row is NaN, and inverse
+    # solves each of its points by _least_root, to the same preimages
+    fmap = ConformalMap(QUARTIC)
+    z = 0.6 * np.exp(2j * np.pi * np.arange(8) / 8)
+    x = fmap(z)
+    monkeypatch.setattr(conformal, "NEWTON_MAXITER", 1)
+    assert np.isnan(conformal._newton_rows(fmap.coeffs[None], x[None], x[None])).all()
+    got = fmap.inverse(x)
+    want = np.array([ConformalMap._least_root(fmap.coeffs, xi) for xi in x])
+    assert got.tobytes() == want.tobytes()
+    assert np.max(np.abs(got - z)) < 1e-14
+
+
 @pytest.mark.parametrize("coeffs", [[1.0, 0.1], [1.0, 0.1, 0.05, 0.03]])
 def test_inverse_round_trip_at_rounding_level(coeffs):
     # one Newton step past the residual test leaves z at rounding level
@@ -474,6 +488,14 @@ def test_coefficients_are_a_read_only_copy():
             arr[0] = 2.0
     coeffs[1] = 0.2
     assert fmap.coeffs[1] == 0.1
+
+
+def test_boundary_grid_refuses_a_zero_of_f_prime_on_its_nodes():
+    # f' = 1 + z of an unchecked map vanishes at the 4-node grid's node -1
+    fmap = ConformalMap([1.0, 0.5], check=False)
+    for _ in range(2):      # a refused grid is not held
+        with pytest.raises(InjectivityError, match=r"degenerate: \|f'\| ~ 0$"):
+            boundary_grid(fmap, m=4)
 
 
 def test_boundary_grid_min_nodes():

@@ -1432,8 +1432,8 @@ def test_streamed_sum_names_a_non_finite_value_in_the_last_block(monkeypatch):
     i = n - 2
     assert n % variation.BLOCK and n > quadrature.FSUM_EXTRACT_MIN and i // variation.BLOCK
     assert i not in np.linspace(0, n - 1, variation.CROSS_CHECK_NODES).astype(int)
-    *_, (lo, _, x) = variation._images(fam.base, rule.nodes)    # the closed form's images
-    v = poisoned_velocity(x[i - lo])
+    x = np.concatenate([x for _, x in variation._images(fam.base, rule.nodes)])  # its images
+    v = poisoned_velocity(x[i])
     sums, strains = count_closed_forms(monkeypatch)
     with pytest.raises(EvaluationError) as info:
         volume_variation(fam, CURVED_A, CURVED_B, metric=met, velocity=v, **kw)
@@ -1751,95 +1751,25 @@ def test_report_dataclass_checks_its_tolerances():
         assert VariationReport(est, **{name: np.float32(1e-3)}).passes
 
 
-# ------------------------------------------- one evaluation per point set
+# ------------------------------------------- pullbacks evaluated where called
 
-def counting_metric(calls):
-    base = curved_metric()
-
-    def phi(p):
-        calls["phi"] += 1
-        return base.conformal_factor(p)
-
-    def grad_phi(p):
-        calls["grad_phi"] += 1
-        return base.conformal_gradient(p)
-
-    return conformal_metric(phi, grad_phi)
-
-
-def counting_velocity(calls):
-    v = square_velocity()
-
-    def func(p):
-        calls["v"] += 1
-        return v(p)
-
-    def jac(p):
-        calls["jac"] += 1
-        return v.jacobian(p)
-
-    return VectorField(2, func, jac)
-
-
-def test_one_tensor_route_evaluation_evaluates_phi_and_f_once(monkeypatch):
-    # the pulled-back metric's scale was computed for inverse, __call__ and
-    # volume_density, each calling phi at f(z): phi 3 times, f 6 times
+def test_family_disk_velocity_is_h_over_f_prime_bit_for_bit():
+    # its value h / f' and its slope (h' f' - h f'') / f'^2, with the bits of
+    # evaluating each expression directly, on every call
     fam = curved_family()
-    wa, wb = GreenFunction(fam).pole_preimages(CURVED_A, CURVED_B)
-    z = to_points(interior_points(np.random.default_rng(7), 32, radius=0.9, min_radius=0.6))
-    calls = dict(phi=0, grad_phi=0, v=0, jac=0, f=0)
-    call = ConformalMap.__call__
-    monkeypatch.setattr(ConformalMap, "__call__", lambda self, x: (
-        calls.__setitem__("f", calls["f"] + (self is fam.base)) or call(self, x)))
-    for velocity in (None, counting_velocity(calls)):
-        for key in calls:
-            calls[key] = 0
-        T, D, vol = variation._tensor_route(fam, wa, wb, counting_metric(calls), velocity)(z)
-        assert calls["phi"] == calls["grad_phi"] == 1
-        if velocity is None:
-            assert calls["f"] == 1
-        else:   # once for the metric and once for the velocity
-            assert calls["f"] == 2 and calls["v"] == calls["jac"] == 1
-        plain = variation._tensor_route(fam, wa, wb, curved_metric(), square_velocity()
-                                        if velocity is not None else None)(z)
-        for got, want in zip((T, D, vol), plain):
-            assert got.tobytes() == want.tobytes()
-
-
-def test_family_disk_velocity_evaluates_f_prime_and_h_once_per_point_set(monkeypatch):
-    # its value h / f' and its slope (h' f' - h f'') / f'^2 share one f' and one
-    # h per point set, with the bits of evaluating each afresh; so a
-    # family-velocity tensor-route evaluation computes f' twice (once held by the
-    # pulled-back metric) and h once, where it computed them 3 and 2 times
-    fam = curved_family()
-    calls = dict(fp=0, h=0)
-    derivative, call = ConformalMap.derivative, ConformalMap.__call__
-    monkeypatch.setattr(ConformalMap, "derivative", lambda self, z: (
-        calls.__setitem__("fp", calls["fp"] + (self is fam.base)) or derivative(self, z)))
-    monkeypatch.setattr(ConformalMap, "__call__", lambda self, z: (
-        calls.__setitem__("h", calls["h"] + (self is fam.h)) or call(self, z)))
-    rng = np.random.default_rng(12)
-    p, q = (to_points(interior_points(rng, 32, radius=0.9)) for _ in range(2))
+    p = to_points(interior_points(np.random.default_rng(12), 32, radius=0.9))
     v = fam.disk_velocity_field()
     got = [v(p), v.jacobian(p), v.jacobian(p), v(p)]
-    assert calls == dict(fp=1, h=1)
-    v(q)
-    assert calls == dict(fp=2, h=2)
     z = to_complex(p)
-    fp, h = derivative(fam.base, z), call(fam.h, z)
+    fp, h = fam.base.derivative(z), fam.h(z)
     slope = (fam.h.derivative(z) * fp - h * fam.base.second_derivative(z)) / fp**2
     assert got[0].tobytes() == got[3].tobytes() == to_points(h / fp).tobytes()
     assert got[1].tobytes() == got[2].tobytes() == conformal._multiplication_matrix(slope).tobytes()
-    wa, wb = GreenFunction(fam).pole_preimages(CURVED_A, CURVED_B)
-    for key in calls:
-        calls[key] = 0
-    variation._tensor_route(fam, wa, wb, None, None)(p)
-    assert calls == dict(fp=2, h=1)
 
 
 def test_held_pullback_values_follow_points_changed_in_place():
-    # held by the points' shape and bytes, not by the array: the same array
-    # with new values is evaluated afresh; the held arrays are read-only
+    # evaluated where called: the same array with new values gives the values
+    # of new pullbacks at those points, and the first points give the first values
     fmap = ConformalMap([1.0, 0.1])
     g = pullback_metric(fmap, curved_metric())
     v = pullback_vector_field(fmap, square_velocity())
@@ -1855,38 +1785,6 @@ def test_held_pullback_values_follow_points_changed_in_place():
              v2.jacobian(second)]
     for got, want, old in zip(again, fresh, held):
         assert got.tobytes() == want.tobytes() and got.tobytes() != old.tobytes()
-    # the first points again, in a new array: the values held for them are gone
+    # the first points again, in a new array
     assert volume_density(g, first.copy()).tobytes() == held[0].tobytes()
     assert g.conformal_gradient(first[:8]).shape == (8, 2)
-
-
-def test_pullback_callbacks_receive_the_held_points_read_only():
-    # the pullbacks hand every user callback the held f(z), read-only: one that
-    # writes its input raises ValueError there, instead of changing a held value
-    fmap = ConformalMap([1.0, 0.1])
-    base, vel = curved_metric(), square_velocity()
-
-    def writes(func):
-        def call(p):
-            p += 0.0
-            return func(p)
-        return call
-
-    x = to_points(interior_points(np.random.default_rng(9), 8, radius=0.9))
-    g = pullback_metric(fmap, conformal_metric(base.conformal_factor, base.conformal_gradient))
-    v = pullback_vector_field(fmap, VectorField(2, vel, vel.jacobian))
-    reads = [lambda: volume_density(g, x), lambda: g.conformal_gradient(x),
-             lambda: v(x), lambda: v.jacobian(x)]
-    plain = [read().tobytes() for read in reads]
-    g_phi, g_grad = (pullback_metric(fmap, conformal_metric(*fs)) for fs in (
-        (writes(base.conformal_factor), base.conformal_gradient),
-        (base.conformal_factor, writes(base.conformal_gradient))))
-    v_func, v_jac = (pullback_vector_field(fmap, VectorField(2, *fs)) for fs in (
-        (writes(vel), vel.jacobian), (vel, writes(vel.jacobian))))
-    for read in (lambda: volume_density(g_phi, x), lambda: g_grad.conformal_gradient(x),
-                 lambda: v_func(x), lambda: v_jac.jacobian(x)):
-        with pytest.raises(ValueError, match="read-only"):
-            read()
-    assert [read().tobytes() for read in reads] == plain
-    # without a pullback the callbacks get the caller's points, as before
-    conformal_metric(writes(base.conformal_factor), base.conformal_gradient)._scale(x.copy())
